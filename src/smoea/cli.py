@@ -15,26 +15,26 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import network as N
 from .data import Dataset, SyntheticParams, generate_synthetic, load_cifar10
-from .evolution import EvolutionConfig, evolve_subnetwork, knee_point, write_front_csv, run_summary
+from .evolution import EvolutionConfig, run_summary, write_front_csv
 from .exceptions import ArgumentError, SmoeaError, UnknownLayerError
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
-from .objectives import ALPHA_MODES, EvaluationContext
+from .objectives import ALPHA_MODES
 from .pipeline import (
     FineTuneConfig,
     GroupPlan,
     baseline_prune,
     calibration_batch,
     evaluate_accuracy,
+    evolve_layer,
     finetune,
     group_layers,
     smoea_prune,
     sweep_uniform_retention,
-    _layer_seed,
 )
 
 log = logging.getLogger("smoea")
@@ -137,20 +137,29 @@ def build_model(cfg: dict, model_path: str | None = None) -> Network:
     raise ArgumentError(f"unknown builtin model {m['builtin']!r}")
 
 
+def _section(cfg: dict, name: str, cls) -> dict:
+    """Config section `name` as keyword arguments for dataclass `cls`."""
+    section = cfg[name]
+    if not isinstance(section, dict):
+        raise ArgumentError(f"config section {name!r} must be an object")
+    unknown = set(section) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ArgumentError(f"unknown {name} config keys {sorted(unknown)}")
+    return dict(section)
+
+
 def evolution_config(cfg: dict) -> EvolutionConfig:
-    return EvolutionConfig(**cfg["evolution"])
+    return EvolutionConfig(**_section(cfg, "evolution", EvolutionConfig))
 
 
 def finetune_config(cfg: dict) -> FineTuneConfig:
-    f = dict(cfg["finetune"])
+    f = _section(cfg, "finetune", FineTuneConfig)
     f["milestones"] = tuple(f["milestones"])
     return FineTuneConfig(**f)
 
 
 def group_plan(cfg: dict) -> GroupPlan:
     g = cfg["groups"]
-    if not g["block_counts"]:
-        return GroupPlan(g["l0"], [])
     return GroupPlan(g["l0"], list(g["block_counts"]))
 
 
@@ -214,21 +223,17 @@ def cmd_evolve_layer(args) -> int:
         raise UnknownLayerError(f"layer {args.layer} out of range 1..{net.num_convs}")
     evo = replace(evolution_config(cfg), alpha_mode=args.alpha_mode)
     calib = calibration_batch(dataset, cfg["calibration_size"], evo.seed)
-    _, captured = N.forward(net, calib, capture={args.layer})
-    sub = N.extract_subnetwork(net, args.layer)
-    ctx = EvaluationContext.build(sub, captured[args.layer], evo.alpha_mode)
-    result = evolve_subnetwork(ctx, replace(evo, seed=_layer_seed(evo.seed, args.layer)))
-    write_front_csv(result.front, run_dir / "fronts" / f"layer_{args.layer}.csv")
-    summary = run_summary(evo, result)
+    summary = run_summary(evo, evolve_layer(net, calib, args.layer, evo))
+    write_front_csv(summary["front"], run_dir / "fronts" / f"layer_{args.layer}.csv")
     summary["command"] = "evolve-layer"
     summary["layer"] = args.layer
     write_report(run_dir, summary)
-    knee = knee_point(result.front)
+    knee = summary["front"][summary["knee_index"]]
     print(
         f"layer={args.layer} alpha_mode={evo.alpha_mode} "
-        f"front_size={len(result.front)} "
-        f"knee_filter_pct={knee.objectives.filter_pct:.4f} "
-        f"knee_error={knee.objectives.error:.6g}"
+        f"front_size={len(summary['front'])} "
+        f"knee_filter_pct={knee['filter_pct']:.4f} "
+        f"knee_error={knee['error']:.6g}"
     )
     return 0
 
@@ -243,15 +248,8 @@ def cmd_prune(args) -> int:
         calibration_size=cfg["calibration_size"],
     )
     save_model(pruned, run_dir / "model")
-    from .evolution import Individual, mask_from_hex
-    from .objectives import ObjectiveVector
     for row in report.layers:
-        members = []
-        for entry in row["front"]:
-            ind = Individual(mask_from_hex(entry["mask_hex"], row["num_filters"]))
-            ind.objectives = ObjectiveVector(entry["filter_pct"], entry["error"])
-            members.append(ind)
-        write_front_csv(members, run_dir / "fronts" / f"layer_{row['ordinal']}.csv")
+        write_front_csv(row["front"], run_dir / "fronts" / f"layer_{row['ordinal']}.csv")
     payload = report.to_dict()
     payload["command"] = "prune"
     write_report(run_dir, payload)
@@ -292,7 +290,10 @@ def cmd_sweep(args) -> int:
     cfg, run_dir = setup_run(args, "sweep")
     dataset = build_dataset(cfg)
     net = build_model(cfg, args.model)
-    fractions = [float(f) for f in args.fractions.split(",")]
+    try:
+        fractions = [float(f) for f in args.fractions.split(",")]
+    except ValueError as e:
+        raise ArgumentError(f"bad --fractions {args.fractions!r}: {e}") from e
     rows = sweep_uniform_retention(
         net, dataset, fractions, evolution_config(cfg), finetune_config(cfg),
         calibration_size=cfg["calibration_size"],

@@ -10,15 +10,14 @@ do not depend on how evaluations are scheduled.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from math import ceil, floor
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import EvolutionError
+from .exceptions import ArgumentError, EvolutionError
 from .network import FilterMask
 from .objectives import EvaluationContext, ObjectiveVector, evaluate_individual
 
@@ -49,6 +48,10 @@ class EvolutionConfig:
     crossover: str = "uniform"  # or "one-point"
 
     def __post_init__(self):
+        if self.crossover not in ("uniform", "one-point"):
+            raise ArgumentError(
+                f"crossover must be uniform or one-point, got {self.crossover!r}"
+            )
         if self.elite_size > self.population_size:
             raise EvolutionError("elite_size must be <= population_size")
         if not 0 < self.tau1 < self.tau2 < 1:
@@ -339,21 +342,29 @@ def mask_from_hex(hex_str: str, num_filters: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:num_filters].astype(bool)
 
 
-def write_front_csv(front: list[Individual], path: str | Path) -> None:
+def front_rows(front: list[Individual]) -> list[dict]:
+    """JSON-ready rows of a front, one per member: filter_pct, error,
+    retained_count and mask_hex."""
+    return [
+        {
+            "filter_pct": ind.objectives.filter_pct,
+            "error": ind.objectives.error,
+            "retained_count": ind.retained,
+            "mask_hex": mask_hex(ind.genes),
+        }
+        for ind in front
+    ]
+
+
+def write_front_csv(rows: list[dict], path: str | Path) -> None:
+    """Write front_rows output as CSV. csv writes floats with str(), which
+    reads back exactly."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filter_pct", "error", "retained_count", "mask_hex"])
-        for ind in front:
-            writer.writerow(
-                [
-                    repr(ind.objectives.filter_pct),
-                    repr(ind.objectives.error),
-                    ind.retained,
-                    mask_hex(ind.genes),
-                ]
-            )
+        writer = csv.DictWriter(fh, ["filter_pct", "error", "retained_count", "mask_hex"])
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def read_front_csv(path: str | Path, num_filters: int) -> list[Individual]:
@@ -378,34 +389,9 @@ def run_summary(
         i for i, ind in enumerate(result.front) if ind.genes.tobytes() == knee.genes.tobytes()
     )
     return {
-        "config": {
-            "population_size": cfg.population_size,
-            "elite_size": cfg.elite_size,
-            "generations": cfg.generations,
-            "crossover_prob": cfg.crossover_prob,
-            "mutation_prob": cfg.mutation_prob,
-            "tau1": cfg.tau1,
-            "tau2": cfg.tau2,
-            "seed": cfg.seed,
-            "alpha_mode": cfg.alpha_mode,
-            "crossover": cfg.crossover,
-        },
+        "config": asdict(cfg),
         "best_error": result.history["best_error"],
         "median_error": result.history["median_error"],
-        "front": [
-            {
-                "filter_pct": ind.objectives.filter_pct,
-                "error": ind.objectives.error,
-                "retained_count": ind.retained,
-                "mask_hex": mask_hex(ind.genes),
-            }
-            for ind in result.front
-        ],
+        "front": front_rows(result.front),
         "knee_index": knee_idx,
     }
-
-
-def write_run_json(cfg: EvolutionConfig, result: EvolutionResult, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(run_summary(cfg, result), indent=2))

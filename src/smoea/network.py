@@ -5,13 +5,30 @@ dense) plus the input geometry. Conv layers are addressed by a 1-based
 ordinal l; masking, sub-network extraction and compaction all speak in
 those ordinals. Networks are treated as immutable values: every mutation
 returns a new Network.
+
+Layer protocol. Each layer class carries the semantics of its kind, so the
+functions below that walk a network are plain loops over its layers:
+
+- ``forward(x) -> (y, record)``: the output, plus what ``backward`` needs
+  besides the input (the argmax record of a maxpool, else None);
+- ``backward(x, record, g) -> (g_in, grads)``: the gradient wrt the input,
+  and ``(grad_weights, grad_bias)`` for a parametric layer, else None;
+- ``out_shape(shape)`` and ``flops(shape)``: the per-sample output shape
+  (channel-first, no batch dim) and the forward FLOPs for an input shape;
+- ``fields()`` and the classmethod ``from_entry(entry, path)``: the layer's
+  fields in the model manifest, and the validated read of one entry.
+
+Conv and dense layers are parametric: ``arrays()`` gives their weights and
+bias, which are saved as one blob, and ``compacted`` drops pruned
+channels. Layer methods look tensor ops up on the ``tensor`` module
+at call time, so a wrapper installed on a module attribute (for timing,
+say) sees every call.
 """
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,35 +40,186 @@ from .tensor import ConvParams
 MODEL_MANIFEST = "manifest.json"
 
 
+class Layer:
+    """Base of the layer protocol; the defaults suit a layer without
+    parameters that keeps the shape of its input."""
+
+    kind = ""
+    parametric = False
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return shape
+
+    def flops(self, shape: tuple[int, ...]) -> int:
+        return 0
+
+    def fields(self) -> dict:
+        return {}
+
+    @classmethod
+    def from_entry(cls, entry: dict, path: Path) -> "Layer":
+        return cls()
+
+
+class ParametricLayer(Layer):
+    """Conv or dense: ``arrays()`` gives [weights, bias], stored as one
+    float64 blob."""
+
+    parametric = True
+
+    def flops(self, shape):
+        # every weight does one multiply-accumulate per output position
+        positions = int(np.prod(self.out_shape(shape)[1:]))
+        return 2 * self.arrays()[0].size * positions
+
+    def blob(self) -> bytes:
+        data = np.concatenate([a.ravel() for a in self.arrays()])
+        return data.astype("<f8").tobytes()
+
+
+# manifest fields of a conv entry, each with its smallest valid value
+_CONV_FIELDS = {
+    "out_channels": 1,
+    "in_channels": 1,
+    "kernel_h": 1,
+    "kernel_w": 1,
+    "stride": 1,
+    "padding": 0,
+}
+
+
 @dataclass
-class ConvLayer:
+class ConvLayer(ParametricLayer):
     kind = "conv"
     params: ConvParams
 
+    def arrays(self) -> list[np.ndarray]:
+        return [self.params.weights, self.params.bias]
+
+    def forward(self, x):
+        return T.conv2d_forward(x, self.params), None
+
+    def backward(self, x, record, g):
+        g_in, gw, gb = T.conv2d_backward(x, self.params, g)
+        return g_in, (gw, gb)
+
+    def out_shape(self, shape):
+        oh, ow = T.conv_output_hw(self.params, shape[1], shape[2])
+        return (self.params.out_channels, oh, ow)
+
+    def compacted(self, in_bits: np.ndarray | None, out_bits: np.ndarray | None):
+        """Copy keeping the flagged input and output channels (None keeps all)."""
+        p = self.params
+        rows = np.arange(p.out_channels) if out_bits is None else np.flatnonzero(out_bits)
+        cols = np.arange(p.in_channels) if in_bits is None else np.flatnonzero(in_bits)
+        return ConvLayer(
+            replace(
+                p,
+                out_channels=len(rows),
+                in_channels=len(cols),
+                weights=p.weights[np.ix_(rows, cols)],
+                bias=p.bias[rows],
+            )
+        )
+
+    def fields(self):
+        return {name: getattr(self.params, name) for name in _CONV_FIELDS}
+
+    @classmethod
+    def from_entry(cls, entry, path):
+        oc, ic, kh, kw, stride, padding = _ints(entry, _CONV_FIELDS)
+        n_w = oc * ic * kh * kw
+        data = _read_blob(path, entry, n_w + oc)
+        weights = data[:n_w].reshape(oc, ic, kh, kw)
+        return cls(ConvParams(oc, ic, kh, kw, stride, padding, weights, data[n_w:]))
+
 
 @dataclass
-class ReluLayer:
+class ReluLayer(Layer):
     kind = "relu"
 
+    def forward(self, x):
+        return T.relu(x), None
+
+    def backward(self, x, record, g):
+        return T.relu_backward(x, g), None
+
 
 @dataclass
-class PoolLayer:
+class PoolLayer(Layer):
     kind = "maxpool"
 
+    def forward(self, x):
+        return T.maxpool2x2(x)
+
+    def backward(self, x, record, g):
+        return T.maxpool2x2_backward(record, g), None
+
+    def out_shape(self, shape):
+        return (shape[0], shape[1] // 2, shape[2] // 2)
+
 
 @dataclass
-class FlattenLayer:
+class FlattenLayer(Layer):
     kind = "flatten"
 
+    def forward(self, x):
+        return x.reshape(x.shape[0], -1), None
+
+    def backward(self, x, record, g):
+        return g.reshape(x.shape), None
+
+    def out_shape(self, shape):
+        return (int(np.prod(shape)),)
+
 
 @dataclass
-class DenseLayer:
+class DenseLayer(ParametricLayer):
     kind = "dense"
     weights: np.ndarray  # [D, O]
     bias: np.ndarray  # [O]
 
+    def arrays(self) -> list[np.ndarray]:
+        return [self.weights, self.bias]
 
-Layer = ConvLayer | ReluLayer | PoolLayer | FlattenLayer | DenseLayer
+    def forward(self, x):
+        return T.dense_forward(x, self.weights, self.bias), None
+
+    def backward(self, x, record, g):
+        g_in, gw, gb = T.dense_backward(x, self.weights, g)
+        return g_in, (gw, gb)
+
+    def out_shape(self, shape):
+        return (self.weights.shape[1],)
+
+    def compacted(self, in_bits: np.ndarray | None, out_bits: None = None):
+        """Copy keeping the rows fed by the flagged channels of the preceding
+        conv (None keeps all); outputs are never pruned. Rows follow the
+        row-major flatten of [C, H, W]."""
+        d = self.weights.shape[0]
+        rows = (
+            np.arange(d)
+            if in_bits is None
+            else np.flatnonzero(np.repeat(in_bits, d // in_bits.shape[0]))
+        )
+        return DenseLayer(self.weights[rows], self.bias.copy())
+
+    def fields(self):
+        return {
+            "in_features": int(self.weights.shape[0]),
+            "out_features": int(self.weights.shape[1]),
+        }
+
+    @classmethod
+    def from_entry(cls, entry, path):
+        d, o = _ints(entry, {"in_features": 1, "out_features": 1})
+        data = _read_blob(path, entry, d * o + o)
+        return cls(data[: d * o].reshape(d, o), data[d * o :])
+
+
+LAYER_CLASSES = {
+    cls.kind: cls for cls in (ConvLayer, ReluLayer, PoolLayer, FlattenLayer, DenseLayer)
+}
 
 
 @dataclass
@@ -71,10 +239,6 @@ class FilterMask:
     @property
     def retained(self) -> int:
         return int(self.bits.sum())
-
-    @property
-    def kept_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits)
 
 
 @dataclass
@@ -193,48 +357,25 @@ def forward(
     bad = capture - set(range(1, net.num_convs + 1))
     if bad:
         raise UnknownLayerError(f"capture ordinals {sorted(bad)} out of range")
+    at = {pos: l for l, pos in enumerate(net.conv_positions, start=1) if l in capture}
     captured: dict[int, np.ndarray] = {}
     x = batch
-    ordinal = 0
-    for lay in net.layers:
-        if lay.kind == "conv":
-            ordinal += 1
-            if ordinal in capture:
-                captured[ordinal] = x
-            x = T.conv2d_forward(x, lay.params)
-        elif lay.kind == "relu":
-            x = T.relu(x)
-        elif lay.kind == "maxpool":
-            x, _ = T.maxpool2x2(x)
-        elif lay.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
-        else:
-            x = T.dense_forward(x, lay.weights, lay.bias)
+    for i, lay in enumerate(net.layers):
+        if i in at:
+            captured[at[i]] = x
+        x, _ = lay.forward(x)
     return x, captured
 
 
 def forward_cached(net: Network, batch: np.ndarray):
-    """Forward pass keeping per-layer inputs and pool records for backprop."""
+    """Forward pass keeping per-layer inputs and records for backprop."""
     x = batch
     inputs: list = []
     records: list = []
     for lay in net.layers:
         inputs.append(x)
-        if lay.kind == "conv":
-            x = T.conv2d_forward(x, lay.params)
-            records.append(None)
-        elif lay.kind == "relu":
-            x = T.relu(x)
-            records.append(None)
-        elif lay.kind == "maxpool":
-            x, rec = T.maxpool2x2(x)
-            records.append(rec)
-        elif lay.kind == "flatten":
-            x = x.reshape(x.shape[0], -1)
-            records.append(None)
-        else:
-            x = T.dense_forward(x, lay.weights, lay.bias)
-            records.append(None)
+        x, rec = lay.forward(x)
+        records.append(rec)
     return x, inputs, records
 
 
@@ -246,20 +387,9 @@ def backward(net: Network, inputs, records, grad_logits: np.ndarray):
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_logits
     for i in range(len(net.layers) - 1, -1, -1):
-        lay = net.layers[i]
-        x = inputs[i]
-        if lay.kind == "conv":
-            g, gw, gb = T.conv2d_backward(x, lay.params, g)
-            grads[i] = (gw, gb)
-        elif lay.kind == "relu":
-            g = T.relu_backward(x, g)
-        elif lay.kind == "maxpool":
-            g = T.maxpool2x2_backward(records[i], g)
-        elif lay.kind == "flatten":
-            g = g.reshape(x.shape)
-        else:
-            g, gw, gb = T.dense_backward(x, lay.weights, g)
-            grads[i] = (gw, gb)
+        g, layer_grads = net.layers[i].backward(inputs[i], records[i], g)
+        if layer_grads is not None:
+            grads[i] = layer_grads
     return grads
 
 
@@ -270,22 +400,14 @@ def backward(net: Network, inputs, records, grad_logits: np.ndarray):
 def apply_mask(net: Network, mask: FilterMask) -> Network:
     """Zero out the pruned output-channel slices (weights and bias) of conv
     layer mask.layer_ordinal; returns a new network."""
-    lay = net.conv(mask.layer_ordinal)
-    if mask.bits.shape[0] != lay.params.out_channels:
+    p = net.conv(mask.layer_ordinal).params
+    if mask.bits.shape[0] != p.out_channels:
         raise MaskError(
-            f"mask length {mask.bits.shape[0]} != {lay.params.out_channels} filters"
+            f"mask length {mask.bits.shape[0]} != {p.out_channels} filters"
         )
     keep = mask.bits.astype(np.float64)
-    p = lay.params
-    new_params = ConvParams(
-        p.out_channels,
-        p.in_channels,
-        p.kernel_h,
-        p.kernel_w,
-        p.stride,
-        p.padding,
-        p.weights * keep[:, None, None, None],
-        p.bias * keep,
+    new_params = replace(
+        p, weights=p.weights * keep[:, None, None, None], bias=p.bias * keep
     )
     layers = list(net.layers)
     layers[net.conv_positions[mask.layer_ordinal - 1]] = ConvLayer(new_params)
@@ -300,7 +422,7 @@ def extract_subnetwork(net: Network, ordinal: int) -> SubNetwork:
     first = net.layers[i]
     interstitial: list[Layer] = []
     for lay in net.layers[i + 1 :]:
-        if lay.kind in ("conv", "dense"):
+        if lay.parametric:
             return SubNetwork(first, interstitial, lay)
         interstitial.append(lay)
     raise UnknownLayerError(f"conv {ordinal} has no following parametric layer")
@@ -310,15 +432,8 @@ def subnetwork_tail_forward(sub: SubNetwork, first_out: np.ndarray) -> np.ndarra
     """Forward from the first layer's output through interstitial + second."""
     x = first_out
     for lay in sub.interstitial:
-        if lay.kind == "relu":
-            x = T.relu(x)
-        elif lay.kind == "maxpool":
-            x, _ = T.maxpool2x2(x)
-        else:
-            x = x.reshape(x.shape[0], -1)
-    if sub.second.kind == "conv":
-        return T.conv2d_forward(x, sub.second.params)
-    return T.dense_forward(x, sub.second.weights, sub.second.bias)
+        x, _ = lay.forward(x)
+    return sub.second.forward(x)[0]
 
 
 def subnetwork_forward(
@@ -346,15 +461,7 @@ def activation_shapes(net: Network) -> list[tuple[int, ...]]:
     shapes = []
     for lay in net.layers:
         shapes.append(shape)
-        if lay.kind == "conv":
-            oh, ow = T.conv_output_hw(lay.params, shape[1], shape[2])
-            shape = (lay.params.out_channels, oh, ow)
-        elif lay.kind == "maxpool":
-            shape = (shape[0], shape[1] // 2, shape[2] // 2)
-        elif lay.kind == "flatten":
-            shape = (int(np.prod(shape)),)
-        elif lay.kind == "dense":
-            shape = (lay.weights.shape[1],)
+        shape = lay.out_shape(shape)
     return shapes
 
 
@@ -367,54 +474,15 @@ def compact(net: Network, masks: dict[int, FilterMask]) -> Network:
             raise MaskError(f"mask ordinal {l} out of range")
         if m.bits.shape[0] != net.conv(l).params.out_channels:
             raise MaskError(f"mask length mismatch at conv {l}")
-    shapes = activation_shapes(net)
-
+    ordinal = {p: l for l, p in enumerate(pos, start=1)}
     layers: list[Layer] = []
-    prev_keep: np.ndarray | None = None  # kept channel indices of last conv
-    prev_width: int | None = None  # original channel count of last conv
-    ordinal = 0
+    bits = None  # retained-channel flags of the last conv, if it was masked
     for i, lay in enumerate(net.layers):
-        if lay.kind == "conv":
-            ordinal += 1
-            p = lay.params
-            in_keep = prev_keep if prev_keep is not None else np.arange(p.in_channels)
-            out_keep = (
-                masks[ordinal].kept_indices
-                if ordinal in masks
-                else np.arange(p.out_channels)
-            )
-            layers.append(
-                ConvLayer(
-                    ConvParams(
-                        len(out_keep),
-                        len(in_keep),
-                        p.kernel_h,
-                        p.kernel_w,
-                        p.stride,
-                        p.padding,
-                        p.weights[np.ix_(out_keep, in_keep)],
-                        p.bias[out_keep],
-                    )
-                )
-            )
-            prev_keep = out_keep
-            prev_width = p.out_channels
-        elif lay.kind == "dense":
-            if prev_keep is not None and len(prev_keep) != prev_width:
-                # rows of the dense weights follow the row-major flatten of
-                # [C, H, W]; keep the rows fed by retained channels
-                flat_shape = shapes[i]  # input to dense, after flatten
-                spatial = flat_shape[0] // prev_width
-                kept_flag = np.zeros(prev_width, dtype=bool)
-                kept_flag[prev_keep] = True
-                rows = np.flatnonzero(np.repeat(kept_flag, spatial))
-                layers.append(DenseLayer(lay.weights[rows, :], lay.bias.copy()))
-            else:
-                layers.append(DenseLayer(lay.weights.copy(), lay.bias.copy()))
-            prev_keep = None
-            prev_width = None
-        else:
-            layers.append(copy.deepcopy(lay))
+        if lay.parametric:
+            out_bits = masks[ordinal[i]].bits if ordinal.get(i) in masks else None
+            lay = lay.compacted(bits, out_bits)
+            bits = out_bits
+        layers.append(lay)
     return Network(layers, net.input_shape)
 
 
@@ -423,28 +491,14 @@ def compact(net: Network, masks: dict[int, FilterMask]) -> Network:
 
 
 def count_params(net: Network) -> int:
-    total = 0
-    for lay in net.layers:
-        if lay.kind == "conv":
-            total += lay.params.weights.size + lay.params.bias.size
-        elif lay.kind == "dense":
-            total += lay.weights.size + lay.bias.size
-    return int(total)
+    return int(sum(a.size for lay in net.layers if lay.parametric for a in lay.arrays()))
 
 
 def count_flops(net: Network, input_shape: tuple[int, int, int] | None = None) -> int:
     """Forward FLOPs, one multiply-accumulate counted as 2 operations."""
     work = net if input_shape is None else Network(net.layers, input_shape)
     shapes = activation_shapes(work)
-    total = 0
-    for lay, shape in zip(work.layers, shapes):
-        if lay.kind == "conv":
-            p = lay.params
-            oh, ow = T.conv_output_hw(p, shape[1], shape[2])
-            total += 2 * p.in_channels * p.kernel_h * p.kernel_w * p.out_channels * oh * ow
-        elif lay.kind == "dense":
-            total += 2 * lay.weights.shape[0] * lay.weights.shape[1]
-    return int(total)
+    return int(sum(lay.flops(shape) for lay, shape in zip(work.layers, shapes)))
 
 
 # ---------------------------------------------------------------------------
@@ -465,31 +519,10 @@ def save_model(net: Network, path: str | Path) -> None:
     }
     blob_idx = 0
     for lay in net.layers:
-        entry: dict = {"kind": lay.kind}
-        if lay.kind == "conv":
-            p = lay.params
-            entry.update(
-                out_channels=p.out_channels,
-                in_channels=p.in_channels,
-                kernel_h=p.kernel_h,
-                kernel_w=p.kernel_w,
-                stride=p.stride,
-                padding=p.padding,
-                blob=f"layer_{blob_idx:02d}.bin",
-            )
-            blob = np.concatenate(
-                [p.weights.ravel(), p.bias.ravel()]
-            ).astype("<f8")
-            (path / entry["blob"]).write_bytes(blob.tobytes())
-            blob_idx += 1
-        elif lay.kind == "dense":
-            entry.update(
-                in_features=int(lay.weights.shape[0]),
-                out_features=int(lay.weights.shape[1]),
-                blob=f"layer_{blob_idx:02d}.bin",
-            )
-            blob = np.concatenate([lay.weights.ravel(), lay.bias.ravel()]).astype("<f8")
-            (path / entry["blob"]).write_bytes(blob.tobytes())
+        entry = {"kind": lay.kind, **lay.fields()}
+        if lay.parametric:
+            entry["blob"] = f"layer_{blob_idx:02d}.bin"
+            (path / entry["blob"]).write_bytes(lay.blob())
             blob_idx += 1
         manifest["layers"].append(entry)
     (path / MODEL_MANIFEST).write_text(json.dumps(manifest, indent=2))
@@ -507,6 +540,8 @@ def load_model(path: str | Path) -> Network:
         manifest = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"malformed manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise ModelFormatError("manifest must be a JSON object")
     for key in ("format", "input_shape", "layers", "num_layers"):
         if key not in manifest:
             raise ModelFormatError(f"manifest missing field {key!r}")
@@ -514,49 +549,49 @@ def load_model(path: str | Path) -> Network:
         raise ModelFormatError(f"unknown model format {manifest['format']!r}")
     if manifest.get("endianness", "little") != "little":
         raise ModelFormatError("unsupported endianness")
-    if manifest["num_layers"] != len(manifest["layers"]):
+    if manifest.get("dtype", "float64") != "float64":
+        raise ModelFormatError("unsupported dtype")
+    shape = manifest["input_shape"]
+    valid = isinstance(shape, list) and len(shape) == 3
+    if not valid or not all(type(v) is int and v >= 1 for v in shape):
+        raise ModelFormatError(f"input_shape must be 3 positive ints, got {shape!r}")
+    entries = manifest["layers"]
+    if not isinstance(entries, list) or manifest["num_layers"] != len(entries):
         raise ModelFormatError(
-            f"manifest num_layers {manifest['num_layers']} != "
-            f"{len(manifest['layers'])} layer entries"
+            f"manifest num_layers {manifest['num_layers']!r} does not match "
+            "its list of layer entries"
         )
     layers: list[Layer] = []
-    for entry in manifest["layers"]:
-        kind = entry.get("kind")
-        if kind == "relu":
-            layers.append(ReluLayer())
-        elif kind == "maxpool":
-            layers.append(PoolLayer())
-        elif kind == "flatten":
-            layers.append(FlattenLayer())
-        elif kind == "conv":
-            oc, ic = entry["out_channels"], entry["in_channels"]
-            kh, kw = entry["kernel_h"], entry["kernel_w"]
-            n_w, n_b = oc * ic * kh * kw, oc
-            data = _read_blob(path, entry, n_w + n_b)
-            layers.append(
-                ConvLayer(
-                    ConvParams(
-                        oc, ic, kh, kw, entry["stride"], entry["padding"],
-                        data[:n_w].reshape(oc, ic, kh, kw), data[n_w:],
-                    )
-                )
-            )
-        elif kind == "dense":
-            d, o = entry["in_features"], entry["out_features"]
-            data = _read_blob(path, entry, d * o + o)
-            layers.append(DenseLayer(data[: d * o].reshape(d, o), data[d * o :]))
-        else:
+    for entry in entries:
+        kind = entry.get("kind") if isinstance(entry, dict) else None
+        if kind not in LAYER_CLASSES:
             raise ModelFormatError(f"unknown layer kind {kind!r}")
-    return Network(layers, tuple(manifest["input_shape"]))
+        layers.append(LAYER_CLASSES[kind].from_entry(entry, path))
+    return Network(layers, tuple(shape))
+
+
+def _ints(entry: dict, minimums: dict[str, int]) -> list[int]:
+    """The named integer fields of a manifest entry, each checked against
+    its smallest valid value."""
+    values = []
+    for name, low in minimums.items():
+        value = entry.get(name)
+        if type(value) is not int or value < low:
+            raise ModelFormatError(
+                f"{entry.get('kind')} entry field {name!r} must be an integer "
+                f">= {low}, got {value!r}"
+            )
+        values.append(value)
+    return values
 
 
 def _read_blob(path: Path, entry: dict, expected: int) -> np.ndarray:
-    blob_path = path / entry.get("blob", "")
-    if not blob_path.is_file():
-        raise ModelFormatError(f"missing blob {entry.get('blob')!r}")
-    raw = blob_path.read_bytes()
+    name = entry.get("blob")
+    if not isinstance(name, str) or Path(name).name != name or not (path / name).is_file():
+        raise ModelFormatError(f"missing blob {name!r}")
+    raw = (path / name).read_bytes()
     if len(raw) != expected * 8:
         raise ModelFormatError(
-            f"blob {entry['blob']} has {len(raw)} bytes, expected {expected * 8}"
+            f"blob {name} has {len(raw)} bytes, expected {expected * 8}"
         )
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)

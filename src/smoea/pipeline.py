@@ -16,8 +16,8 @@ from .evolution import (
     EvolutionConfig,
     EvolutionResult,
     evolve_subnetwork,
+    front_rows,
     knee_point,
-    mask_hex,
 )
 from .exceptions import ArgumentError, DataError, PlanError
 from .network import FilterMask, Network
@@ -49,6 +49,8 @@ class FineTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.lr > 0:
+            raise ArgumentError(f"lr must be > 0, got {self.lr}")
         ms = tuple(self.milestones)
         if list(ms) != sorted(set(ms)):
             raise ArgumentError("milestones must be strictly increasing")
@@ -78,7 +80,6 @@ class PruneReport:
     final_accuracy: float = 0.0
     layers: list[dict] = field(default_factory=list)
     stages: list[dict] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
 
     def retained_rates(self) -> dict[int, float]:
         return {row["ordinal"]: row["retained_rate"] for row in self.layers}
@@ -96,7 +97,6 @@ class PruneReport:
             "final_accuracy": self.final_accuracy,
             "layers": self.layers,
             "stages": self.stages,
-            "events": self.events,
         }
 
 
@@ -133,6 +133,13 @@ def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray,
     return correct / images.shape[0]
 
 
+def _test_accuracy(net: Network, dataset: Dataset) -> float:
+    """Test-split accuracy, NaN when the dataset has no test split."""
+    if not dataset.test_images.size:
+        return float("nan")
+    return evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
+
+
 def _clone(net: Network) -> Network:
     return Network(copy.deepcopy(net.layers), net.input_shape)
 
@@ -147,10 +154,7 @@ def finetune_with_history(
     """
     dataset.require_nonempty()
     net = _clone(net)
-    param_positions = [
-        i for i, lay in enumerate(net.layers) if lay.kind in ("conv", "dense")
-    ]
-    velocity = {i: None for i in param_positions}
+    velocity: dict[int, list[np.ndarray]] = {}
     rng = np.random.default_rng(cfg.seed)
     x, y = dataset.train_images, dataset.train_labels
     losses = []
@@ -163,23 +167,15 @@ def finetune_with_history(
             idx = order[i : i + cfg.batch_size]
             logits, inputs, records = N.forward_cached(net, x[idx])
             loss, grad = T.softmax_cross_entropy(logits, y[idx])
-            grads = N.backward(net, inputs, records, grad)
-            for pos in param_positions:
-                lay = net.layers[pos]
-                gw, gb = grads[pos]
-                if velocity[pos] is None:
-                    velocity[pos] = [np.zeros_like(gw), np.zeros_like(gb)]
-                if lay.kind == "conv":
-                    params = [lay.params.weights, lay.params.bias]
-                else:
-                    params = [lay.weights, lay.bias]
+            for pos, grads in N.backward(net, inputs, records, grad).items():
+                params = net.layers[pos].arrays()
+                if pos not in velocity:
+                    velocity[pos] = [np.zeros_like(g) for g in grads]
                 new_p, velocity[pos] = T.sgd_update(
-                    params, [gw, gb], lr, cfg.momentum, velocity[pos]
+                    params, list(grads), lr, cfg.momentum, velocity[pos]
                 )
-                if lay.kind == "conv":
-                    lay.params.weights, lay.params.bias = new_p
-                else:
-                    lay.weights, lay.bias = new_p
+                for old, new in zip(params, new_p):
+                    old[...] = new  # the clone owns its arrays
             epoch_loss += loss
             nbatch += 1
         losses.append(epoch_loss / max(nbatch, 1))
@@ -204,6 +200,17 @@ def _layer_seed(base_seed: int, ordinal: int) -> int:
     return int(np.random.SeedSequence((base_seed, ordinal)).generate_state(1)[0])
 
 
+def evolve_layer(
+    net: Network, calib: np.ndarray, l: int, evo: EvolutionConfig
+) -> EvolutionResult:
+    """Evolve conv l's mask front on its two-layer sub-network, fed by the
+    calibration batch, with a seed derived from evo.seed and l."""
+    _, captured = N.forward(net, calib, capture={l})
+    sub = N.extract_subnetwork(net, l)
+    ctx = EvaluationContext.build(sub, captured[l], evo.alpha_mode)
+    return evolve_subnetwork(ctx, replace(evo, seed=_layer_seed(evo.seed, l)))
+
+
 # ---------------------------------------------------------------------------
 # the main framework
 
@@ -222,9 +229,7 @@ def smoea_prune(
     report = PruneReport(
         params_before=N.count_params(net),
         flops_before=N.count_flops(net),
-        baseline_accuracy=evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
-        if dataset.test_images.size
-        else float("nan"),
+        baseline_accuracy=_test_accuracy(net, dataset),
     )
     groups = group_layers(plan, net.num_convs)
     calib = calibration_batch(dataset, calibration_size, evo.seed)
@@ -232,16 +237,11 @@ def smoea_prune(
     for g in range(len(groups) - 1, -1, -1):
         masks: dict[int, FilterMask] = {}
         for l in groups[g]:
-            _, captured = N.forward(current, calib, capture={l})
-            sub = N.extract_subnetwork(current, l)
-            ctx = EvaluationContext.build(sub, captured[l], evo.alpha_mode)
-            layer_cfg = replace(evo, seed=_layer_seed(evo.seed, l))
-            result = evolve_subnetwork(ctx, layer_cfg)
+            result = evolve_layer(current, calib, l, evo)
             knee = knee_point(result.front)
             mask = FilterMask(knee.genes.astype(np.uint8), l)
             current = N.apply_mask(current, mask)
             masks[l] = mask
-            report.events.append(f"evolve layer {l}")
             report.layers.append(
                 {
                     "ordinal": l,
@@ -252,36 +252,17 @@ def smoea_prune(
                         "filter_pct": knee.objectives.filter_pct,
                         "error": knee.objectives.error,
                     },
-                    "front": [
-                        {
-                            "filter_pct": ind.objectives.filter_pct,
-                            "error": ind.objectives.error,
-                            "retained_count": ind.retained,
-                            "mask_hex": mask_hex(ind.genes),
-                        }
-                        for ind in result.front
-                    ],
+                    "front": front_rows(result.front),
                 }
             )
         current = N.compact(current, masks)
         current = finetune(current, dataset, ft)
-        acc = (
-            evaluate_accuracy(current, dataset.test_images, dataset.test_labels)
-            if dataset.test_images.size
-            else float("nan")
-        )
-        report.events.append(f"finetune group {g + 1}")
-        report.stages.append(
-            {"group": g + 1, "layers": groups[g], "accuracy": acc}
-        )
+        acc = _test_accuracy(current, dataset)
+        report.stages.append({"group": g + 1, "layers": groups[g], "accuracy": acc})
     report.layers.sort(key=lambda row: row["ordinal"])
     report.params_after = N.count_params(current)
     report.flops_after = N.count_flops(current)
-    report.final_accuracy = (
-        evaluate_accuracy(current, dataset.test_images, dataset.test_labels)
-        if dataset.test_images.size
-        else float("nan")
-    )
+    report.final_accuracy = _test_accuracy(current, dataset)
     return current, report
 
 
@@ -294,8 +275,8 @@ def baseline_mask(
     retain_fraction: float,
     criterion: str,
     rng: np.random.Generator,
-) -> FilterMask:
-    """Mask for one conv layer by a heuristic criterion.
+) -> np.ndarray:
+    """Retain bits (uint8) for one conv layer by a heuristic criterion.
 
     random: uniform subset. l2: keep the largest-norm filters. fpgm: prune
     the filters with the smallest summed distance to all others (the most
@@ -320,7 +301,7 @@ def baseline_mask(
         bits[order[n - keep :]] = 1
     else:
         raise ArgumentError(f"unknown criterion {criterion!r}")
-    return FilterMask(bits, 0)
+    return bits
 
 
 def baseline_prune(
@@ -341,8 +322,8 @@ def baseline_prune(
         masks: dict[int, FilterMask] = {}
         for l in groups[g]:
             rng = np.random.default_rng(np.random.SeedSequence((seed, l)))
-            mask = baseline_mask(current.conv(l).params.weights, rates[l], criterion, rng)
-            mask = FilterMask(mask.bits, l)
+            bits = baseline_mask(current.conv(l).params.weights, rates[l], criterion, rng)
+            mask = FilterMask(bits, l)
             current = N.apply_mask(current, mask)
             masks[l] = mask
         current = N.compact(current, masks)
@@ -376,12 +357,7 @@ def sweep_uniform_retention(
         if not 0 < f <= 1:
             raise ArgumentError(f"fraction {f} outside (0, 1]")
     calib = calibration_batch(dataset, calibration_size, evo.seed)
-    fronts: dict[int, EvolutionResult] = {}
-    for l in layers:
-        _, captured = N.forward(net, calib, capture={l})
-        sub = N.extract_subnetwork(net, l)
-        ctx = EvaluationContext.build(sub, captured[l], evo.alpha_mode)
-        fronts[l] = evolve_subnetwork(ctx, replace(evo, seed=_layer_seed(evo.seed, l)))
+    fronts = {l: evolve_layer(net, calib, l, evo) for l in layers}
     params_before = N.count_params(net)
     baseline_acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     rows = []

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from smoea.cli import main
 from smoea.evolution import read_front_csv
-from smoea.network import load_model
+from smoea.network import build_toy_cnn, load_model, save_model
 
 FAST_OVERRIDES = {
     "evolution": {"population_size": 20, "elite_size": 8, "generations": 8, "seed": 7},
@@ -162,6 +163,23 @@ class TestPrune:
         for l in range(1, 5):
             assert net.conv(l).params.out_channels == counts[l]
 
+    def test_front_csvs_match_report(self, prune_run):
+        _, out, _, _ = prune_run
+        payload = json.loads((out / "report.json").read_text())
+        for row in payload["layers"]:
+            path = out / "fronts" / f"layer_{row['ordinal']}.csv"
+            with path.open(newline="") as fh:
+                csv_rows = [
+                    {
+                        "filter_pct": float(r["filter_pct"]),
+                        "error": float(r["error"]),
+                        "retained_count": int(r["retained_count"]),
+                        "mask_hex": r["mask_hex"],
+                    }
+                    for r in csv.DictReader(fh)
+                ]
+            assert csv_rows == row["front"]
+
     def test_rerun_reproduces_numbers(self, prune_run):
         _, out, _, tmp_path = prune_run
         echoed = tmp_path / "echoed.json"
@@ -206,35 +224,77 @@ class TestBaselineAndSweep:
         assert len(text) == 3
 
 
+def saved_toy_model(tmp_path, edit_manifest):
+    """A saved toy model whose manifest has been passed through edit_manifest."""
+    model = tmp_path / "model"
+    save_model(build_toy_cnn(), model)
+    path = model / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit_manifest(manifest)
+    path.write_text(json.dumps(manifest))
+    return model
+
+
+def drop_first_out_channels(manifest):
+    del manifest["layers"][0]["out_channels"]
+
+
+FAST_EVO = FAST_OVERRIDES["evolution"]
+
+# id: (argv, config overrides or raw config text, manifest edit of a saved
+# model passed with --model, exit code, error type)
+ERROR_CASES = {
+    "malformed_config": (["report"], "{not json", None, 2, "ArgumentError"),
+    "missing_dataset_path": (
+        ["train"], {"dataset": {"kind": "cifar10-binary", "path": None}}, None,
+        2, "ArgumentError",
+    ),
+    "corrupt_model_dir": (["report"], {}, dict.clear, 4, "ModelFormatError"),
+    "bad_plan_overflow": (
+        ["prune"], {"groups": {"l0": 4, "block_counts": [2]}}, None, 6, "PlanError",
+    ),
+    "unknown_evolution_key": (
+        ["evolve-layer", "--layer", "1"], {"evolution": {**FAST_EVO, "bogus": 1}},
+        None, 2, "ArgumentError",
+    ),
+    "bad_sweep_fraction": (
+        ["sweep", "--fractions", "0.5,abc"], {}, None, 2, "ArgumentError",
+    ),
+    "unknown_crossover": (
+        ["evolve-layer", "--layer", "1"],
+        {"evolution": {**FAST_EVO, "crossover": "nonsense"}}, None,
+        2, "ArgumentError",
+    ),
+    "zero_lr": (
+        ["train"], {"finetune": {"epochs": 1, "milestones": [], "lr": 0}}, None,
+        2, "ArgumentError",
+    ),
+    "manifest_missing_field": (
+        ["report"], {}, drop_first_out_channels, 4, "ModelFormatError",
+    ),
+}
+
+
 class TestErrors:
-    def test_malformed_config(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = run(["report", "--config", str(bad), "--out", str(tmp_path / "r")])
-        assert code == 2
-        assert "ERROR code=2 type=ArgumentError" in capsys.readouterr().err
-
-    def test_missing_dataset_path(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, {"dataset": {"kind": "cifar10-binary", "path": None}}
-        )
-        code = run(["train", "--config", cfg, "--out", str(tmp_path / "r")])
-        assert code == 2
-
-    def test_corrupt_model_dir(self, tmp_path, capsys):
-        model = tmp_path / "model"
-        model.mkdir()
-        (model / "manifest.json").write_text("{}")
-        cfg = write_config(tmp_path)
-        code = run(
-            ["report", "--config", cfg, "--out", str(tmp_path / "r"),
-             "--model", str(model)]
-        )
-        assert code == 4
-        assert "type=ModelFormatError" in capsys.readouterr().err
-
-    def test_bad_plan_overflow(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"groups": {"l0": 4, "block_counts": [2]}})
-        code = run(["prune", "--config", cfg, "--out", str(tmp_path / "r")])
-        assert code == 6
-        assert "type=PlanError" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, config, edit_manifest, code, error_type",
+        list(ERROR_CASES.values()),
+        ids=list(ERROR_CASES),
+    )
+    def test_error_contract(
+        self, tmp_path, capsys, argv, config, edit_manifest, code, error_type
+    ):
+        if isinstance(config, str):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(config)
+        else:
+            cfg = write_config(tmp_path, config)
+        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]
+        if edit_manifest is not None:
+            argv += ["--model", str(saved_toy_model(tmp_path, edit_manifest))]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")

@@ -12,6 +12,7 @@ from smoea.evolution import (
     dominates,
     evolve,
     fast_nondominated_sort,
+    front_rows,
     init_population,
     knee_point,
     make_children,
@@ -364,7 +365,7 @@ class TestExport:
                                           generations=10, seed=1)
         )
         path = tmp_path / "front.csv"
-        write_front_csv(res.front, path)
+        write_front_csv(front_rows(res.front), path)
         back = read_front_csv(path, 10)
         assert len(back) == len(res.front)
         for a, b in zip(res.front, back):

@@ -262,11 +262,53 @@ class TestSerialization:
                 np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_vgg_round_trip(self, tmp_path, vgg):
+        assert {lay.kind for lay in vgg.layers} == set(N.LAYER_CLASSES)
         save_model(vgg, tmp_path / "m")
         back = load_model(tmp_path / "m")
-        np.testing.assert_array_equal(
-            back.conv(13).params.weights, vgg.conv(13).params.weights
+        assert back.input_shape == vgg.input_shape
+        assert [type(lay) for lay in back.layers] == [type(lay) for lay in vgg.layers]
+        for a, b in zip(vgg.layers, back.layers):
+            assert a.fields() == b.fields()
+            if a.parametric:
+                for x, y in zip(a.arrays(), b.arrays()):
+                    np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [("conv", f, None) for f in (
+            "out_channels", "in_channels", "kernel_h", "kernel_w", "stride",
+            "padding", "blob",
+        )]
+        + [("dense", f, None) for f in ("in_features", "out_features", "blob")]
+        + [
+            ("conv", "stride", 0),
+            ("conv", "padding", -1),
+            ("conv", "kernel_h", True),
+            ("conv", "blob", "../layer_00.bin"),
+            ("dense", "out_features", "10"),
+            ("manifest", "input_shape", [3, 8]),
+            ("manifest", "input_shape", [3, 8, 0]),
+            ("manifest", "dtype", "float32"),
+            ("manifest", "layers", {}),
+        ],
+    )
+    def test_invalid_field(self, tmp_path, toy, kind, field, value):
+        """A missing (None) or invalid manifest field is a model-format error."""
+        save_model(toy, tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = (
+            manifest
+            if kind == "manifest"
+            else next(e for e in manifest["layers"] if e["kind"] == kind)
         )
+        if value is None:
+            del entry[field]
+        else:
+            entry[field] = value
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError):
+            load_model(tmp_path / "m")
 
     def test_layer_count_mismatch(self, tmp_path, toy):
         save_model(toy, tmp_path / "m")
