@@ -36,8 +36,8 @@ class Dataset:
             raise DataError("empty training split")
 
 
-def read_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """One binary batch file -> (images [N,3,32,32] in [0,1], labels [N])."""
+def _read_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """One binary batch file -> (pixels uint8 [N,3,32,32], labels [N])."""
     raw = Path(path).read_bytes()
     if len(raw) % CIFAR_RECORD:
         raise DataFormatError(
@@ -48,14 +48,38 @@ def read_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     labels = records[:, 0].astype(np.int64)
     if labels.size and labels.max() > 9:
         raise DataFormatError(f"{path}: label byte {labels.max()} out of range 0..9")
-    images = records[:, 1:].reshape(n, *CIFAR_SHAPE).astype(np.float64) / 255.0
-    return images, labels
+    return records[:, 1:].reshape(n, *CIFAR_SHAPE), labels
+
+
+def _to_unit(pixels: np.ndarray) -> np.ndarray:
+    images = pixels.astype(np.float64)
+    images /= 255.0
+    return images
+
+
+def read_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """One binary batch file -> (images [N,3,32,32] in [0,1], labels [N])."""
+    pixels, labels = _read_records(path)
+    return _to_unit(pixels), labels
+
+
+def _read_split(files: list[Path]) -> tuple[np.ndarray, np.ndarray]:
+    """The records of several batch files as one split: the pixels are
+    concatenated as bytes and converted to float once."""
+    parts = [_read_records(f) for f in files]
+    if not parts:
+        return np.zeros((0, *CIFAR_SHAPE)), np.zeros(0, dtype=np.int64)
+    pixels = np.concatenate([p[0] for p in parts])
+    return _to_unit(pixels), np.concatenate([p[1] for p in parts])
 
 
 def normalize_per_channel(
     images: np.ndarray, mean: np.ndarray, std: np.ndarray
 ) -> np.ndarray:
-    return (images - mean[None, :, None, None]) / std[None, :, None, None]
+    """(images - mean) / std per channel, computed in place; returns images."""
+    images -= mean[None, :, None, None]
+    images /= std[None, :, None, None]
+    return images
 
 
 def load_cifar10(
@@ -77,16 +101,8 @@ def load_cifar10(
         train_files, test_files = [path], []
     else:
         raise DataFormatError(f"no such dataset path: {path}")
-    train_parts = [read_cifar10_batch(f) for f in train_files]
-    train_images = np.concatenate([p[0] for p in train_parts])
-    train_labels = np.concatenate([p[1] for p in train_parts])
-    if test_files:
-        test_parts = [read_cifar10_batch(f) for f in test_files]
-        test_images = np.concatenate([p[0] for p in test_parts])
-        test_labels = np.concatenate([p[1] for p in test_parts])
-    else:
-        test_images = np.zeros((0, *CIFAR_SHAPE))
-        test_labels = np.zeros(0, dtype=np.int64)
+    train_images, train_labels = _read_split(train_files)
+    test_images, test_labels = _read_split(test_files)
     if mean is None:
         mean = train_images.mean(axis=(0, 2, 3)) if train_images.size else np.zeros(3)
     if std is None:
@@ -94,9 +110,8 @@ def load_cifar10(
         std = np.where(std > 0, std, 1.0)
     mean = np.asarray(mean, dtype=np.float64)
     std = np.asarray(std, dtype=np.float64)
-    train_images = normalize_per_channel(train_images, mean, std)
-    if test_images.size:
-        test_images = normalize_per_channel(test_images, mean, std)
+    normalize_per_channel(train_images, mean, std)
+    normalize_per_channel(test_images, mean, std)
     return Dataset(train_images, train_labels, test_images, test_labels)
 
 

@@ -9,8 +9,9 @@ do not depend on how evaluations are scheduled.
 
 from __future__ import annotations
 
+import copy
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import ceil, floor
 from pathlib import Path
 from typing import Callable
@@ -19,7 +20,12 @@ import numpy as np
 
 from .exceptions import ArgumentError, EvolutionError
 from .network import FilterMask
-from .objectives import EvaluationContext, ObjectiveVector, evaluate_individual
+from .objectives import (
+    ALPHA_MODES,
+    EvaluationContext,
+    ObjectiveVector,
+    evaluate_individual,
+)
 
 
 @dataclass(eq=False)
@@ -48,6 +54,25 @@ class EvolutionConfig:
     crossover: str = "uniform"  # or "one-point"
 
     def __post_init__(self):
+        for name in ("population_size", "elite_size", "generations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+        for name in ("crossover_prob", "mutation_prob", "tau1", "tau2"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ArgumentError(f"{name} must be a number, got {value!r}")
+        if self.population_size < 2 or self.elite_size < 2:
+            raise ArgumentError("population_size and elite_size must be >= 2")
+        if self.generations < 0 or self.seed < 0:
+            raise ArgumentError("generations and seed must be >= 0")
+        for name in ("crossover_prob", "mutation_prob"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ArgumentError(f"{name} must lie in [0, 1]")
+        if self.alpha_mode not in ALPHA_MODES:
+            raise ArgumentError(
+                f"alpha_mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"
+            )
         if self.crossover not in ("uniform", "one-point"):
             raise ArgumentError(
                 f"crossover must be uniform or one-point, got {self.crossover!r}"
@@ -280,7 +305,10 @@ def _record(history: dict[str, list[float]], elites: list[Individual]) -> None:
 def evolve_subnetwork(ctx: EvaluationContext, cfg: EvolutionConfig) -> EvolutionResult:
     """Run the evolution loop against a sub-network evaluation context."""
     if cfg.alpha_mode != ctx.alpha_mode:
-        ctx = replace(ctx, alpha_mode=cfg.alpha_mode)
+        # a shallow copy shares the Gram terms, which do not depend on the
+        # alpha mode; dataclasses.replace would build them again
+        ctx = copy.copy(ctx)
+        ctx.alpha_mode = cfg.alpha_mode
 
     def evaluate(genes: np.ndarray) -> ObjectiveVector:
         return evaluate_individual(ctx, FilterMask(genes.astype(np.uint8), 0))

@@ -15,6 +15,8 @@ functions below that walk a network are plain loops over its layers:
   and ``(grad_weights, grad_bias)`` for a parametric layer, else None;
 - ``out_shape(shape)`` and ``flops(shape)``: the per-sample output shape
   (channel-first, no batch dim) and the forward FLOPs for an input shape;
+- ``input_error(shape)``: why the layer cannot take a per-sample input of
+  that shape, or None if it can;
 - ``fields()`` and the classmethod ``from_entry(entry, path)``: the layer's
   fields in the model manifest, and the validated read of one entry.
 
@@ -34,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .exceptions import MaskError, ModelFormatError, UnknownLayerError
+from .exceptions import GeometryError, MaskError, ModelFormatError, UnknownLayerError
 from .tensor import ConvParams
 
 MODEL_MANIFEST = "manifest.json"
@@ -52,6 +54,9 @@ class Layer:
 
     def flops(self, shape: tuple[int, ...]) -> int:
         return 0
+
+    def input_error(self, shape: tuple[int, ...]) -> str | None:
+        return None
 
     def fields(self) -> dict:
         return {}
@@ -107,6 +112,15 @@ class ConvLayer(ParametricLayer):
         oh, ow = T.conv_output_hw(self.params, shape[1], shape[2])
         return (self.params.out_channels, oh, ow)
 
+    def input_error(self, shape):
+        if len(shape) != 3 or shape[0] != self.params.in_channels:
+            return f"conv with {self.params.in_channels} input channels gets {shape}"
+        try:
+            T.conv_output_hw(self.params, shape[1], shape[2])
+        except GeometryError as e:
+            return str(e)
+        return None
+
     def compacted(self, in_bits: np.ndarray | None, out_bits: np.ndarray | None):
         """Copy keeping the flagged input and output channels (None keeps all)."""
         p = self.params
@@ -158,6 +172,11 @@ class PoolLayer(Layer):
     def out_shape(self, shape):
         return (shape[0], shape[1] // 2, shape[2] // 2)
 
+    def input_error(self, shape):
+        if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
+            return f"2x2 maxpool needs even spatial dims, gets {shape}"
+        return None
+
 
 @dataclass
 class FlattenLayer(Layer):
@@ -191,6 +210,11 @@ class DenseLayer(ParametricLayer):
 
     def out_shape(self, shape):
         return (self.weights.shape[1],)
+
+    def input_error(self, shape):
+        if shape != (self.weights.shape[0],):
+            return f"dense with {self.weights.shape[0]} input features gets {shape}"
+        return None
 
     def compacted(self, in_bits: np.ndarray | None, out_bits: None = None):
         """Copy keeping the rows fed by the flagged channels of the preceding
@@ -562,11 +586,17 @@ def load_model(path: str | Path) -> Network:
             "its list of layer entries"
         )
     layers: list[Layer] = []
-    for entry in entries:
+    in_shape = tuple(shape)  # per-sample input of the next layer
+    for i, entry in enumerate(entries):
         kind = entry.get("kind") if isinstance(entry, dict) else None
         if kind not in LAYER_CLASSES:
             raise ModelFormatError(f"unknown layer kind {kind!r}")
-        layers.append(LAYER_CLASSES[kind].from_entry(entry, path))
+        lay = LAYER_CLASSES[kind].from_entry(entry, path)
+        problem = lay.input_error(in_shape)
+        if problem is not None:
+            raise ModelFormatError(f"layer {i} ({kind}): {problem}")
+        layers.append(lay)
+        in_shape = lay.out_shape(in_shape)
     return Network(layers, tuple(shape))
 
 

@@ -239,6 +239,10 @@ def drop_first_out_channels(manifest):
     del manifest["layers"][0]["out_channels"]
 
 
+def four_channel_input(manifest):
+    manifest["input_shape"][0] = 4  # the first conv takes 3 channels
+
+
 FAST_EVO = FAST_OVERRIDES["evolution"]
 
 # id: (argv, config overrides or raw config text, manifest edit of a saved
@@ -272,7 +276,29 @@ ERROR_CASES = {
     "manifest_missing_field": (
         ["report"], {}, drop_first_out_channels, 4, "ModelFormatError",
     ),
+    "manifest_channel_mismatch": (
+        ["report"], {}, four_channel_input, 4, "ModelFormatError",
+    ),
 }
+
+# evolution config values that must be rejected when the config is read
+BAD_EVOLUTION_VALUES = {
+    "string_population_size": {"population_size": "40"},
+    "bool_elite_size": {"elite_size": True},
+    "float_generations": {"generations": 2.5},
+    "population_size_one": {"population_size": 1, "elite_size": 1},
+    "elite_size_one": {"elite_size": 1},
+    "negative_generations": {"generations": -1},
+    "crossover_prob_above_one": {"crossover_prob": 1.5},
+    "mutation_prob_above_one": {"mutation_prob": 3.0},
+    "negative_mutation_prob": {"mutation_prob": -0.1},
+    "unknown_alpha_mode": {"alpha_mode": "nonsense"},
+}
+for _name, _values in BAD_EVOLUTION_VALUES.items():
+    ERROR_CASES[_name] = (
+        ["evolve-layer", "--layer", "1"], {"evolution": {**FAST_EVO, **_values}},
+        None, 2, "ArgumentError",
+    )
 
 
 class TestErrors:

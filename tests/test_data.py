@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -118,6 +120,28 @@ class TestLoadCifar:
         ds = load_cifar10(cifar_dir)
         np.testing.assert_allclose(ds.train_images.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         np.testing.assert_allclose(ds.train_images.std(axis=(0, 2, 3)), 1.0, atol=1e-12)
+
+    def test_normalisation_bit_identical_to_out_of_place(self, cifar_dir):
+        train = np.concatenate(
+            [read_cifar10_batch(cifar_dir / f"data_batch_{i}.bin")[0] for i in (1, 2)]
+        )
+        test = read_cifar10_batch(cifar_dir / "test_batch.bin")[0]
+        mean = train.mean(axis=(0, 2, 3))[None, :, None, None]
+        std = train.std(axis=(0, 2, 3))[None, :, None, None]
+        ds = load_cifar10(cifar_dir)
+        assert np.array_equal(ds.train_images, (train - mean) / std)
+        assert np.array_equal(ds.test_images, (test - mean) / std)
+
+    def test_peak_memory_near_one_float_copy(self, cifar_dir):
+        """Pixels are converted to float once and normalised in place; the
+        only other full-size buffer is np.std's temporary."""
+        tracemalloc.start()
+        try:
+            ds = load_cifar10(cifar_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (ds.train_images.nbytes + ds.test_images.nbytes)
 
     def test_explicit_statistics(self, cifar_dir):
         ds = load_cifar10(cifar_dir, mean=np.zeros(3), std=np.ones(3))

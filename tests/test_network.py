@@ -288,6 +288,9 @@ class TestSerialization:
             ("dense", "out_features", "10"),
             ("manifest", "input_shape", [3, 8]),
             ("manifest", "input_shape", [3, 8, 0]),
+            ("manifest", "input_shape", [4, 8, 8]),  # conv 1 takes 3 channels
+            ("manifest", "input_shape", [3, 16, 16]),  # dense takes 16*2*2 features
+            ("manifest", "input_shape", [3, 8, 6]),  # second maxpool gets odd width
             ("manifest", "dtype", "float32"),
             ("manifest", "layers", {}),
         ],
@@ -307,6 +310,20 @@ class TestSerialization:
         else:
             entry[field] = value
         path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError):
+            load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    def test_layer_takes_wrong_width(self, tmp_path, toy, kind):
+        """A parametric layer whose input width differs from what the layers
+        before it produce is a model-format error at load, not a shape error
+        at the first forward."""
+        i = max(i for i, lay in enumerate(toy.layers) if lay.kind == kind)
+        bits = np.ones(16, dtype=np.uint8)
+        bits[0] = 0
+        layers = list(toy.layers)
+        layers[i] = layers[i].compacted(bits, None)  # drops one input channel
+        save_model(N.Network(layers, toy.input_shape), tmp_path / "m")
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "m")
 

@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smoea import objectives as O
 from smoea import tensor as T
-from smoea.exceptions import MaskError, ShapeError
-from smoea.network import FilterMask, build_toy_cnn, extract_subnetwork, subnetwork_forward
+from smoea.exceptions import ArgumentError, MaskError, ShapeError
+from smoea.network import (
+    ConvLayer,
+    FilterMask,
+    ReluLayer,
+    SubNetwork,
+    build_toy_cnn,
+    extract_subnetwork,
+    subnetwork_forward,
+    subnetwork_tail_forward,
+)
 from smoea.objectives import (
+    ALPHA_MODES,
     EvaluationContext,
     evaluate_individual,
     filter_pct,
@@ -163,3 +176,191 @@ class TestDenseSecondLayer:
         fast = evaluate_individual(ctx, mask)
         slow = reconstruction_error(ctx, subnetwork_forward(sub, map_l, mask))
         assert fast.error == pytest.approx(slow, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the Gram-form evaluation against the direct tail forward
+
+# the benchmark's bound on |fast - slow|: RTOL * slow + ATOL * ||reference||
+RTOL = 1e-7
+ATOL = 1e-10
+
+
+def biased_toy_subnetwork(ordinal, seed=3):
+    """Toy sub-network with random biases, so the bias terms of the Gram
+    form are exercised (He init leaves them at zero)."""
+    net = build_toy_cnn(seed=seed)
+    rng = np.random.default_rng(seed)
+    for lay in net.layers:
+        if lay.parametric:
+            bias = lay.arrays()[1]
+            bias[:] = rng.normal(0.0, 0.5, size=bias.shape)
+    return extract_subnetwork(net, ordinal)
+
+
+def conv9_shaped_subnetwork(seed=0):
+    """VGG-14 conv 9's sub-network shape: 512 filters at 4x4, relu, then a
+    512 -> 512 3x3 conv."""
+    rng = np.random.default_rng(seed)
+
+    def conv():
+        std = np.sqrt(2.0 / (512 * 9))
+        return ConvLayer(
+            T.ConvParams(512, 512, 3, 3, 1, 1, rng.normal(0.0, std, (512, 512, 3, 3)),
+                         rng.normal(0.0, 0.1, 512))
+        )
+
+    return SubNetwork(conv(), [ReluLayer()], conv()), rng.normal(size=(2, 512, 4, 4))
+
+
+# tail kind -> (toy conv ordinal, input shape of that conv)
+TOY_TAILS = {
+    "relu-conv": (1, (6, 3, 8, 8)),
+    "relu-pool-conv": (2, (6, 8, 8, 8)),
+    "relu-pool-flatten-dense": (4, (6, 16, 4, 4)),
+}
+
+
+@pytest.fixture(scope="module")
+def toy_contexts():
+    """{(tail kind, alpha mode): context} over random calibration inputs."""
+    contexts = {}
+    for kind, (l, shape) in TOY_TAILS.items():
+        sub = biased_toy_subnetwork(l)
+        map_l = np.random.default_rng(l).normal(size=shape)
+        for mode in ALPHA_MODES:
+            contexts[kind, mode] = EvaluationContext.build(sub, map_l, mode)
+    return contexts
+
+
+@pytest.fixture(scope="module")
+def conv9_context():
+    sub, map_l = conv9_shaped_subnetwork()
+    return EvaluationContext.build(sub, map_l)
+
+
+def assert_matches_slow_path(ctx, bits):
+    mask = FilterMask(np.asarray(bits, dtype=np.uint8), 0)
+    fast = evaluate_individual(ctx, mask).error
+    slow = reconstruction_error(ctx, subnetwork_forward(ctx.sub, ctx.map_l, mask))
+    bound = RTOL * slow + ATOL * T.frobenius_norm(ctx.reference)
+    assert abs(fast - slow) <= bound, (fast, slow)
+
+
+def random_masks(c, count, seed):
+    rng = np.random.default_rng(seed)
+    masks = [np.eye(c, dtype=np.uint8)[0], 1 - np.eye(c, dtype=np.uint8)[c - 1]]
+    for _ in range(count):
+        bits = np.zeros(c, dtype=np.uint8)
+        bits[rng.choice(c, size=rng.integers(1, c + 1), replace=False)] = 1
+        masks.append(bits)
+    return masks
+
+
+class TestGramForm:
+    @pytest.mark.parametrize("mode", ALPHA_MODES)
+    @pytest.mark.parametrize("kind", TOY_TAILS)
+    def test_every_tail_matches_slow_path(self, toy_contexts, kind, mode):
+        ctx = toy_contexts[kind, mode]
+        for bits in random_masks(ctx.num_filters, 12, seed=len(kind)):
+            assert_matches_slow_path(ctx, bits)
+
+    @pytest.mark.parametrize("mode", ALPHA_MODES)
+    def test_conv9_shaped_layer_matches_slow_path(self, conv9_context, mode):
+        ctx = conv9_context
+        if mode != ctx.alpha_mode:
+            ctx = EvaluationContext(
+                ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, mode
+            )
+        for bits in random_masks(512, 3, seed=9):
+            assert_matches_slow_path(ctx, bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_masks_property(self, toy_contexts, data):
+        kind, mode = data.draw(st.sampled_from(sorted(toy_contexts)))
+        ctx = toy_contexts[kind, mode]
+        c = ctx.num_filters
+        index = st.integers(0, c - 1)
+        bits = data.draw(
+            st.one_of(
+                index.map(lambda i: np.eye(c, dtype=np.uint8)[i]),  # one filter kept
+                index.map(lambda i: 1 - np.eye(c, dtype=np.uint8)[i]),  # one pruned
+                st.lists(st.booleans(), min_size=c, max_size=c).filter(any),
+            )
+        )
+        assert_matches_slow_path(ctx, bits)
+
+    @pytest.mark.parametrize("kind", TOY_TAILS)
+    def test_terms_equal_per_channel_responses(self, toy_contexts, kind):
+        """G, h and beta against Y_c taken from the tail forward of channel c
+        alone, minus the tail forward of all-zero channels (the bias B)."""
+        ctx = toy_contexts[kind, "optimized"]
+        first = ctx.first_layer_full_output
+        bias_out = subnetwork_tail_forward(ctx.sub, np.zeros_like(first))
+        ys = []
+        for c in range(ctx.num_filters):
+            alone = np.zeros_like(first)
+            alone[:, c] = first[:, c]
+            ys.append((subnetwork_tail_forward(ctx.sub, alone) - bias_out).ravel())
+        y = np.array(ys)
+        scale = np.abs(y @ y.T).max()
+        np.testing.assert_allclose(ctx.gram, y @ y.T, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            ctx.bias_cross, y @ bias_out.ravel(), rtol=1e-12, atol=1e-12 * scale
+        )
+        assert ctx.bias_sq == pytest.approx(T.inner_product(bias_out, bias_out), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", TOY_TAILS)
+    def test_chunked_build_equals_unchunked(self, toy_contexts, kind, monkeypatch):
+        ctx = toy_contexts[kind, "optimized"]
+        args = (ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output)
+        monkeypatch.setattr(O, "GRAM_CHUNK_BYTES", 2**40)
+        whole = EvaluationContext(*args)
+        monkeypatch.setattr(O, "GRAM_CHUNK_BYTES", 64)  # one position and output at a time
+        chunked = EvaluationContext(*args)
+        scale = np.abs(whole.gram).max()
+        np.testing.assert_allclose(chunked.gram, whole.gram, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            chunked.bias_cross, whole.bias_cross, rtol=0, atol=1e-12 * scale
+        )
+        assert chunked.bias_sq == whole.bias_sq
+
+    def test_silent_kept_channels_give_reference_norm(self):
+        """A mask whose kept channels reach the output with zero weight and a
+        zero bias leaves a = 0, where optimal_alpha takes alpha = 0."""
+        sub = extract_subnetwork(build_toy_cnn(seed=4), 2)
+        sub.second.params.weights[:, :3] = 0.0
+        sub.second.params.bias[:] = 0.0
+        ctx = EvaluationContext.build(sub, np.random.default_rng(4).normal(size=(3, 8, 8, 8)))
+        bits = np.zeros(16, dtype=np.uint8)
+        bits[:3] = 1
+        assert evaluate_individual(ctx, mask_of(bits)).error == T.frobenius_norm(ctx.reference)
+        assert_matches_slow_path(ctx, bits)
+
+    def test_evolving_in_other_alpha_mode_shares_terms(self, toy_contexts, monkeypatch):
+        from smoea.evolution import EvolutionConfig, evolve_subnetwork
+
+        cfg = EvolutionConfig(
+            population_size=12, elite_size=4, generations=3, seed=2, alpha_mode="fixed_one"
+        )
+        expect = evolve_subnetwork(toy_contexts["relu-conv", "fixed_one"], cfg)
+
+        def rebuild(*args):
+            raise AssertionError("Gram terms built again")
+
+        monkeypatch.setattr(O, "_gram_terms", rebuild)
+        optimized = toy_contexts["relu-conv", "optimized"]
+        got = evolve_subnetwork(optimized, cfg)
+        assert [i.objectives.as_tuple() for i in got.front] == [
+            i.objectives.as_tuple() for i in expect.front
+        ]
+        assert optimized.alpha_mode == "optimized"
+
+    def test_unknown_alpha_mode(self, ctx):
+        with pytest.raises(ArgumentError):
+            EvaluationContext.build(ctx.sub, ctx.map_l, "nonsense")
+        with pytest.raises(ArgumentError):
+            EvaluationContext(
+                ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, "nonsense"
+            )
