@@ -288,11 +288,11 @@ class TestSerialization:
             ("dense", "out_features", "10"),
             ("manifest", "input_shape", [3, 8]),
             ("manifest", "input_shape", [3, 8, 0]),
+            ("manifest", "dtype", "float32"),
+            ("manifest", "layers", {}),
             ("manifest", "input_shape", [4, 8, 8]),  # conv 1 takes 3 channels
             ("manifest", "input_shape", [3, 16, 16]),  # dense takes 16*2*2 features
             ("manifest", "input_shape", [3, 8, 6]),  # second maxpool gets odd width
-            ("manifest", "dtype", "float32"),
-            ("manifest", "layers", {}),
         ],
     )
     def test_invalid_field(self, tmp_path, toy, kind, field, value):
