@@ -21,12 +21,13 @@ from pathlib import Path
 from . import network as N
 from .data import Dataset, SyntheticParams, generate_synthetic, load_cifar10
 from .evolution import EvolutionConfig, run_summary, write_front_csv
-from .exceptions import ArgumentError, SmoeaError, UnknownLayerError
+from .exceptions import ArgumentError, PlanError, SmoeaError, UnknownLayerError
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
 from .objectives import ALPHA_MODES
 from .pipeline import (
     FineTuneConfig,
     GroupPlan,
+    _test_accuracy,
     baseline_prune,
     calibration_batch,
     evaluate_accuracy,
@@ -153,14 +154,14 @@ def evolution_config(cfg: dict) -> EvolutionConfig:
 
 
 def finetune_config(cfg: dict) -> FineTuneConfig:
-    f = _section(cfg, "finetune", FineTuneConfig)
-    f["milestones"] = tuple(f["milestones"])
-    return FineTuneConfig(**f)
+    return FineTuneConfig(**_section(cfg, "finetune", FineTuneConfig))
 
 
 def group_plan(cfg: dict) -> GroupPlan:
     g = cfg["groups"]
-    return GroupPlan(g["l0"], list(g["block_counts"]))
+    if not isinstance(g, dict):
+        raise PlanError("config section 'groups' must be an object")
+    return GroupPlan(g["l0"], g["block_counts"])
 
 
 def make_run_dir(args, command: str) -> Path:
@@ -272,6 +273,7 @@ def cmd_baseline(args) -> int:
         seed=cfg["evolution"]["seed"],
     )
     save_model(pruned, run_dir / "model")
+    final = accuracies[-1] if accuracies else _test_accuracy(pruned, dataset)
     payload = {
         "command": "baseline",
         "criterion": args.criterion,
@@ -279,10 +281,10 @@ def cmd_baseline(args) -> int:
         "params_before": N.count_params(net),
         "params_after": N.count_params(pruned),
         "stage_accuracies": accuracies,
-        "final_accuracy": accuracies[-1] if accuracies else None,
+        "final_accuracy": final,
     }
     write_report(run_dir, payload)
-    print(f"criterion={args.criterion} final_accuracy={accuracies[-1]:.4f}")
+    print(f"criterion={args.criterion} final_accuracy={final:.4f}")
     return 0
 
 

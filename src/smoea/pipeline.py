@@ -6,6 +6,7 @@ geometric-median baseline criteria and a uniform-retention sweep.
 from __future__ import annotations
 
 import copy
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -25,6 +26,10 @@ from .objectives import EvaluationContext
 from . import tensor as T
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class GroupPlan:
     """First pruned conv ordinal plus per-group block counts."""
@@ -33,6 +38,14 @@ class GroupPlan:
     block_counts: list[int]
 
     def __post_init__(self):
+        if not _is_int(self.l0):
+            raise PlanError(f"l0 must be an integer, got {self.l0!r}")
+        if not isinstance(self.block_counts, list) or not all(
+            _is_int(b) for b in self.block_counts
+        ):
+            raise PlanError(
+                f"block_counts must be a list of integers, got {self.block_counts!r}"
+            )
         if self.l0 < 1:
             raise PlanError("l0 must be >= 1")
         if any(b < 1 for b in self.block_counts):
@@ -49,6 +62,26 @@ class FineTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
+        for name in ("lr", "momentum"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ArgumentError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.milestones, (list, tuple)) or not all(
+            _is_int(m) for m in self.milestones
+        ):
+            raise ArgumentError(
+                f"milestones must be a list of integers, got {self.milestones!r}"
+            )
+        if self.epochs < 0 or self.seed < 0:
+            raise ArgumentError("epochs and seed must be >= 0")
+        if self.batch_size < 1:
+            raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.momentum < 1:
+            raise ArgumentError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not self.lr > 0:
             raise ArgumentError(f"lr must be > 0, got {self.lr}")
         ms = tuple(self.milestones)
@@ -189,6 +222,8 @@ def finetune(net: Network, dataset: Dataset, cfg: FineTuneConfig) -> Network:
 def calibration_batch(dataset: Dataset, size: int, seed: int) -> np.ndarray:
     """Fixed seeded subset of the training images used for feature-map
     reconstruction; makes the evolution deterministic."""
+    if not _is_int(size) or size < 1:
+        raise ArgumentError(f"calibration size must be an integer >= 1, got {size!r}")
     dataset.require_nonempty()
     n = dataset.train_images.shape[0]
     rng = np.random.default_rng(seed)
@@ -215,6 +250,28 @@ def evolve_layer(
 # the main framework
 
 
+def _prune_groups(
+    net: Network,
+    dataset: Dataset,
+    groups: list[list[int]],
+    choose: Callable[[Network, int], np.ndarray],
+    ft: FineTuneConfig,
+) -> tuple[Network, list[float]]:
+    """The protocol every criterion shares: per group, in the order given,
+    mask each block by choose(current, l), then compact, fine-tune and
+    record the test accuracy (NaN without a test split)."""
+    current = net
+    accuracies = []
+    for group in groups:
+        masks: dict[int, FilterMask] = {}
+        for l in group:
+            masks[l] = FilterMask(choose(current, l), l)
+            current = N.apply_mask(current, masks[l])
+        current = finetune(N.compact(current, masks), dataset, ft)
+        accuracies.append(_test_accuracy(current, dataset))
+    return current, accuracies
+
+
 def smoea_prune(
     net: Network,
     dataset: Dataset,
@@ -233,37 +290,35 @@ def smoea_prune(
     )
     groups = group_layers(plan, net.num_convs)
     calib = calibration_batch(dataset, calibration_size, evo.seed)
-    current = net
-    for g in range(len(groups) - 1, -1, -1):
-        masks: dict[int, FilterMask] = {}
-        for l in groups[g]:
-            result = evolve_layer(current, calib, l, evo)
-            knee = knee_point(result.front)
-            mask = FilterMask(knee.genes.astype(np.uint8), l)
-            current = N.apply_mask(current, mask)
-            masks[l] = mask
-            report.layers.append(
-                {
-                    "ordinal": l,
-                    "num_filters": int(mask.bits.shape[0]),
-                    "retained_count": mask.retained,
-                    "retained_rate": mask.retained / mask.bits.shape[0],
-                    "knee": {
-                        "filter_pct": knee.objectives.filter_pct,
-                        "error": knee.objectives.error,
-                    },
-                    "front": front_rows(result.front),
-                }
-            )
-        current = N.compact(current, masks)
-        current = finetune(current, dataset, ft)
-        acc = _test_accuracy(current, dataset)
-        report.stages.append({"group": g + 1, "layers": groups[g], "accuracy": acc})
+
+    def knee_genes(current: Network, l: int) -> np.ndarray:
+        result = evolve_layer(current, calib, l, evo)
+        knee = knee_point(result.front)
+        report.layers.append(
+            {
+                "ordinal": l,
+                "num_filters": knee.genes.shape[0],
+                "retained_count": knee.retained,
+                "retained_rate": knee.retained / knee.genes.shape[0],
+                "knee": {
+                    "filter_pct": knee.objectives.filter_pct,
+                    "error": knee.objectives.error,
+                },
+                "front": front_rows(result.front),
+            }
+        )
+        return knee.genes
+
+    pruned, accuracies = _prune_groups(net, dataset, groups[::-1], knee_genes, ft)
+    report.stages = [
+        {"group": g, "layers": groups[g - 1], "accuracy": acc}
+        for g, acc in zip(range(len(groups), 0, -1), accuracies)
+    ]
     report.layers.sort(key=lambda row: row["ordinal"])
-    report.params_after = N.count_params(current)
-    report.flops_after = N.count_flops(current)
-    report.final_accuracy = _test_accuracy(current, dataset)
-    return current, report
+    report.params_after = N.count_params(pruned)
+    report.flops_after = N.count_flops(pruned)
+    report.final_accuracy = _test_accuracy(pruned, dataset)
+    return pruned, report
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +369,16 @@ def baseline_prune(
     seed: int = 0,
 ) -> tuple[Network, list[float]]:
     """Same reverse-group prune/fine-tune protocol as the evolved pipeline,
-    with per-layer masks chosen by a baseline criterion at the given rates."""
+    with per-layer masks chosen by a baseline criterion at the given rates.
+    Returns the pruned network and one test accuracy per group, in run
+    order (NaN without a test split)."""
+
+    def criterion_bits(current: Network, l: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, l)))
+        return baseline_mask(current.conv(l).params.weights, rates[l], criterion, rng)
+
     groups = group_layers(plan, net.num_convs)
-    current = net
-    accuracies = []
-    for g in range(len(groups) - 1, -1, -1):
-        masks: dict[int, FilterMask] = {}
-        for l in groups[g]:
-            rng = np.random.default_rng(np.random.SeedSequence((seed, l)))
-            bits = baseline_mask(current.conv(l).params.weights, rates[l], criterion, rng)
-            mask = FilterMask(bits, l)
-            current = N.apply_mask(current, mask)
-            masks[l] = mask
-        current = N.compact(current, masks)
-        current = finetune(current, dataset, ft)
-        if dataset.test_images.size:
-            accuracies.append(
-                evaluate_accuracy(current, dataset.test_images, dataset.test_labels)
-            )
-    return current, accuracies
+    return _prune_groups(net, dataset, groups[::-1], criterion_bits, ft)
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +391,17 @@ def sweep_uniform_retention(
     fractions: list[float],
     evo: EvolutionConfig,
     ft: FineTuneConfig,
-    layers: list[int] | None = None,
     calibration_size: int = 128,
 ) -> list[dict]:
-    """Evolve each target layer once, then for each fraction pick the front
+    """Evolve every conv once, then for each fraction pick each front's
     member with the closest retention (ties toward lower error), prune all
-    layers at once, fine-tune and record accuracy."""
-    if layers is None:
-        layers = list(range(1, net.num_convs + 1))
+    convs as one group, fine-tune and record accuracy."""
     for f in fractions:
         if not 0 < f <= 1:
             raise ArgumentError(f"fraction {f} outside (0, 1]")
+    layers = list(range(1, net.num_convs + 1))
     calib = calibration_batch(dataset, calibration_size, evo.seed)
-    fronts = {l: evolve_layer(net, calib, l, evo) for l in layers}
+    fronts = {l: evolve_layer(net, calib, l, evo).front for l in layers}
     params_before = N.count_params(net)
     baseline_acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     rows = []
@@ -367,26 +411,14 @@ def sweep_uniform_retention(
                 {"fraction": 1.0, "remained_params_pct": 100.0, "accuracy": baseline_acc}
             )
             continue
-        current = net
-        masks = {}
-        for l in layers:
-            members = fronts[l].front
-            best = min(
-                members,
+
+        def closest(_: Network, l: int) -> np.ndarray:
+            return min(
+                fronts[l],
                 key=lambda ind: (abs(ind.objectives.filter_pct - f), ind.objectives.error),
-            )
-            mask = FilterMask(best.genes.astype(np.uint8), l)
-            current = N.apply_mask(current, mask)
-            masks[l] = mask
-        current = N.compact(current, masks)
-        current = finetune(current, dataset, ft)
-        rows.append(
-            {
-                "fraction": f,
-                "remained_params_pct": 100.0 * N.count_params(current) / params_before,
-                "accuracy": evaluate_accuracy(
-                    current, dataset.test_images, dataset.test_labels
-                ),
-            }
-        )
+            ).genes
+
+        pruned, (acc,) = _prune_groups(net, dataset, [layers], closest, ft)
+        pct = 100.0 * N.count_params(pruned) / params_before
+        rows.append({"fraction": f, "remained_params_pct": pct, "accuracy": acc})
     return rows

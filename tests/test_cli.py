@@ -1,12 +1,19 @@
+import contextlib
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smoea.cli import main
+from smoea.cli import build_dataset, load_config, main
+from smoea.data import write_cifar10_batch
 from smoea.evolution import read_front_csv
 from smoea.network import build_toy_cnn, load_model, save_model
+from smoea.pipeline import evaluate_accuracy
 
 FAST_OVERRIDES = {
     "evolution": {"population_size": 20, "elite_size": 8, "generations": 8, "seed": 7},
@@ -223,6 +230,46 @@ class TestBaselineAndSweep:
         assert text[0] == "fraction,remained_params_pct,accuracy"
         assert len(text) == 3
 
+    def test_baseline_empty_plan_reports_unpruned_accuracy(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {"groups": {"l0": 1, "block_counts": []}})
+        assert run(["baseline", "--config", cfg, "--out", str(out),
+                    "--criterion", "random"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["stage_accuracies"] == []
+        assert payload["params_after"] == payload["params_before"]
+        net = load_model(out / "model")
+        dataset = build_dataset(load_config(cfg))
+        expected = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
+        assert payload["final_accuracy"] == expected
+        assert f"final_accuracy={expected:.4f}" in capsys.readouterr().out
+
+    def test_baseline_without_test_split_reports_nan(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        batch = tmp_path / "data_batch_1.bin"
+        write_cifar10_batch(
+            batch,
+            rng.integers(0, 256, size=(16, 3, 32, 32), dtype=np.uint8),
+            rng.integers(0, 10, size=16),
+        )
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path,
+            {
+                "dataset": {"kind": "cifar10-binary", "path": str(batch)},
+                "model": {"input_shape": [3, 32, 32]},
+                "finetune": {"epochs": 1, "milestones": []},
+            },
+        )
+        assert run(["baseline", "--config", cfg, "--out", str(out),
+                    "--criterion", "l2"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert len(payload["stage_accuracies"]) == 4
+        assert all(math.isnan(a) for a in payload["stage_accuracies"])
+        assert math.isnan(payload["final_accuracy"])
+        assert "final_accuracy=nan" in capsys.readouterr().out
+        assert load_model(out / "model").conv(1).params.out_channels == 4
+
 
 def saved_toy_model(tmp_path, edit_manifest):
     """A saved toy model whose manifest has been passed through edit_manifest."""
@@ -300,6 +347,105 @@ for _name, _values in BAD_EVOLUTION_VALUES.items():
         None, 2, "ArgumentError",
     )
 
+ERROR_CASES.update({
+    "groups_not_object": (["prune"], {"groups": 3}, None, 6, "PlanError"),
+    "string_l0": (["prune"], {"groups": {"l0": "1"}}, None, 6, "PlanError"),
+    "int_block_counts": (
+        ["prune"], {"groups": {"block_counts": 2}}, None, 6, "PlanError",
+    ),
+    "float_block_count": (
+        ["prune"], {"groups": {"block_counts": [1.5]}}, None, 6, "PlanError",
+    ),
+    "string_calibration_size": (
+        ["prune"], {"calibration_size": "64"}, None, 2, "ArgumentError",
+    ),
+    "zero_calibration_size": (
+        ["prune"], {"calibration_size": 0}, None, 2, "ArgumentError",
+    ),
+})
+
+# finetune config values that must be rejected when the config is read
+BAD_FINETUNE_VALUES = {
+    "string_epochs": {"epochs": "2"},
+    "zero_batch_size": {"batch_size": 0},
+    "bool_batch_size": {"batch_size": True},
+    "negative_finetune_seed": {"seed": -1},
+    "milestones_not_list": {"milestones": 3},
+    "string_milestone": {"milestones": ["1"]},
+    "string_lr": {"lr": "0.01"},
+    "momentum_one": {"momentum": 1.0},
+    "string_momentum": {"momentum": "0.9"},
+}
+for _name, _values in BAD_FINETUNE_VALUES.items():
+    ERROR_CASES[_name] = (
+        ["train"], {"finetune": {"epochs": 2, "milestones": [], **_values}},
+        None, 2, "ArgumentError",
+    )
+
+
+def _invalid(*extra):
+    """Values of the wrong JSON type for a number field, plus `extra`."""
+    return st.one_of(
+        st.text(max_size=3), st.booleans(), st.none(),
+        st.lists(st.integers(), max_size=2), *extra,
+    )
+
+
+_non_integral = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: x != int(x)
+)
+
+
+def _invalid_int(below):
+    return _invalid(_non_integral, st.integers(max_value=below - 1))
+
+
+def _invalid_list(entry):
+    """A non-list, or a non-empty list with one invalid entry."""
+    return st.one_of(
+        st.text(max_size=3), st.booleans(), st.none(), st.integers(), _non_integral,
+        st.tuples(st.lists(st.integers(min_value=1), max_size=2), entry).map(
+            lambda t: [*t[0], t[1]]
+        ),
+    )
+
+
+_bad_entry = st.one_of(st.text(max_size=3), st.booleans(), st.none(), _non_integral)
+
+# (config path, invalid values, exit code): every drawn value is rejected
+# before any training starts
+INVALID_FIELDS = {
+    ("groups",): (_invalid(_non_integral, st.integers()), 6),
+    ("groups", "l0"): (_invalid_int(1), 6),
+    ("groups", "block_counts"): (
+        _invalid_list(st.one_of(_bad_entry, st.integers(max_value=0))), 6,
+    ),
+    ("finetune", "lr"): (_invalid(st.floats(max_value=0.0, allow_nan=False)), 2),
+    ("finetune", "epochs"): (_invalid_int(0), 2),
+    ("finetune", "milestones"): (_invalid_list(_bad_entry), 2),
+    ("finetune", "batch_size"): (_invalid_int(1), 2),
+    ("finetune", "momentum"): (
+        _invalid(
+            st.floats(max_value=-1e-9, allow_nan=False),
+            st.floats(min_value=1.0, allow_nan=False),
+        ),
+        2,
+    ),
+    ("finetune", "seed"): (_invalid_int(0), 2),
+    ("calibration_size",): (_invalid_int(1), 2),
+}
+
+
+@st.composite
+def invalid_config(draw):
+    path = draw(st.sampled_from(sorted(INVALID_FIELDS)))
+    values, code = INVALID_FIELDS[path]
+    value = draw(values)
+    config = value
+    for key in reversed(path):
+        config = {key: config}
+    return config, code
+
 
 class TestErrors:
     @pytest.mark.parametrize(
@@ -324,3 +470,18 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=invalid_config())
+    def test_invalid_field_property(self, tmp_path_factory, case):
+        config, code = case
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        cfg = write_config(tmp_path, config)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["prune", "--config", cfg, "--out", str(tmp_path / "r")]) == code
+        err = err.getvalue()
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ERROR code={code} ")

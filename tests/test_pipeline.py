@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from smoea import network as N
-from smoea.data import SyntheticParams, generate_synthetic
+from smoea.data import Dataset, SyntheticParams, generate_synthetic
 from smoea.evolution import EvolutionConfig
 from smoea.exceptions import ArgumentError, DataError, PlanError
 from smoea.network import (
@@ -22,6 +22,7 @@ from smoea.pipeline import (
     baseline_prune,
     calibration_batch,
     evaluate_accuracy,
+    evolve_layer,
     finetune,
     finetune_with_history,
     group_layers,
@@ -279,6 +280,17 @@ class TestBaselinePrune:
             assert pruned.conv(l).params.out_channels == max(1, round(0.5 * n))
         assert len(accs) == 2
 
+    def test_nan_per_group_without_test_split(self, trained_toy, toy_dataset):
+        no_test = Dataset(
+            toy_dataset.train_images, toy_dataset.train_labels,
+            toy_dataset.test_images[:0], toy_dataset.test_labels[:0],
+        )
+        rates = {1: 0.5, 2: 0.5, 3: 0.5, 4: 0.5}
+        _, accs = baseline_prune(
+            trained_toy, no_test, GroupPlan(1, [1, 2]), rates, "random", SMALL_FT
+        )
+        assert len(accs) == 2 and all(np.isnan(a) for a in accs)
+
 
 class TestSweep:
     def test_rows_and_full_retention(self, trained_toy, toy_dataset):
@@ -306,6 +318,23 @@ class TestSweep:
         accs = [r["accuracy"] for r in rows]
         inversions = sum(1 for a, b in zip(accs, accs[1:]) if b < a - 1e-9)
         assert inversions <= 1
+
+    def test_row_params_match_compacted_front_members(self, trained_toy, toy_dataset):
+        f = 0.5
+        (row,) = sweep_uniform_retention(
+            trained_toy, toy_dataset, [f], SMALL_EVO, SMALL_FT, calibration_size=32
+        )
+        calib = calibration_batch(toy_dataset, 32, SMALL_EVO.seed)
+        masks = {}
+        for l in range(1, trained_toy.num_convs + 1):
+            front = evolve_layer(trained_toy, calib, l, SMALL_EVO).front
+            best = min(
+                front,
+                key=lambda ind: (abs(ind.objectives.filter_pct - f), ind.objectives.error),
+            )
+            masks[l] = FilterMask(best.genes, l)
+        expected = 100.0 * count_params(compact(trained_toy, masks))
+        assert row["remained_params_pct"] == expected / count_params(trained_toy)
 
     def test_bad_fraction(self, trained_toy, toy_dataset):
         with pytest.raises(ArgumentError):
