@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import network as N
@@ -100,7 +100,7 @@ def load_config(path: str | None) -> dict:
 
 
 def build_dataset(cfg: dict) -> Dataset:
-    d = cfg["dataset"]
+    d = _section(cfg, "dataset")
     if d["kind"] == "synthetic":
         return generate_synthetic(
             SyntheticParams(
@@ -122,7 +122,7 @@ def build_dataset(cfg: dict) -> Dataset:
 
 
 def build_model(cfg: dict, model_path: str | None = None) -> Network:
-    m = cfg["model"]
+    m = _section(cfg, "model")
     path = model_path or m.get("path")
     if path:
         return load_model(path)
@@ -138,29 +138,30 @@ def build_model(cfg: dict, model_path: str | None = None) -> Network:
     raise ArgumentError(f"unknown builtin model {m['builtin']!r}")
 
 
-def _section(cfg: dict, name: str, cls) -> dict:
-    """Config section `name` as keyword arguments for dataclass `cls`."""
+def _section(cfg: dict, name: str) -> dict:
+    """Config section `name`, which must be an object whose keys are all
+    keys of DEFAULT_CONFIG[name]."""
     section = cfg[name]
     if not isinstance(section, dict):
         raise ArgumentError(f"config section {name!r} must be an object")
-    unknown = set(section) - {f.name for f in fields(cls)}
+    unknown = set(section) - set(DEFAULT_CONFIG[name])
     if unknown:
         raise ArgumentError(f"unknown {name} config keys {sorted(unknown)}")
     return dict(section)
 
 
 def evolution_config(cfg: dict) -> EvolutionConfig:
-    return EvolutionConfig(**_section(cfg, "evolution", EvolutionConfig))
+    return EvolutionConfig(**_section(cfg, "evolution"))
 
 
 def finetune_config(cfg: dict) -> FineTuneConfig:
-    return FineTuneConfig(**_section(cfg, "finetune", FineTuneConfig))
+    return FineTuneConfig(**_section(cfg, "finetune"))
 
 
 def group_plan(cfg: dict) -> GroupPlan:
-    g = cfg["groups"]
-    if not isinstance(g, dict):
+    if not isinstance(cfg["groups"], dict):
         raise PlanError("config section 'groups' must be an object")
+    g = _section(cfg, "groups")
     return GroupPlan(g["l0"], g["block_counts"])
 
 
@@ -205,6 +206,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         ft = replace(ft, epochs=args.epochs,
                      milestones=tuple(m for m in ft.milestones if m < args.epochs))
+    dataset.require_test_split()  # fail before training, not after it
     net = finetune(net, dataset, ft)
     acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     save_model(net, run_dir / "model")

@@ -35,6 +35,10 @@ class Dataset:
         if self.train_images.shape[0] == 0:
             raise DataError("empty training split")
 
+    def require_test_split(self) -> None:
+        if self.test_images.shape[0] == 0:
+            raise DataError("empty evaluation split")
+
 
 def _read_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """One binary batch file -> (pixels uint8 [N,3,32,32], labels [N])."""

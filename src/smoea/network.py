@@ -10,9 +10,11 @@ Layer protocol. Each layer class carries the semantics of its kind, so the
 functions below that walk a network are plain loops over its layers:
 
 - ``forward(x) -> (y, record)``: the output, plus what ``backward`` needs
-  besides the input (the argmax record of a maxpool, else None);
-- ``backward(x, record, g) -> (g_in, grads)``: the gradient wrt the input,
-  and ``(grad_weights, grad_bias)`` for a parametric layer, else None;
+  besides the input (the winner record of a maxpool, else None);
+- ``backward(x, record, g, input_grad) -> (g_in, grads)``: the gradient wrt
+  the input, and ``(grad_weights, grad_bias)`` for a parametric layer, else
+  None; a layer may return None for ``g_in`` when ``input_grad`` is False
+  (the network's first layer, whose input gradient nobody reads);
 - ``out_shape(shape)`` and ``flops(shape)``: the per-sample output shape
   (channel-first, no batch dim) and the forward FLOPs for an input shape;
 - ``input_error(shape)``: why the layer cannot take a per-sample input of
@@ -104,8 +106,8 @@ class ConvLayer(ParametricLayer):
     def forward(self, x):
         return T.conv2d_forward(x, self.params), None
 
-    def backward(self, x, record, g):
-        g_in, gw, gb = T.conv2d_backward(x, self.params, g)
+    def backward(self, x, record, g, input_grad=True):
+        g_in, gw, gb = T.conv2d_backward(x, self.params, g, input_grad)
         return g_in, (gw, gb)
 
     def out_shape(self, shape):
@@ -155,7 +157,7 @@ class ReluLayer(Layer):
     def forward(self, x):
         return T.relu(x), None
 
-    def backward(self, x, record, g):
+    def backward(self, x, record, g, input_grad=True):
         return T.relu_backward(x, g), None
 
 
@@ -166,7 +168,7 @@ class PoolLayer(Layer):
     def forward(self, x):
         return T.maxpool2x2(x)
 
-    def backward(self, x, record, g):
+    def backward(self, x, record, g, input_grad=True):
         return T.maxpool2x2_backward(record, g), None
 
     def out_shape(self, shape):
@@ -185,7 +187,7 @@ class FlattenLayer(Layer):
     def forward(self, x):
         return x.reshape(x.shape[0], -1), None
 
-    def backward(self, x, record, g):
+    def backward(self, x, record, g, input_grad=True):
         return g.reshape(x.shape), None
 
     def out_shape(self, shape):
@@ -204,7 +206,7 @@ class DenseLayer(ParametricLayer):
     def forward(self, x):
         return T.dense_forward(x, self.weights, self.bias), None
 
-    def backward(self, x, record, g):
+    def backward(self, x, record, g, input_grad=True):
         g_in, gw, gb = T.dense_backward(x, self.weights, g)
         return g_in, (gw, gb)
 
@@ -411,7 +413,9 @@ def backward(net: Network, inputs, records, grad_logits: np.ndarray):
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_logits
     for i in range(len(net.layers) - 1, -1, -1):
-        g, layer_grads = net.layers[i].backward(inputs[i], records[i], g)
+        g, layer_grads = net.layers[i].backward(
+            inputs[i], records[i], g, input_grad=i > 0
+        )
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads

@@ -317,7 +317,10 @@ def smoea_prune(
     report.layers.sort(key=lambda row: row["ordinal"])
     report.params_after = N.count_params(pruned)
     report.flops_after = N.count_flops(pruned)
-    report.final_accuracy = _test_accuracy(pruned, dataset)
+    # the last stage has measured the returned network already
+    report.final_accuracy = (
+        accuracies[-1] if accuracies else _test_accuracy(pruned, dataset)
+    )
     return pruned, report
 
 
@@ -399,11 +402,13 @@ def sweep_uniform_retention(
     for f in fractions:
         if not 0 < f <= 1:
             raise ArgumentError(f"fraction {f} outside (0, 1]")
+    # measured first, so that a dataset without a test split fails before
+    # any evolution or fine-tuning
+    baseline_acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     layers = list(range(1, net.num_convs + 1))
     calib = calibration_batch(dataset, calibration_size, evo.seed)
     fronts = {l: evolve_layer(net, calib, l, evo).front for l in layers}
     params_before = N.count_params(net)
-    baseline_acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     rows = []
     for f in fractions:
         if f == 1.0:

@@ -9,6 +9,7 @@ kernel flip), the universal deep-learning convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -65,9 +66,26 @@ def _windows(x_pad: np.ndarray, params: ConvParams) -> np.ndarray:
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the spatial dims into a new C-contiguous array (np.pad's
+    result, at a third of its cost for small inputs)."""
     if padding == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    out[:, :, padding : padding + h, padding : padding + w] = x
+    return out
+
+
+@lru_cache(maxsize=32)
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat indices into one padded [c, h, w] sample that gather its im2col
+    rows: row (y, x) holds the window at (y*stride, x*stride), ordered
+    (channel, kernel row, kernel col)."""
+    flat = np.arange(c * h * w).reshape(c, h, w)
+    win = sliding_window_view(flat, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    index = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -83,34 +101,54 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
 
 def conv2d_backward(
-    x: np.ndarray, params: ConvParams, grad_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of sum(grad_out * conv2d_forward(x, params)) wrt x, weights, bias."""
+    x: np.ndarray, params: ConvParams, grad_out: np.ndarray, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients of sum(grad_out * conv2d_forward(x, params)) wrt x, weights, bias.
+
+    The x gradient is None when input_grad is False (a network's first layer).
+
+    An im2col / col2im formulation with exactly the matmul operands that
+    numpy's einsum lowering of the per-tap contractions used, so every
+    result is bit-identical to it. With G = grad_out as [o, n*oh*ow] and X
+    the windows as a C-contiguous [n*oh*ow, c*kh*kw]: grad_w = G @ X, and
+    each tap's input gradient W[:, :, i, j].T @ G is added, in row-major tap
+    order, into a channel-major padded buffer. The x gradient keeps the
+    padded input's NCHW layout, so the reductions taken over it downstream
+    sum in the same order too.
+    """
+    n, c = x.shape[:2]
+    o, kh, kw = params.out_channels, params.kernel_h, params.kernel_w
     oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
-    if tuple(grad_out.shape) != (x.shape[0], params.out_channels, oh, ow):
+    if tuple(grad_out.shape) != (n, o, oh, ow):
         raise ShapeError(
-            f"grad_out shape {tuple(grad_out.shape)}, expected "
-            f"{(x.shape[0], params.out_channels, oh, ow)}"
+            f"grad_out shape {tuple(grad_out.shape)}, expected {(n, o, oh, ow)}"
         )
     x_pad = _pad(x, params.padding)
-    win = _windows(x_pad, params)
-    grad_w = np.einsum("nchwij,nohw->ocij", win, grad_out, optimize=True)
+    g = grad_out.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
+    index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
+    cols = np.take(x_pad.reshape(n, -1), index, axis=1).reshape(n * oh * ow, -1)
+    grad_w = np.matmul(g, cols).reshape(params.weights.shape)
     grad_b = grad_out.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, grad_w, grad_b
 
-    grad_x_pad = np.zeros_like(x_pad)
+    w_taps = params.weights.transpose(2, 3, 1, 0)  # [kh, kw, c, o] view
+    if c == 1:
+        # einsum drops the unit axis and hands matmul a contiguous row
+        w_taps = np.ascontiguousarray(w_taps)
+    acc = np.zeros((c, n) + x_pad.shape[2:])
+    tap = np.empty((c, n * oh * ow))
     s = params.stride
-    for i in range(params.kernel_h):
-        for j in range(params.kernel_w):
-            contrib = np.einsum(
-                "nohw,oc->nchw", grad_out, params.weights[:, :, i, j], optimize=True
-            )
-            grad_x_pad[:, :, i : i + s * oh : s, j : j + s * ow : s] += contrib
+    for i in range(kh):
+        for j in range(kw):
+            np.matmul(w_taps[i, j], g, out=tap)
+            acc[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap.reshape(c, n, oh, ow)
+    grad_x_pad = np.empty_like(x_pad)
+    grad_x_pad[...] = acc.transpose(1, 0, 2, 3)
     p = params.padding
     if p:
-        grad_x = grad_x_pad[:, :, p:-p, p:-p]
-    else:
-        grad_x = grad_x_pad
-    return grad_x, grad_w, grad_b
+        return grad_x_pad[:, :, p:-p, p:-p], grad_w, grad_b
+    return grad_x_pad, grad_w, grad_b
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -124,22 +162,37 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PoolRecord:
-    """Argmax bookkeeping for maxpool backward: per-window winner index 0..3
-    (row-major within the 2x2 window) plus the pooled input shape."""
+    """What maxpool backward needs: each window's winner, 0..3 in row-major
+    order within the 2x2 window (int8), plus the pooled input's shape."""
 
-    argmax: np.ndarray
+    winner: np.ndarray
     in_shape: tuple[int, int, int, int]
 
 
+# the 2x2 window positions in row-major order, as (row, col) offsets
+_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, PoolRecord]:
+    """2x2 max pooling, stride 2, into a C-contiguous output.
+
+    Bit-identical to an argmax over each window: np.maximum(later, earlier)
+    returns its second operand on a tie, +0.0 against -0.0 included (as
+    numpy's x86-64 loops do; tests/test_tensor.py pins it), so the chain
+    below keeps the first maximum in row-major window order, and the winner
+    is the first slot equal to it. A NaN propagates to the output; its
+    winner slot is not pinned.
+    """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise GeometryError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    win = win.reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)  # first max wins ties, i.e. row-major top-left first
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return out, PoolRecord(idx, (n, c, h, w))
+    q = [x[:, :, di::2, dj::2] for di, dj in _QUADRANTS]
+    top = np.maximum(q[1], q[0])
+    bottom = np.maximum(q[3], q[2])
+    out = np.maximum(bottom, top, order="C")
+    not0, not1, not2 = (q[k] != out for k in range(3))
+    winner = not0 * (not1 * (not2 + np.int8(1)) + np.int8(1))  # int8, 0..3
+    return out, PoolRecord(winner, (n, c, h, w))
 
 
 def maxpool2x2_backward(record: PoolRecord, grad_out: np.ndarray) -> np.ndarray:
@@ -148,10 +201,14 @@ def maxpool2x2_backward(record: PoolRecord, grad_out: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"grad_out shape {tuple(grad_out.shape)}, expected {(n, c, h // 2, w // 2)}"
         )
-    g = np.zeros((n, c, h // 2, w // 2, 4))
-    np.put_along_axis(g, record.argmax[..., None], grad_out[..., None], axis=-1)
-    g = g.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return g.reshape(n, c, h, w)
+    # each window slot gets grad_out's bits masked by an all-ones (winner)
+    # or all-zeros (+0.0) word, so values and signed zeros pass exactly
+    g = np.empty((n, c, h, w))
+    bits = np.asarray(grad_out, dtype=np.float64).view(np.int64)
+    for k, (di, dj) in enumerate(_QUADRANTS):
+        mask = np.negative((record.winner == k).view(np.int8))
+        np.bitwise_and(bits, mask, out=g.view(np.int64)[:, :, di::2, dj::2])
+    return g
 
 
 def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:

@@ -170,6 +170,20 @@ class TestPrune:
         for l in range(1, 5):
             assert net.conv(l).params.out_channels == counts[l]
 
+    def test_final_accuracy_is_last_stage(self, prune_run):
+        # the report is byte for byte what a fresh test pass over the saved
+        # model would have written
+        _, out, cfg, _ = prune_run
+        text = (out / "report.json").read_text()
+        payload = json.loads(text)
+        dataset = build_dataset(load_config(cfg))
+        fresh = evaluate_accuracy(
+            load_model(out / "model"), dataset.test_images, dataset.test_labels
+        )
+        assert payload["final_accuracy"] == payload["stages"][-1]["accuracy"] == fresh
+        payload["final_accuracy"] = fresh
+        assert json.dumps(payload, indent=2) == text
+
     def test_front_csvs_match_report(self, prune_run):
         _, out, _, _ = prune_run
         payload = json.loads((out / "report.json").read_text())
@@ -245,22 +259,8 @@ class TestBaselineAndSweep:
         assert f"final_accuracy={expected:.4f}" in capsys.readouterr().out
 
     def test_baseline_without_test_split_reports_nan(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        batch = tmp_path / "data_batch_1.bin"
-        write_cifar10_batch(
-            batch,
-            rng.integers(0, 256, size=(16, 3, 32, 32), dtype=np.uint8),
-            rng.integers(0, 10, size=16),
-        )
         out = tmp_path / "run"
-        cfg = write_config(
-            tmp_path,
-            {
-                "dataset": {"kind": "cifar10-binary", "path": str(batch)},
-                "model": {"input_shape": [3, 32, 32]},
-                "finetune": {"epochs": 1, "milestones": []},
-            },
-        )
+        cfg = single_batch_config(tmp_path)
         assert run(["baseline", "--config", cfg, "--out", str(out),
                     "--criterion", "l2"]) == 0
         payload = json.loads((out / "report.json").read_text())
@@ -269,6 +269,51 @@ class TestBaselineAndSweep:
         assert math.isnan(payload["final_accuracy"])
         assert "final_accuracy=nan" in capsys.readouterr().out
         assert load_model(out / "model").conv(1).params.out_channels == 4
+
+
+def single_batch_config(tmp_path):
+    """A config whose dataset is one 16-record CIFAR batch file: a training
+    split and no test split."""
+    rng = np.random.default_rng(0)
+    batch = tmp_path / "data_batch_1.bin"
+    write_cifar10_batch(
+        batch,
+        rng.integers(0, 256, size=(16, 3, 32, 32), dtype=np.uint8),
+        rng.integers(0, 10, size=16),
+    )
+    return write_config(
+        tmp_path,
+        {
+            "dataset": {"kind": "cifar10-binary", "path": str(batch)},
+            "model": {"input_shape": [3, 32, 32]},
+            "finetune": {"epochs": 1, "milestones": []},
+        },
+    )
+
+
+class TestNoTestSplit:
+    """train and sweep need a test split; without one they exit 3 before
+    doing any work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("fine-tuning or evolution ran")
+
+        for target in ("smoea.pipeline.finetune_with_history",
+                       "smoea.pipeline.evolve_layer", "smoea.cli.finetune"):
+            monkeypatch.setattr(target, must_not_run)
+
+    @pytest.mark.parametrize("argv", [["train"], ["sweep", "--fractions", "0.5"]])
+    def test_fails_before_work(self, tmp_path, capsys, no_work, argv):
+        cfg = single_batch_config(tmp_path)
+        out = tmp_path / "run"
+        assert run([*argv, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        assert len(errors) == 1 and errors[0].startswith("ERROR code=3 type=DataError ")
+        assert not (out / "model").exists()
 
 
 def saved_toy_model(tmp_path, edit_manifest):
@@ -381,6 +426,22 @@ for _name, _values in BAD_FINETUNE_VALUES.items():
         ["train"], {"finetune": {"epochs": 2, "milestones": [], **_values}},
         None, 2, "ArgumentError",
     )
+
+ERROR_CASES.update({
+    "unknown_groups_key": (
+        ["prune"], {"groups": {"block_count": [2]}}, None, 2, "ArgumentError",
+    ),
+    "unknown_model_key": (
+        ["report"], {"model": {"builtin": "toy-cnn", "chanels": [4]}}, None,
+        2, "ArgumentError",
+    ),
+    "unknown_dataset_key": (
+        ["train"], {"dataset": {"kind": "synthetic", "heigth": 8}}, None,
+        2, "ArgumentError",
+    ),
+    "model_not_object": (["report"], {"model": "vgg14"}, None, 2, "ArgumentError"),
+    "dataset_not_object": (["train"], {"dataset": []}, None, 2, "ArgumentError"),
+})
 
 
 def _invalid(*extra):

@@ -231,6 +231,27 @@ class TestSmoeaPrune:
         _, report = small_run
         assert report.final_accuracy >= report.baseline_accuracy - 0.05
 
+    def test_one_test_pass_per_stage(self, trained_toy, toy_dataset, monkeypatch):
+        # the baseline and each stage are measured once; the final accuracy
+        # is the last stage's, not another pass over the same network
+        passes = []
+
+        def counted(net, images, labels, batch_size=256):
+            passes.append(net)
+            return evaluate_accuracy(net, images, labels, batch_size)
+
+        monkeypatch.setattr("smoea.pipeline.evaluate_accuracy", counted)
+        pruned, report = smoea_prune(
+            trained_toy, toy_dataset, GroupPlan(1, [2, 2]), SMALL_EVO, SMALL_FT,
+            calibration_size=32,
+        )
+        assert len(passes) == 1 + len(report.stages)
+        assert passes[-1] is pruned
+        assert report.final_accuracy == report.stages[-1]["accuracy"]
+        assert report.final_accuracy == evaluate_accuracy(
+            pruned, toy_dataset.test_images, toy_dataset.test_labels
+        )
+
     def test_deterministic(self, trained_toy, toy_dataset, small_run):
         pruned_a, report_a = small_run
         pruned_b, report_b = smoea_prune(

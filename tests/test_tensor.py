@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import naive_conv2d, numerical_grad, rel_err
 from smoea import tensor as T
@@ -122,6 +123,88 @@ class TestConvBackward:
             T.conv2d_backward(np.zeros((1, 1, 4, 4)), p, np.zeros((1, 2, 3, 3)))
 
 
+def einsum_conv2d_backward(x, params, grad_out):
+    """The per-tap einsum form of conv2d_backward that the matmul form
+    replaced; every result of the fast path must equal this one bit for bit."""
+    n, _, h, w = x.shape
+    s, p = params.stride, params.padding
+    oh = (h + 2 * p - params.kernel_h) // s + 1
+    ow = (w + 2 * p - params.kernel_w) // s + 1
+    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = sliding_window_view(x_pad, (params.kernel_h, params.kernel_w), axis=(2, 3))
+    win = win[:, :, ::s, ::s]
+    grad_w = np.einsum("nchwij,nohw->ocij", win, grad_out, optimize=True)
+    grad_b = grad_out.sum(axis=(0, 2, 3))
+    grad_x_pad = np.zeros_like(x_pad)
+    for i in range(params.kernel_h):
+        for j in range(params.kernel_w):
+            contrib = np.einsum(
+                "nohw,oc->nchw", grad_out, params.weights[:, :, i, j], optimize=True
+            )
+            grad_x_pad[:, :, i : i + s * oh : s, j : j + s * ow : s] += contrib
+    grad_x = grad_x_pad[:, :, p:-p, p:-p] if p else grad_x_pad
+    return grad_x, grad_w, grad_b
+
+
+def channel_major(a):
+    """Same values, laid out [C, N, H, W] in memory, as a conv output is."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+
+
+# (n, c, h, w, o, k, stride, padding)
+BITWISE_CONV_SHAPES = {
+    "toy_conv1": (32, 3, 8, 8, 8, 3, 1, 1),
+    "toy_conv2": (32, 8, 8, 8, 16, 3, 1, 1),
+    "toy_conv3": (32, 16, 4, 4, 16, 3, 1, 1),
+    "toy_conv4_last_batch": (16, 16, 4, 4, 16, 3, 1, 1),
+    "toy_pruned": (32, 5, 4, 4, 3, 3, 1, 1),
+    "cifar_32ch_32x32": (4, 32, 32, 32, 32, 3, 1, 1),
+    "stride2": (3, 4, 9, 9, 5, 3, 2, 1),
+    "padding0": (3, 4, 7, 7, 5, 3, 1, 0),
+    "non_square": (2, 3, 6, 10, 4, 3, 1, 1),
+    "non_square_stride2": (2, 3, 5, 9, 4, 3, 2, 1),
+    "one_in_channel": (4, 1, 6, 6, 3, 3, 1, 1),
+    "one_in_channel_non_square": (2, 1, 5, 7, 6, 3, 1, 1),
+    "one_out_channel": (4, 5, 6, 6, 1, 3, 1, 1),
+    "one_in_one_out": (4, 1, 6, 6, 1, 3, 1, 1),
+    "batch1": (1, 4, 6, 6, 5, 3, 1, 1),
+    "batch1_one_position": (1, 2, 3, 3, 2, 3, 1, 0),
+    "kernel1": (3, 4, 5, 5, 6, 1, 1, 0),
+}
+
+
+class TestConvBackwardBitwise:
+    """conv2d_backward equals the einsum form exactly, with the same grad_x
+    strides, for inputs and output gradients in both memory layouts."""
+
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    @pytest.mark.parametrize("x_layout", [np.asarray, channel_major], ids=["x_nchw", "x_cnhw"])
+    @pytest.mark.parametrize("g_layout", [np.asarray, channel_major], ids=["g_nchw", "g_cnhw"])
+    def test_equals_einsum_form(self, shape, x_layout, g_layout):
+        n, c, h, w, o, k, stride, padding = shape
+        rng = np.random.default_rng(sum(shape))
+        x = x_layout(rng.normal(size=(n, c, h, w)))
+        p = ConvParams(o, c, k, k, stride, padding, rng.normal(size=(o, c, k, k)), rng.normal(size=o))
+        g = g_layout(rng.normal(size=T.conv2d_forward(x, p).shape))
+        want = einsum_conv2d_backward(x, p, g)
+        got = T.conv2d_backward(x, p, g)
+        for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+            assert np.array_equal(a, b), name
+        assert got[0].strides == want[0].strides
+
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    def test_no_input_grad(self, shape):
+        n, c, h, w, o, k, stride, padding = shape
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=(n, c, h, w))
+        p = ConvParams(o, c, k, k, stride, padding, rng.normal(size=(o, c, k, k)), rng.normal(size=o))
+        g = rng.normal(size=T.conv2d_forward(x, p).shape)
+        _, want_w, want_b = T.conv2d_backward(x, p, g)
+        gx, gw, gb = T.conv2d_backward(x, p, g, input_grad=False)
+        assert gx is None
+        assert np.array_equal(gw, want_w) and np.array_equal(gb, want_b)
+
+
 class TestRelu:
     def test_examples(self):
         np.testing.assert_array_equal(
@@ -194,6 +277,73 @@ class TestMaxPool:
                         k = win_x.ravel().argmax()
                         assert flat[k] == g[b, c, i, j]
                         assert np.all(np.delete(flat, k) == 0.0)
+
+
+def argmax_maxpool2x2(x):
+    """The reshape + argmax form of maxpool2x2 that the quadrant form
+    replaced: (output, per-window winner 0..3)."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    win = win.reshape(n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    return np.take_along_axis(win, idx[..., None], axis=-1)[..., 0], idx
+
+
+def argmax_maxpool2x2_backward(idx, grad_out):
+    n, c, h2, w2 = idx.shape
+    g = np.zeros((n, c, h2, w2, 4))
+    np.put_along_axis(g, idx[..., None], grad_out[..., None], axis=-1)
+    return g.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * h2, 2 * w2)
+
+
+class TestMaxPoolBitwise:
+    """maxpool2x2 and its backward equal the argmax form bit for bit."""
+
+    @pytest.mark.parametrize("subset", range(1, 16))
+    def test_tie_routes_to_first_in_row_major_order(self, subset):
+        # the window's maximum sits at every slot whose bit is set in subset
+        slots = [k for k in range(4) if subset >> k & 1]
+        x = np.where([subset >> k & 1 for k in range(4)], 2.0, -1.0).reshape(1, 1, 2, 2)
+        out, rec = T.maxpool2x2(x)
+        assert out[0, 0, 0, 0] == 2.0
+        assert rec.winner[0, 0, 0, 0] == slots[0]
+        gx = T.maxpool2x2_backward(rec, np.full((1, 1, 1, 1), 3.0))
+        expect = np.zeros(4)
+        expect[slots[0]] = 3.0
+        np.testing.assert_array_equal(gx.ravel(), expect)
+
+    def test_signed_zero_ties_match_argmax_bitwise(self):
+        # every window over {-0.0, +0.0, -1.0, 1.0}, one window per channel
+        vals = np.array([-0.0, 0.0, -1.0, 1.0])
+        grid = np.stack(np.meshgrid(*[np.arange(4)] * 4, indexing="ij"), -1).reshape(-1, 4)
+        x = vals[grid].reshape(1, -1, 2, 2)
+        out, rec = T.maxpool2x2(x)
+        want, idx = argmax_maxpool2x2(x)
+        assert np.array_equal(out, want)
+        assert np.array_equal(np.signbit(out), np.signbit(want))
+        assert np.array_equal(rec.winner, idx)
+        g = np.where(np.arange(x.shape[1]) % 2, -0.0, -1.5).reshape(out.shape)
+        got_g = T.maxpool2x2_backward(rec, g)
+        want_g = argmax_maxpool2x2_backward(idx, g)
+        assert np.array_equal(got_g, want_g)
+        assert np.array_equal(np.signbit(got_g), np.signbit(want_g))
+
+    @pytest.mark.parametrize("shape", [(32, 16, 8, 8), (4, 32, 32, 32), (1, 1, 2, 2), (3, 5, 6, 10)])
+    @pytest.mark.parametrize("layout", [np.asarray, channel_major], ids=["nchw", "cnhw"])
+    def test_equals_argmax_form(self, shape, layout):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        x[x < 0] = 0.0  # relu output: many all-zero ties
+        x = layout(x)
+        out, rec = T.maxpool2x2(x)
+        want, idx = argmax_maxpool2x2(x)
+        assert np.array_equal(out, want) and out.strides == want.strides
+        assert out.flags.c_contiguous
+        assert np.array_equal(rec.winner, idx)
+        g = layout(rng.normal(size=out.shape))
+        got_g = T.maxpool2x2_backward(rec, g)
+        want_g = argmax_maxpool2x2_backward(idx, g)
+        assert np.array_equal(got_g, want_g) and got_g.strides == want_g.strides
 
 
 class TestDense:
