@@ -27,12 +27,6 @@ from .network import FilterMask, SubNetwork, subnetwork_tail_forward
 
 ALPHA_MODES = ("optimized", "fixed_one")
 
-# Bound, in bytes, on each buffer one chunk of the Gram build allocates (the
-# copied input patches and the channel responses). Unchunked, VGG-14
-# conv 9's responses alone take about 268 MB at a batch of 8 images.
-GRAM_CHUNK_BYTES = 4 * 2**20
-
-
 @dataclass(frozen=True)
 class ObjectiveVector:
     filter_pct: float
@@ -84,7 +78,8 @@ def _gram_terms(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(G, h, beta) of the second layer's per-channel responses, accumulated
     in chunks of images, output positions and output channels so that no
-    buffer exceeds GRAM_CHUNK_BYTES."""
+    buffer exceeds T.CHUNK_BYTES (unchunked, VGG-14 conv 9's responses alone
+    take about 268 MB at a batch of 8 images)."""
     x = first_out
     for lay in sub.interstitial:
         x, _ = lay.forward(x)
@@ -103,7 +98,7 @@ def _gram_terms(
     w = np.ascontiguousarray(w)  # [C, taps, outs]
     _, taps, outs = w.shape
     out_h, out_w = patches.shape[2:4]
-    budget = GRAM_CHUNK_BYTES // 8
+    budget = T.CHUNK_BYTES // 8
     out_step = min(outs, max(1, budget // c))
     rows = max(1, budget // (c * max(out_step, taps)))
     gram = np.zeros((c, c))

@@ -4,6 +4,14 @@ dense layers, the softmax cross-entropy loss, momentum SGD, and norms.
 Everything operates on float64 numpy arrays and is a pure function of its
 inputs; there is no autodiff graph. Convolution is cross-correlation (no
 kernel flip), the universal deep-learning convention.
+
+The conv forward and backward are matmuls over the im2col operands that
+numpy 2.4 built when it lowered the contraction forms they replaced
+(tests/test_tensor.py keeps those forms as oracles), and their results are
+bit-identical to those forms. The forward builds its operand for one block
+of whole images at a time, so no full-batch copy of it exists; a batch
+that fits in one block is the lowering's single GEMM, and the tests pin the
+tiled shapes.
 """
 
 from __future__ import annotations
@@ -15,6 +23,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import GeometryError, LabelError, ShapeError
+
+
+# Bound, in bytes, on a scratch buffer that one chunk of work allocates: the
+# conv forward's im2col block (see _forward_bound) and each buffer of one
+# chunk of the Gram build in objectives.
+CHUNK_BYTES = 4 * 2**20
 
 
 @dataclass
@@ -88,16 +102,73 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.n
     return index
 
 
+# OpenBLAS's double GEMM (numpy 2.4's bundled build, x86-64 AVX-512 cores)
+# may round a column differently when a split moves it to another column
+# tile of its kernel, or to the separate small-matrix kernel that takes
+# every GEMM of at most _SMALL_GEMM multiply-adds. The conv forward splits
+# its GEMM only where neither happens.
+_COLUMN_TILE = 16
+_SMALL_GEMM = 100**3
+
+
+def _forward_bound(weights: np.ndarray) -> int:
+    """Bytes of im2col operand the conv forward aims to copy per block:
+    CHUNK_BYTES, or twice the weights where those are larger, so that a wide
+    layer does not re-stream its weights for every few images."""
+    return max(CHUNK_BYTES, 2 * weights.nbytes)
+
+
+def _forward_blocks(n: int, span: int, w: np.ndarray) -> list[int]:
+    """Image counts of the conv forward's blocks, for n images of span
+    output positions each and weights w as [o, rows]: ceil(n / k) blocks of
+    near-equal size, k = max(1, _forward_bound(w) // (one image's
+    [rows, span] operand bytes)). Fewer blocks where a block's GEMM would
+    drop to the small-matrix size, and one block where span is not a whole
+    number of column tiles."""
+    if span % _COLUMN_TILE:
+        return [n]
+    o, rows = w.shape
+    k = max(1, _forward_bound(w) // (8 * rows * span))
+    k_min = _SMALL_GEMM // (o * rows * span or 1) + 1
+    count = max(1, min(-(-n // k), n // k_min))
+    return [n // count + (i < n % count) for i in range(count)]
+
+
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
+    """Cross-correlation plus bias, [n, c, h, w] -> [n, o, oh, ow].
+
+    The matmul that numpy lowered the contraction "nchwij,ocij->nohw" to,
+    split over blocks of whole images (_forward_blocks): with W as
+    [o, c*kh*kw], each block's windows are copied into a C-contiguous
+    [c*kh*kw, k*oh*ow] operand X, the lowering's own layout, and W @ X fills
+    that block's columns of one channel-major [o, n, oh, ow] result. A batch
+    that fits in one block is the lowering's single GEMM.
+    """
     if x.ndim != 4 or x.shape[1] != params.in_channels:
         raise ShapeError(
             f"conv input shape {tuple(x.shape)} incompatible with "
             f"{params.in_channels} input channels"
         )
-    conv_output_hw(params, x.shape[2], x.shape[3])
+    n, c = x.shape[:2]
+    o, kh, kw = params.out_channels, params.kernel_h, params.kernel_w
+    oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
     win = _windows(_pad(x, params.padding), params)
-    out = np.einsum("nchwij,ocij->nohw", win, params.weights, optimize=True)
-    return out + params.bias[None, :, None, None]
+    rows, span = c * kh * kw, oh * ow
+    w = params.weights.reshape(o, rows)
+    blocks = _forward_blocks(n, span, w)
+    buf = np.empty(rows * blocks[0] * span)  # the first block is the largest
+    out = np.empty((o, n, oh, ow))
+    out_cols = out.reshape(o, n * span)
+    start = 0
+    for m in blocks:
+        cols = buf[: rows * m * span].reshape(rows, m * span)
+        cols.reshape(c, kh, kw, m, oh, ow)[...] = win[start : start + m].transpose(
+            1, 4, 5, 0, 2, 3
+        )
+        np.matmul(w, cols, out=out_cols[:, start * span : (start + m) * span])
+        start += m
+    # a fresh array, not an in-place add: it takes the lowering's strides
+    return out.transpose(1, 0, 2, 3) + params.bias[None, :, None, None]
 
 
 def conv2d_backward(
@@ -108,7 +179,7 @@ def conv2d_backward(
     The x gradient is None when input_grad is False (a network's first layer).
 
     An im2col / col2im formulation with exactly the matmul operands that
-    numpy's einsum lowering of the per-tap contractions used, so every
+    numpy's lowering of the per-tap contractions used, so every
     result is bit-identical to it. With G = grad_out as [o, n*oh*ow] and X
     the windows as a C-contiguous [n*oh*ow, c*kh*kw]: grad_w = G @ X, and
     each tap's input gradient W[:, :, i, j].T @ G is added, in row-major tap
@@ -134,7 +205,7 @@ def conv2d_backward(
 
     w_taps = params.weights.transpose(2, 3, 1, 0)  # [kh, kw, c, o] view
     if c == 1:
-        # einsum drops the unit axis and hands matmul a contiguous row
+        # the lowering drops the unit axis and hands matmul a contiguous row
         w_taps = np.ascontiguousarray(w_taps)
     acc = np.zeros((c, n) + x_pad.shape[2:])
     tap = np.empty((c, n * oh * ow))

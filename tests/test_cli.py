@@ -473,6 +473,17 @@ def _invalid_list(entry):
 
 _bad_entry = st.one_of(st.text(max_size=3), st.booleans(), st.none(), _non_integral)
 
+_invalid_probability = _invalid(
+    st.floats(max_value=-1e-9, allow_nan=False),
+    st.floats(min_value=1.0, exclude_min=True, allow_nan=False),
+)
+
+
+def _invalid_choice(*choices):
+    """Any JSON value but one of the allowed strings."""
+    return _invalid(st.text().filter(lambda s: s not in choices), st.integers(), st.floats())
+
+
 # (config path, invalid values, exit code): every drawn value is rejected
 # before any training starts
 INVALID_FIELDS = {
@@ -494,6 +505,14 @@ INVALID_FIELDS = {
     ),
     ("finetune", "seed"): (_invalid_int(0), 2),
     ("calibration_size",): (_invalid_int(1), 2),
+    ("evolution", "population_size"): (_invalid_int(2), 2),
+    ("evolution", "elite_size"): (_invalid_int(2), 2),
+    ("evolution", "generations"): (_invalid_int(0), 2),
+    ("evolution", "seed"): (_invalid_int(0), 2),
+    ("evolution", "crossover_prob"): (_invalid_probability, 2),
+    ("evolution", "mutation_prob"): (_invalid_probability, 2),
+    ("evolution", "alpha_mode"): (_invalid_choice("optimized", "fixed_one"), 2),
+    ("evolution", "crossover"): (_invalid_choice("uniform", "one-point"), 2),
 }
 
 

@@ -315,9 +315,9 @@ class TestGramForm:
     def test_chunked_build_equals_unchunked(self, toy_contexts, kind, monkeypatch):
         ctx = toy_contexts[kind, "optimized"]
         args = (ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output)
-        monkeypatch.setattr(O, "GRAM_CHUNK_BYTES", 2**40)
+        monkeypatch.setattr(T, "CHUNK_BYTES", 2**40)
         whole = EvaluationContext(*args)
-        monkeypatch.setattr(O, "GRAM_CHUNK_BYTES", 64)  # one position and output at a time
+        monkeypatch.setattr(T, "CHUNK_BYTES", 64)  # one position and output at a time
         chunked = EvaluationContext(*args)
         scale = np.abs(whole.gram).max()
         np.testing.assert_allclose(chunked.gram, whole.gram, rtol=0, atol=1e-12 * scale)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +205,163 @@ class TestConvBackwardBitwise:
         gx, gw, gb = T.conv2d_backward(x, p, g, input_grad=False)
         assert gx is None
         assert np.array_equal(gw, want_w) and np.array_equal(gb, want_b)
+
+
+def einsum_conv2d_forward(x, params):
+    """The einsum form of conv2d_forward that the blocked matmul form
+    replaced; at the default bound every result of the fast path must equal
+    this one bit for bit."""
+    s, p = params.stride, params.padding
+    x_pad = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    win = sliding_window_view(x_pad, (params.kernel_h, params.kernel_w), axis=(2, 3))
+    out = np.einsum("nchwij,ocij->nohw", win[:, :, ::s, ::s], params.weights, optimize=True)
+    return out + params.bias[None, :, None, None]
+
+
+def channels_last(a):
+    """Same values, laid out [N, H, W, C] in memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def conv_case(shape):
+    """Seeded input and conv parameters for a BITWISE_CONV_SHAPES-style shape."""
+    n, c, h, w, o, k, stride, padding = shape
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=(n, c, h, w))
+    p = ConvParams(o, c, k, k, stride, padding, rng.normal(size=(o, c, k, k)), rng.normal(size=o))
+    return x, p
+
+
+def cnn_conv_shapes(name, channels, pool_after, batch):
+    """The 3x3, padding-1 conv shapes of build_cnn(channels, pool_after,
+    (3, 32, 32)) at a batch of `batch` images."""
+    shapes, c, hw = {}, 3, 32
+    for l, o in enumerate(channels, start=1):
+        shapes[f"{name}_conv{l}_n{batch}"] = (batch, c, hw, hw, o, 3, 1, 1)
+        c = o
+        if l in pool_after:
+            hw //= 2
+    return shapes
+
+
+VGG14_CHANNELS = [64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512]
+# network shapes, most of them tiled at the default bound: VGG-14 at the
+# evolve-vgg calibration batch, the finetune-cifar net (32, 32, 64, 64) at
+# its training batch and at evaluate_accuracy's 100 test images, and pruned
+# widths and a 30x30 map that pin the balancing, the small-GEMM floor and
+# the column-tile rule of _forward_blocks (six of them differ from einsum
+# under plain k-image blocks)
+TILED_CONV_SHAPES = {
+    **cnn_conv_shapes("vgg14", VGG14_CHANNELS, {2, 4, 7, 10, 13}, 8),
+    **cnn_conv_shapes("cifar", [32, 32, 64, 64], {2, 4}, 32),
+    **cnn_conv_shapes("cifar", [32, 32, 64, 64], {2, 4}, 100),
+    "pruned_44_to_4_16x16": (32, 44, 16, 16, 4, 3, 1, 1),
+    "pruned_71_to_3_16x16": (64, 71, 16, 16, 3, 3, 1, 1),
+    "pruned_93_to_10_8x8": (100, 93, 8, 8, 10, 3, 1, 1),
+    "pruned_60_to_13_8x8": (32, 60, 8, 8, 13, 3, 1, 1),
+    "pruned_51_to_9_12x12": (64, 51, 12, 12, 9, 3, 1, 1),
+    "pruned_32_to_2_32x32": (32, 32, 32, 32, 2, 3, 1, 1),
+    "pruned_32_to_1_32x32": (32, 32, 32, 32, 1, 3, 1, 1),
+    # 900 output positions, not whole column tiles: one block
+    "untiled_30x30": (20, 57, 30, 30, 23, 3, 1, 1),
+}
+
+
+class TestConvForwardBitwise:
+    """conv2d_forward equals the einsum form exactly, values and strides, at
+    the default bound."""
+
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    @pytest.mark.parametrize(
+        "layout", [np.asarray, channel_major, channels_last], ids=["nchw", "cnhw", "nhwc"]
+    )
+    def test_equals_einsum_form(self, shape, layout):
+        x, p = conv_case(shape)
+        x = layout(x)
+        got, want = T.conv2d_forward(x, p), einsum_conv2d_forward(x, p)
+        assert np.array_equal(got, want) and got.strides == want.strides
+
+    @pytest.mark.parametrize("shape", TILED_CONV_SHAPES.values(), ids=TILED_CONV_SHAPES)
+    def test_tiled_shapes_equal_einsum_form(self, shape):
+        x, p = conv_case(shape)
+        got, want = T.conv2d_forward(x, p), einsum_conv2d_forward(x, p)
+        assert np.array_equal(got, want) and got.strides == want.strides
+
+
+class TestConvForwardTiling:
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_each_block_is_einsum_of_its_images(self, shape, k, monkeypatch):
+        """Forced k-image blocks: each block's rows equal the einsum form on
+        that block's images alone. Not the unblocked einsum: split this
+        finely, tiny shapes (non_square, padding0, stride2) differ from it
+        in the last bit, and the default blocks never split them."""
+        x, p = conv_case(shape)
+        n = x.shape[0]
+        blocks = [min(k, n - start) for start in range(0, n, k)]
+        monkeypatch.setattr(T, "_forward_blocks", lambda *args: blocks)
+        got = T.conv2d_forward(channel_major(x), p)
+        for start in range(0, n, k):
+            want = einsum_conv2d_forward(x[start : start + k], p)
+            assert np.array_equal(got[start : start + k], want)
+
+    def test_peak_memory_is_bounded(self):
+        """No full-batch im2col operand: the peak is the padded input, the
+        channel-major result and its bias-added copy, one block, and slack.
+        The einsum form peaks at about 89 MiB here, this at about 27 MiB."""
+        x, p = conv_case((32, 32, 32, 32, 32, 3, 1, 1))
+        tracemalloc.start()
+        try:
+            T.conv2d_forward(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
+        assert peak < padded + 2 * out + T._forward_bound(p.weights) + 2**20
+
+
+class TestForwardBlocks:
+    # (n, span, weights as [o, c*kh*kw]) -> block sizes
+    CASES = {
+        # VGG-14 conv 9 at batch 32: twice the weights (37.7 MB) holds it all
+        "wide_layer_one_block": ((32, 16, (512, 4608)), [32]),
+        # 2.4 MB per image against the 4 MiB chunk: one image per block
+        "cifar_32ch_32x32": ((32, 1024, (32, 288)), [1] * 32),
+        # k = 7 images: five near-equal blocks, not 4 x 7 + 4
+        "balanced": ((32, 256, (64, 288)), [7, 7, 6, 6, 6]),
+        # one image is a GEMM of 589,824 multiply-adds: two per block
+        "small_gemm_floor": ((32, 1024, (2, 288)), [2] * 16),
+        # 30x30 outputs are not whole column tiles: never split
+        "span_not_tiled": ((32, 900, (32, 288)), [32]),
+        "empty_batch": ((0, 1024, (32, 288)), [0]),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
+    def test_block_sizes(self, case):
+        (n, span, w_shape), want = case
+        assert T._forward_blocks(n, span, np.zeros(w_shape)) == want
+
+    @given(
+        n=st.integers(1, 300),
+        c=st.integers(1, 600),
+        hw=st.sampled_from([2, 4, 8, 16, 32]),
+        o=st.integers(1, 600),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_cover_the_batch(self, n, c, hw, o):
+        """Near-equal blocks, largest first, covering all n images: each
+        within k images of the bound, or under twice the small-GEMM floor
+        k_min where that binds, and none below k_min unless it is the only
+        block."""
+        rows, span = 9 * c, hw * hw
+        w = np.zeros((o, rows))
+        blocks = T._forward_blocks(n, span, w)
+        assert sum(blocks) == n and blocks == sorted(blocks, reverse=True)
+        assert blocks[0] - blocks[-1] <= 1
+        k = max(1, T._forward_bound(w) // (8 * rows * span))
+        k_min = T._SMALL_GEMM // (o * rows * span) + 1
+        assert blocks[0] <= max(k, 2 * k_min - 1) or len(blocks) == 1
+        assert len(blocks) == 1 or blocks[-1] >= k_min
 
 
 class TestRelu:
