@@ -32,9 +32,9 @@ def main():
     _, captured = forward(net, calib, capture={args.layer})
     sub = extract_subnetwork(net, args.layer)
 
+    ctx = EvaluationContext.build(sub, captured[args.layer])
     fronts = {}
     for mode in ("optimized", "fixed_one"):
-        ctx = EvaluationContext.build(sub, captured[args.layer], mode)
         cfg = EvolutionConfig(
             population_size=60, elite_size=20, generations=args.generations,
             seed=11, alpha_mode=mode,

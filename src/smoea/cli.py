@@ -21,7 +21,13 @@ from pathlib import Path
 from . import network as N
 from .data import Dataset, SyntheticParams, generate_synthetic, load_cifar10
 from .evolution import EvolutionConfig, run_summary, write_front_csv
-from .exceptions import ArgumentError, PlanError, SmoeaError, UnknownLayerError
+from .exceptions import (
+    ArgumentError,
+    PlanError,
+    SmoeaError,
+    UnknownLayerError,
+    check_fields,
+)
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
 from .objectives import ALPHA_MODES
 from .pipeline import (
@@ -100,7 +106,7 @@ def load_config(path: str | None) -> dict:
 
 
 def build_dataset(cfg: dict) -> Dataset:
-    d = _section(cfg, "dataset")
+    d = _dataset_section(cfg)
     if d["kind"] == "synthetic":
         return generate_synthetic(
             SyntheticParams(
@@ -122,7 +128,7 @@ def build_dataset(cfg: dict) -> Dataset:
 
 
 def build_model(cfg: dict, model_path: str | None = None) -> Network:
-    m = _section(cfg, "model")
+    m = _model_section(cfg)
     path = model_path or m.get("path")
     if path:
         return load_model(path)
@@ -148,6 +154,36 @@ def _section(cfg: dict, name: str) -> dict:
     if unknown:
         raise ArgumentError(f"unknown {name} config keys {sorted(unknown)}")
     return dict(section)
+
+
+def _model_section(cfg: dict) -> dict:
+    m = _section(cfg, "model")
+    check_fields(m, "a string or null", ("path",), section="model")
+    check_fields(m, "an integer", ("seed",), low=0, section="model")
+    check_fields(m, "an integer", ("classes",), low=1, section="model")
+    check_fields(
+        m, "a list of integers", ("conv_channels", "input_shape"), low=1, section="model"
+    )
+    if len(m["input_shape"]) != 3:
+        raise ArgumentError(
+            f"model.input_shape must be [channels, height, width], "
+            f"got {m['input_shape']!r}"
+        )
+    return m
+
+
+def _dataset_section(cfg: dict) -> dict:
+    d = _section(cfg, "dataset")
+    check_fields(d, "a string or null", ("path",), section="dataset")
+    # fewer than 2 classes is a data error (exit 3), raised by the generator
+    check_fields(d, "an integer", ("classes",), section="dataset")
+    check_fields(
+        d, "an integer",
+        ("train_per_class", "test_per_class", "channels", "height", "width", "seed"),
+        low=0, section="dataset",
+    )
+    check_fields(d, "a number", ("noise",), section="dataset")
+    return d
 
 
 def evolution_config(cfg: dict) -> EvolutionConfig:
@@ -177,6 +213,8 @@ def make_run_dir(args, command: str) -> Path:
 
 def setup_run(args, command: str) -> tuple[dict, Path]:
     cfg = load_config(args.config)
+    _model_section(cfg)  # reject a bad model or dataset value before any work
+    _dataset_section(cfg)
     run_dir = make_run_dir(args, command)
     (run_dir / "config.echo").write_text(json.dumps(cfg, indent=2))
     for old in list(log.handlers):

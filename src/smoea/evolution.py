@@ -9,16 +9,15 @@ do not depend on how evaluations are scheduled.
 
 from __future__ import annotations
 
-import copy
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import ceil, floor
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import ArgumentError, EvolutionError
+from .exceptions import ArgumentError, EvolutionError, check_fields
 from .network import FilterMask
 from .objectives import (
     ALPHA_MODES,
@@ -54,14 +53,11 @@ class EvolutionConfig:
     crossover: str = "uniform"  # or "one-point"
 
     def __post_init__(self):
-        for name in ("population_size", "elite_size", "generations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ArgumentError(f"{name} must be an integer, got {value!r}")
-        for name in ("crossover_prob", "mutation_prob", "tau1", "tau2"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ArgumentError(f"{name} must be a number, got {value!r}")
+        fields = vars(self)
+        check_fields(
+            fields, "an integer", ("population_size", "elite_size", "generations", "seed")
+        )
+        check_fields(fields, "a number", ("crossover_prob", "mutation_prob", "tau1", "tau2"))
         if self.population_size < 2 or self.elite_size < 2:
             raise ArgumentError("population_size and elite_size must be >= 2")
         if self.generations < 0 or self.seed < 0:
@@ -303,12 +299,9 @@ def _record(history: dict[str, list[float]], elites: list[Individual]) -> None:
 
 
 def evolve_subnetwork(ctx: EvaluationContext, cfg: EvolutionConfig) -> EvolutionResult:
-    """Run the evolution loop against a sub-network evaluation context."""
-    if cfg.alpha_mode != ctx.alpha_mode:
-        # a shallow copy shares the Gram terms, which do not depend on the
-        # alpha mode; dataclasses.replace would build them again
-        ctx = copy.copy(ctx)
-        ctx.alpha_mode = cfg.alpha_mode
+    """Run the evolution loop against a sub-network evaluation context, in
+    cfg's alpha mode."""
+    ctx = replace(ctx, alpha_mode=cfg.alpha_mode)
 
     def evaluate(genes: np.ndarray) -> ObjectiveVector:
         return evaluate_individual(ctx, FilterMask(genes.astype(np.uint8), 0))

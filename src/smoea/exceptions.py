@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one type check
+of config fields that raises it.
 
 Every error carries an ``exit_code`` so the CLI can map failures to stable
 process exit statuses.
@@ -62,3 +63,42 @@ class PlanError(SmoeaError):
 class EvolutionError(SmoeaError):
     """Evolution cannot proceed (infeasible bounds, degenerate elites, empty front)."""
     exit_code = 7
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a field must be, as the message says it -> test of one value;
+# booleans never count as numbers
+FIELD_KINDS = {
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a list of integers": lambda v: isinstance(v, (list, tuple))
+    and all(_is_int(x) for x in v),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+}
+
+
+def check_fields(
+    fields: dict,
+    kind: str,
+    names,
+    low=None,
+    error: type[SmoeaError] = ArgumentError,
+    section: str = "",
+) -> None:
+    """Raise `error` for the first of `names` whose value in `fields` is not
+    `kind` (a key of FIELD_KINDS) or, where `low` is given, is below `low`
+    (for a list, holds an entry below it). The message names the field as
+    `section.name` where a config section is given."""
+    for name in names:
+        value = fields[name]
+        ok = FIELD_KINDS[kind](value)
+        if ok and low is not None:
+            entries = value if isinstance(value, (list, tuple)) else [value]
+            ok = all(v >= low for v in entries)
+        if not ok:
+            bound = "" if low is None else f" >= {low}"
+            where = f"{section}.{name}" if section else name
+            raise error(f"{where} must be {kind}{bound}, got {value!r}")

@@ -335,6 +335,9 @@ def build_cnn(
         layers.append(ReluLayer())
         if l in pool_after:
             layers.append(PoolLayer())
+            problem = layers[-1].input_error((out_c, h, w))
+            if problem is not None:
+                raise GeometryError(f"after conv {l}: {problem}")
             h //= 2
             w //= 2
         in_c = out_c

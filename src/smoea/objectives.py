@@ -8,11 +8,13 @@ two layers, and the second layer is linear, so the masked output is
 ``a = B + sum_c m_c Y_c``: ``Y_c`` is the second layer's bias-free response
 to channel c alone and ``B`` its bias broadcast over the output (the
 decomposition of channel pruning by reconstruction, He et al. 2017 and
-ThiNet). The evaluation context accumulates, once per layer, the Gram terms
-``G = <Y_c, Y_c'>``, ``h_c = <Y_c, B>`` and ``beta = ||B||^2``; the error of
-a mask is then a quadratic form in its bits. ``subnetwork_forward`` followed
-by ``reconstruction_error`` is the slow, direct path the tests compare
-against.
+ThiNet). The evaluation context holds only what scoring reads, built once
+per layer from one forward pass to the second layer's input: the Gram terms
+``G = <Y_c, Y_c'>``, ``h_c = <Y_c, B>`` and ``beta = ||B||^2``, and the
+unmasked output's norm ``||r||``; the error of a mask is then a quadratic
+form in its bits. ``network.subnetwork_forward`` followed by the
+array-taking ``reconstruction_error`` is the slow, direct path the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .exceptions import ArgumentError, MaskError, ShapeError
-from .network import FilterMask, SubNetwork, subnetwork_tail_forward
+from .network import FilterMask, SubNetwork
 
 ALPHA_MODES = ("optimized", "fixed_one")
 
@@ -40,50 +42,48 @@ class ObjectiveVector:
         return (self.filter_pct, self.error)
 
 
-@dataclass
+def _check_alpha_mode(mode) -> None:
+    if mode not in ALPHA_MODES:
+        raise ArgumentError(f"alpha_mode must be one of {ALPHA_MODES}, got {mode!r}")
+
+
+@dataclass(frozen=True, eq=False)
 class EvaluationContext:
-    sub: SubNetwork
-    map_l: np.ndarray
-    reference: np.ndarray  # unmasked sub-network output on map_l
-    first_layer_full_output: np.ndarray  # unmasked first-conv output on map_l
+    """What a mask's score reads on one layer's sub-network. The terms do
+    not depend on the alpha mode, so ``dataclasses.replace(ctx,
+    alpha_mode=...)`` shares them."""
+
+    gram: np.ndarray = field(repr=False)  # <Y_c, Y_c'>, [C, C]
+    bias_cross: np.ndarray = field(repr=False)  # <Y_c, B>, [C]
+    bias_sq: float  # ||B||^2
+    ref_norm: float  # ||r||, the norm of the unmasked sub-network output
     alpha_mode: str = "optimized"
-    # Gram terms of the per-channel responses Y_c and the broadcast bias B of
-    # the second layer, computed from sub and first_layer_full_output
-    gram: np.ndarray = field(init=False, repr=False)  # <Y_c, Y_c'>, [C, C]
-    bias_cross: np.ndarray = field(init=False, repr=False)  # <Y_c, B>, [C]
-    bias_sq: float = field(init=False, repr=False)  # ||B||^2
 
     def __post_init__(self):
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ArgumentError(f"alpha_mode must be one of {ALPHA_MODES}")
-        self.gram, self.bias_cross, self.bias_sq = _gram_terms(
-            self.sub, self.first_layer_full_output
-        )
+        _check_alpha_mode(self.alpha_mode)
 
     @classmethod
-    def build(
-        cls, sub: SubNetwork, map_l: np.ndarray, alpha_mode: str = "optimized"
-    ) -> "EvaluationContext":
-        first_out = T.conv2d_forward(map_l, sub.first.params)
-        reference = subnetwork_tail_forward(sub, first_out)
-        return cls(sub, map_l, reference, first_out, alpha_mode)
+    def build(cls, sub: SubNetwork, map_l: np.ndarray) -> "EvaluationContext":
+        """The context of `sub` on the calibration input `map_l`: one pass
+        through the first conv and the interstitial layers feeds both ||r||
+        and the Gram terms."""
+        x = T.conv2d_forward(map_l, sub.first.params)
+        for lay in sub.interstitial:
+            x, _ = lay.forward(x)
+        ref_norm = T.frobenius_norm(sub.second.forward(x)[0])
+        return cls(*_gram_terms(sub, x), ref_norm)
 
     @property
     def num_filters(self) -> int:
-        return self.sub.first.params.out_channels
+        return self.gram.shape[0]
 
 
-def _gram_terms(
-    sub: SubNetwork, first_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(G, h, beta) of the second layer's per-channel responses, accumulated
-    in chunks of images, output positions and output channels so that no
-    buffer exceeds T.CHUNK_BYTES (unchunked, VGG-14 conv 9's responses alone
-    take about 268 MB at a batch of 8 images)."""
-    x = first_out
-    for lay in sub.interstitial:
-        x, _ = lay.forward(x)
-    n, c = first_out.shape[:2]
+def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(G, h, beta) of the second layer's per-channel responses to its input
+    x, accumulated in chunks of images, output positions and output channels
+    so that no buffer exceeds T.CHUNK_BYTES (unchunked, VGG-14 conv 9's
+    responses alone take about 268 MB at a batch of 8 images)."""
+    n, c = x.shape[0], sub.first.params.out_channels
     weights, bias = sub.second.arrays()
     if sub.second.kind == "conv":
         params = sub.second.params
@@ -153,17 +153,19 @@ def optimal_alpha(reference: np.ndarray, approx: np.ndarray) -> float:
     return T.inner_product(reference, approx) / denom
 
 
-def reconstruction_error(ctx: EvaluationContext, approx: np.ndarray) -> float:
-    if tuple(approx.shape) != tuple(ctx.reference.shape):
+def reconstruction_error(
+    reference: np.ndarray, approx: np.ndarray, alpha_mode: str = "optimized"
+) -> float:
+    """||reference - alpha*approx||_2, with alpha from optimal_alpha or, in
+    the "fixed_one" mode, 1: the direct form of the error that
+    evaluate_individual takes from the Gram terms."""
+    _check_alpha_mode(alpha_mode)
+    if tuple(approx.shape) != tuple(reference.shape):
         raise ShapeError(
-            f"approx shape {tuple(approx.shape)} != reference "
-            f"{tuple(ctx.reference.shape)}"
+            f"approx shape {tuple(approx.shape)} != reference {tuple(reference.shape)}"
         )
-    if ctx.alpha_mode == "optimized":
-        a = optimal_alpha(ctx.reference, approx)
-    else:
-        a = 1.0
-    return T.frobenius_norm(ctx.reference - a * approx)
+    a = optimal_alpha(reference, approx) if alpha_mode == "optimized" else 1.0
+    return T.frobenius_norm(reference - a * approx)
 
 
 def evaluate_individual(ctx: EvaluationContext, mask: FilterMask) -> ObjectiveVector:
@@ -187,7 +189,7 @@ def evaluate_individual(ctx: EvaluationContext, mask: FilterMask) -> ObjectiveVe
     if ctx.alpha_mode == "optimized":
         a_sq = ctx.bias_sq + 2.0 * (m @ ctx.bias_cross) + m @ g_m
         if a_sq <= 0.0:  # alpha = 0, as optimal_alpha takes it
-            return ObjectiveVector(filter_pct(mask), T.frobenius_norm(ctx.reference))
+            return ObjectiveVector(filter_pct(mask), ctx.ref_norm)
         a_d = q @ ctx.bias_cross + q @ g_m
         err_sq -= a_d * a_d / a_sq
     return ObjectiveVector(filter_pct(mask), np.sqrt(max(err_sq, 0.0)))

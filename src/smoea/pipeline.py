@@ -20,14 +20,10 @@ from .evolution import (
     front_rows,
     knee_point,
 )
-from .exceptions import ArgumentError, DataError, PlanError
+from .exceptions import ArgumentError, DataError, PlanError, check_fields
 from .network import FilterMask, Network
 from .objectives import EvaluationContext
 from . import tensor as T
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -38,14 +34,8 @@ class GroupPlan:
     block_counts: list[int]
 
     def __post_init__(self):
-        if not _is_int(self.l0):
-            raise PlanError(f"l0 must be an integer, got {self.l0!r}")
-        if not isinstance(self.block_counts, list) or not all(
-            _is_int(b) for b in self.block_counts
-        ):
-            raise PlanError(
-                f"block_counts must be a list of integers, got {self.block_counts!r}"
-            )
+        check_fields(vars(self), "an integer", ("l0",), error=PlanError)
+        check_fields(vars(self), "a list of integers", ("block_counts",), error=PlanError)
         if self.l0 < 1:
             raise PlanError("l0 must be >= 1")
         if any(b < 1 for b in self.block_counts):
@@ -62,20 +52,10 @@ class FineTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ArgumentError(f"{name} must be an integer, got {value!r}")
-        for name in ("lr", "momentum"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ArgumentError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.milestones, (list, tuple)) or not all(
-            _is_int(m) for m in self.milestones
-        ):
-            raise ArgumentError(
-                f"milestones must be a list of integers, got {self.milestones!r}"
-            )
+        fields = vars(self)
+        check_fields(fields, "an integer", ("epochs", "batch_size", "seed"))
+        check_fields(fields, "a number", ("lr", "momentum"))
+        check_fields(fields, "a list of integers", ("milestones",))
         if self.epochs < 0 or self.seed < 0:
             raise ArgumentError("epochs and seed must be >= 0")
         if self.batch_size < 1:
@@ -201,14 +181,10 @@ def finetune_with_history(
             logits, inputs, records = N.forward_cached(net, x[idx])
             loss, grad = T.softmax_cross_entropy(logits, y[idx])
             for pos, grads in N.backward(net, inputs, records, grad).items():
-                params = net.layers[pos].arrays()
                 if pos not in velocity:
                     velocity[pos] = [np.zeros_like(g) for g in grads]
-                new_p, velocity[pos] = T.sgd_update(
-                    params, list(grads), lr, cfg.momentum, velocity[pos]
-                )
-                for old, new in zip(params, new_p):
-                    old[...] = new  # the clone owns its arrays
+                # the clone owns its arrays
+                T.sgd_update(net.layers[pos].arrays(), grads, lr, cfg.momentum, velocity[pos])
             epoch_loss += loss
             nbatch += 1
         losses.append(epoch_loss / max(nbatch, 1))
@@ -222,8 +198,7 @@ def finetune(net: Network, dataset: Dataset, cfg: FineTuneConfig) -> Network:
 def calibration_batch(dataset: Dataset, size: int, seed: int) -> np.ndarray:
     """Fixed seeded subset of the training images used for feature-map
     reconstruction; makes the evolution deterministic."""
-    if not _is_int(size) or size < 1:
-        raise ArgumentError(f"calibration size must be an integer >= 1, got {size!r}")
+    check_fields({"calibration size": size}, "an integer", ("calibration size",), low=1)
     dataset.require_nonempty()
     n = dataset.train_images.shape[0]
     rng = np.random.default_rng(seed)
@@ -242,7 +217,7 @@ def evolve_layer(
     calibration batch, with a seed derived from evo.seed and l."""
     _, captured = N.forward(net, calib, capture={l})
     sub = N.extract_subnetwork(net, l)
-    ctx = EvaluationContext.build(sub, captured[l], evo.alpha_mode)
+    ctx = EvaluationContext.build(sub, captured[l])
     return evolve_subnetwork(ctx, replace(evo, seed=_layer_seed(evo.seed, l)))
 
 

@@ -326,13 +326,14 @@ def sgd_update(
     lr: float,
     momentum: float,
     velocity: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """v <- momentum*v + g; p <- p - lr*v. Returns (new_params, new_velocity)."""
+) -> None:
+    """v <- momentum*v + g; p <- p - lr*v, both in place."""
     if not (lr > 0):
         raise ShapeError("lr must be > 0")
-    new_v = [momentum * v + g for v, g in zip(velocity, grads)]
-    new_p = [p - lr * v for p, v in zip(params, new_v)]
-    return new_p, new_v
+    for p, g, v in zip(params, grads, velocity):
+        v *= momentum
+        v += g
+        p -= lr * v
 
 
 def frobenius_norm(t: np.ndarray) -> float:

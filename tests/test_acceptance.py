@@ -151,9 +151,9 @@ def test_criterion_04_alpha_dominance():
     calib = calibration_batch(dataset, 64, 5)
     _, captured = forward(net, calib, capture={1})
     sub = N.extract_subnetwork(net, 1)
+    ctx = EvaluationContext.build(sub, captured[1])
     fronts = {}
     for mode in ("optimized", "fixed_one"):
-        ctx = EvaluationContext.build(sub, captured[1], mode)
         cfg = EvolutionConfig(
             population_size=60, elite_size=20, generations=60, seed=11,
             alpha_mode=mode,

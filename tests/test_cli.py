@@ -443,6 +443,31 @@ ERROR_CASES.update({
     "dataset_not_object": (["train"], {"dataset": []}, None, 2, "ArgumentError"),
 })
 
+# model and dataset values that must be rejected before any work
+BAD_MODEL_DATASET_VALUES = {
+    "string_conv_channels": {"model": {"conv_channels": "ab"}},
+    "zero_conv_channel": {"model": {"conv_channels": [0, 4]}},
+    "negative_model_seed": {"model": {"seed": -1}},
+    "bool_model_seed": {"model": {"seed": True}},
+    "zero_model_classes": {"model": {"classes": 0}},
+    "short_input_shape": {"model": {"input_shape": [3, 8]}},
+    "string_noise": {"dataset": {"noise": "x"}},
+    "negative_train_per_class": {"dataset": {"train_per_class": -1}},
+    "float_dataset_seed": {"dataset": {"seed": 1.5}},
+    "int_cifar_path": {"dataset": {"kind": "cifar10-binary", "path": 5}},
+}
+for _name, _values in BAD_MODEL_DATASET_VALUES.items():
+    ERROR_CASES[_name] = (["report", "--with-accuracy"], _values, None, 2, "ArgumentError")
+
+ERROR_CASES.update({
+    "zero_dataset_classes": (
+        ["report", "--with-accuracy"], {"dataset": {"classes": 0}}, None, 3, "DataError",
+    ),
+    "odd_map_before_pool": (
+        ["report"], {"model": {"input_shape": [3, 2, 2]}}, None, 7, "GeometryError",
+    ),
+})
+
 
 def _invalid(*extra):
     """Values of the wrong JSON type for a number field, plus `extra`."""
@@ -513,6 +538,32 @@ INVALID_FIELDS = {
     ("evolution", "mutation_prob"): (_invalid_probability, 2),
     ("evolution", "alpha_mode"): (_invalid_choice("optimized", "fixed_one"), 2),
     ("evolution", "crossover"): (_invalid_choice("uniform", "one-point"), 2),
+    ("model", "path"): (_invalid(_non_integral, st.integers()).filter(
+        lambda v: v is not None and not isinstance(v, str)
+    ), 2),
+    ("model", "seed"): (_invalid_int(0), 2),
+    ("model", "classes"): (_invalid_int(1), 2),
+    ("model", "conv_channels"): (
+        _invalid_list(st.one_of(_bad_entry, st.integers(max_value=0))), 2,
+    ),
+    ("model", "input_shape"): (
+        st.one_of(
+            _invalid_list(st.one_of(_bad_entry, st.integers(max_value=0))),
+            st.lists(st.integers(1, 8), max_size=5).filter(lambda s: len(s) != 3),
+        ),
+        2,
+    ),
+    ("dataset", "path"): (_invalid(_non_integral, st.integers()).filter(
+        lambda v: v is not None and not isinstance(v, str)
+    ), 2),
+    ("dataset", "classes"): (_invalid(_non_integral), 2),
+    ("dataset", "train_per_class"): (_invalid_int(0), 2),
+    ("dataset", "test_per_class"): (_invalid_int(0), 2),
+    ("dataset", "channels"): (_invalid_int(0), 2),
+    ("dataset", "height"): (_invalid_int(0), 2),
+    ("dataset", "width"): (_invalid_int(0), 2),
+    ("dataset", "noise"): (_invalid(), 2),
+    ("dataset", "seed"): (_invalid_int(0), 2),
 }
 
 
@@ -551,7 +602,7 @@ class TestErrors:
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(case=invalid_config())
     def test_invalid_field_property(self, tmp_path_factory, case):
         config, code = case

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,21 @@ from smoea.objectives import (
 
 
 @pytest.fixture(scope="module")
-def ctx():
+def toy():
+    """(sub, map_l): toy conv 2's sub-network and a random calibration input."""
     net = build_toy_cnn(seed=7)
-    rng = np.random.default_rng(7)
-    map_l = rng.normal(size=(4, 8, 8, 8))
-    return EvaluationContext.build(extract_subnetwork(net, 2), map_l)
+    map_l = np.random.default_rng(7).normal(size=(4, 8, 8, 8))
+    return extract_subnetwork(net, 2), map_l
+
+
+@pytest.fixture(scope="module")
+def ctx(toy):
+    return EvaluationContext.build(*toy)
+
+
+@pytest.fixture(scope="module")
+def reference(toy):
+    return subnetwork_forward(*toy)
 
 
 def mask_of(bits):
@@ -92,54 +104,50 @@ class TestOptimalAlpha:
 
 
 class TestReconstructionError:
-    def test_exact_match_both_modes(self, ctx):
-        assert reconstruction_error(ctx, ctx.reference) == pytest.approx(0.0, abs=1e-9)
-        fixed = EvaluationContext(
-            ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, "fixed_one"
+    def test_exact_match_both_modes(self, reference):
+        assert reconstruction_error(reference, reference) == pytest.approx(0.0, abs=1e-9)
+        assert reconstruction_error(reference, reference, "fixed_one") == pytest.approx(
+            0.0, abs=1e-9
         )
-        assert reconstruction_error(fixed, ctx.reference) == pytest.approx(0.0, abs=1e-9)
 
-    def test_halved_approx(self, ctx):
-        half = 0.5 * ctx.reference
-        assert reconstruction_error(ctx, half) == pytest.approx(0.0, abs=1e-9)
-        fixed = EvaluationContext(
-            ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, "fixed_one"
-        )
-        assert fixed and reconstruction_error(fixed, half) == pytest.approx(
-            0.5 * T.frobenius_norm(ctx.reference)
+    def test_halved_approx(self, reference):
+        half = 0.5 * reference
+        assert reconstruction_error(reference, half) == pytest.approx(0.0, abs=1e-9)
+        assert reconstruction_error(reference, half, "fixed_one") == pytest.approx(
+            0.5 * T.frobenius_norm(reference)
         )
 
     @pytest.mark.parametrize("seed", range(25))
-    def test_optimized_never_worse_than_fixed(self, seed, ctx):
+    def test_optimized_never_worse_than_fixed(self, seed, reference):
         rng = np.random.default_rng(seed)
-        approx = ctx.reference + rng.normal(size=ctx.reference.shape)
-        fixed = EvaluationContext(
-            ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, "fixed_one"
+        approx = reference + rng.normal(size=reference.shape)
+        assert (
+            reconstruction_error(reference, approx)
+            <= reconstruction_error(reference, approx, "fixed_one") + 1e-12
         )
-        assert reconstruction_error(ctx, approx) <= reconstruction_error(fixed, approx) + 1e-12
 
-    def test_shape_mismatch(self, ctx):
+    def test_shape_mismatch(self, reference):
         with pytest.raises(ShapeError):
-            reconstruction_error(ctx, np.zeros(3))
+            reconstruction_error(reference, np.zeros(3))
 
 
 class TestEvaluateIndividual:
-    def test_full_mask(self, ctx):
+    def test_full_mask(self, ctx, reference):
         obj = evaluate_individual(ctx, mask_of([1] * 16))
         assert obj.filter_pct == 1.0
         assert obj.error == pytest.approx(0.0, abs=1e-12)
-        assert optimal_alpha(ctx.reference, ctx.reference) == pytest.approx(1.0, abs=1e-12)
+        assert optimal_alpha(reference, reference) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_fast_path_equals_slow_path(self, seed, ctx):
+    def test_fast_path_equals_slow_path(self, seed, toy, ctx, reference):
         rng = np.random.default_rng(seed)
         bits = np.zeros(16, dtype=np.uint8)
         bits[rng.choice(16, size=rng.integers(1, 16), replace=False)] = 1
         mask = mask_of(bits)
         fast = evaluate_individual(ctx, mask)
         # slow path: mask the first layer's weights and run the whole block
-        slow_out = subnetwork_forward(ctx.sub, ctx.map_l, mask)
-        slow_err = reconstruction_error(ctx, slow_out)
+        slow_out = subnetwork_forward(*toy, mask)
+        slow_err = reconstruction_error(reference, slow_out)
         assert fast.filter_pct == filter_pct(mask)
         assert fast.error == pytest.approx(slow_err, abs=1e-9)
 
@@ -174,7 +182,9 @@ class TestDenseSecondLayer:
         bits[[0, 9]] = 0
         mask = FilterMask(bits, 4)
         fast = evaluate_individual(ctx, mask)
-        slow = reconstruction_error(ctx, subnetwork_forward(sub, map_l, mask))
+        slow = reconstruction_error(
+            subnetwork_forward(sub, map_l), subnetwork_forward(sub, map_l, mask)
+        )
         assert fast.error == pytest.approx(slow, abs=1e-9)
 
 
@@ -223,27 +233,33 @@ TOY_TAILS = {
 
 @pytest.fixture(scope="module")
 def toy_contexts():
-    """{(tail kind, alpha mode): context} over random calibration inputs."""
+    """{(tail kind, alpha mode): (sub, map_l, context)} over random
+    calibration inputs, each context built on its own."""
     contexts = {}
     for kind, (l, shape) in TOY_TAILS.items():
         sub = biased_toy_subnetwork(l)
         map_l = np.random.default_rng(l).normal(size=shape)
         for mode in ALPHA_MODES:
-            contexts[kind, mode] = EvaluationContext.build(sub, map_l, mode)
+            ctx = replace(EvaluationContext.build(sub, map_l), alpha_mode=mode)
+            contexts[kind, mode] = (sub, map_l, ctx)
     return contexts
 
 
 @pytest.fixture(scope="module")
 def conv9_context():
+    """(sub, map_l, context) of the conv-9-shaped sub-network."""
     sub, map_l = conv9_shaped_subnetwork()
-    return EvaluationContext.build(sub, map_l)
+    return sub, map_l, EvaluationContext.build(sub, map_l)
 
 
-def assert_matches_slow_path(ctx, bits):
+def assert_matches_slow_path(sub, map_l, ctx, bits):
     mask = FilterMask(np.asarray(bits, dtype=np.uint8), 0)
     fast = evaluate_individual(ctx, mask).error
-    slow = reconstruction_error(ctx, subnetwork_forward(ctx.sub, ctx.map_l, mask))
-    bound = RTOL * slow + ATOL * T.frobenius_norm(ctx.reference)
+    reference = subnetwork_forward(sub, map_l)
+    slow = reconstruction_error(
+        reference, subnetwork_forward(sub, map_l, mask), ctx.alpha_mode
+    )
+    bound = RTOL * slow + ATOL * T.frobenius_norm(reference)
     assert abs(fast - slow) <= bound, (fast, slow)
 
 
@@ -261,25 +277,22 @@ class TestGramForm:
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_every_tail_matches_slow_path(self, toy_contexts, kind, mode):
-        ctx = toy_contexts[kind, mode]
+        sub, map_l, ctx = toy_contexts[kind, mode]
         for bits in random_masks(ctx.num_filters, 12, seed=len(kind)):
-            assert_matches_slow_path(ctx, bits)
+            assert_matches_slow_path(sub, map_l, ctx, bits)
 
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     def test_conv9_shaped_layer_matches_slow_path(self, conv9_context, mode):
-        ctx = conv9_context
-        if mode != ctx.alpha_mode:
-            ctx = EvaluationContext(
-                ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, mode
-            )
+        sub, map_l, ctx = conv9_context
+        ctx = replace(ctx, alpha_mode=mode)
         for bits in random_masks(512, 3, seed=9):
-            assert_matches_slow_path(ctx, bits)
+            assert_matches_slow_path(sub, map_l, ctx, bits)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_masks_property(self, toy_contexts, data):
         kind, mode = data.draw(st.sampled_from(sorted(toy_contexts)))
-        ctx = toy_contexts[kind, mode]
+        sub, map_l, ctx = toy_contexts[kind, mode]
         c = ctx.num_filters
         index = st.integers(0, c - 1)
         bits = data.draw(
@@ -289,20 +302,20 @@ class TestGramForm:
                 st.lists(st.booleans(), min_size=c, max_size=c).filter(any),
             )
         )
-        assert_matches_slow_path(ctx, bits)
+        assert_matches_slow_path(sub, map_l, ctx, bits)
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_terms_equal_per_channel_responses(self, toy_contexts, kind):
         """G, h and beta against Y_c taken from the tail forward of channel c
         alone, minus the tail forward of all-zero channels (the bias B)."""
-        ctx = toy_contexts[kind, "optimized"]
-        first = ctx.first_layer_full_output
-        bias_out = subnetwork_tail_forward(ctx.sub, np.zeros_like(first))
+        sub, map_l, ctx = toy_contexts[kind, "optimized"]
+        first = T.conv2d_forward(map_l, sub.first.params)
+        bias_out = subnetwork_tail_forward(sub, np.zeros_like(first))
         ys = []
         for c in range(ctx.num_filters):
             alone = np.zeros_like(first)
             alone[:, c] = first[:, c]
-            ys.append((subnetwork_tail_forward(ctx.sub, alone) - bias_out).ravel())
+            ys.append((subnetwork_tail_forward(sub, alone) - bias_out).ravel())
         y = np.array(ys)
         scale = np.abs(y @ y.T).max()
         np.testing.assert_allclose(ctx.gram, y @ y.T, rtol=0, atol=1e-12 * scale)
@@ -313,18 +326,40 @@ class TestGramForm:
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_chunked_build_equals_unchunked(self, toy_contexts, kind, monkeypatch):
-        ctx = toy_contexts[kind, "optimized"]
-        args = (ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output)
+        sub, map_l, _ = toy_contexts[kind, "optimized"]
+        x = T.conv2d_forward(map_l, sub.first.params)
+        for lay in sub.interstitial:
+            x, _ = lay.forward(x)
         monkeypatch.setattr(T, "CHUNK_BYTES", 2**40)
-        whole = EvaluationContext(*args)
+        gram, cross, beta = O._gram_terms(sub, x)
         monkeypatch.setattr(T, "CHUNK_BYTES", 64)  # one position and output at a time
-        chunked = EvaluationContext(*args)
-        scale = np.abs(whole.gram).max()
-        np.testing.assert_allclose(chunked.gram, whole.gram, rtol=0, atol=1e-12 * scale)
-        np.testing.assert_allclose(
-            chunked.bias_cross, whole.bias_cross, rtol=0, atol=1e-12 * scale
-        )
-        assert chunked.bias_sq == whole.bias_sq
+        chunked_gram, chunked_cross, chunked_beta = O._gram_terms(sub, x)
+        scale = np.abs(gram).max()
+        np.testing.assert_allclose(chunked_gram, gram, rtol=0, atol=1e-12 * scale)
+        np.testing.assert_allclose(chunked_cross, cross, rtol=0, atol=1e-12 * scale)
+        assert chunked_beta == beta
+
+    @pytest.mark.parametrize("kind", [*TOY_TAILS, "conv9-shaped"])
+    def test_ref_norm_is_reference_norm(self, toy_contexts, conv9_context, kind):
+        """The stored ||r|| is bit for bit the norm of the direct forward."""
+        if kind == "conv9-shaped":
+            sub, map_l, ctx = conv9_context
+        else:
+            sub, map_l, ctx = toy_contexts[kind, "optimized"]
+        assert ctx.ref_norm == T.frobenius_norm(subnetwork_forward(sub, map_l))
+
+    @pytest.mark.parametrize("kind", TOY_TAILS)
+    def test_build_runs_interstitial_layers_once(self, kind, monkeypatch):
+        sub = biased_toy_subnetwork(TOY_TAILS[kind][0])
+        calls = []
+        for lay in sub.interstitial:
+            forward = lay.forward
+            monkeypatch.setattr(
+                lay, "forward", lambda x, f=forward, k=lay.kind: calls.append(k) or f(x)
+            )
+        map_l = np.random.default_rng(0).normal(size=TOY_TAILS[kind][1])
+        EvaluationContext.build(sub, map_l)
+        assert calls == [lay.kind for lay in sub.interstitial]
 
     def test_silent_kept_channels_give_reference_norm(self):
         """A mask whose kept channels reach the output with zero weight and a
@@ -332,11 +367,14 @@ class TestGramForm:
         sub = extract_subnetwork(build_toy_cnn(seed=4), 2)
         sub.second.params.weights[:, :3] = 0.0
         sub.second.params.bias[:] = 0.0
-        ctx = EvaluationContext.build(sub, np.random.default_rng(4).normal(size=(3, 8, 8, 8)))
+        map_l = np.random.default_rng(4).normal(size=(3, 8, 8, 8))
+        ctx = EvaluationContext.build(sub, map_l)
         bits = np.zeros(16, dtype=np.uint8)
         bits[:3] = 1
-        assert evaluate_individual(ctx, mask_of(bits)).error == T.frobenius_norm(ctx.reference)
-        assert_matches_slow_path(ctx, bits)
+        assert evaluate_individual(ctx, mask_of(bits)).error == T.frobenius_norm(
+            subnetwork_forward(sub, map_l)
+        )
+        assert_matches_slow_path(sub, map_l, ctx, bits)
 
     def test_evolving_in_other_alpha_mode_shares_terms(self, toy_contexts, monkeypatch):
         from smoea.evolution import EvolutionConfig, evolve_subnetwork
@@ -344,23 +382,27 @@ class TestGramForm:
         cfg = EvolutionConfig(
             population_size=12, elite_size=4, generations=3, seed=2, alpha_mode="fixed_one"
         )
-        expect = evolve_subnetwork(toy_contexts["relu-conv", "fixed_one"], cfg)
+        expect = evolve_subnetwork(toy_contexts["relu-conv", "fixed_one"][2], cfg)
 
         def rebuild(*args):
             raise AssertionError("Gram terms built again")
 
         monkeypatch.setattr(O, "_gram_terms", rebuild)
-        optimized = toy_contexts["relu-conv", "optimized"]
+        optimized = toy_contexts["relu-conv", "optimized"][2]
+        switched = replace(optimized, alpha_mode="fixed_one")
+        assert switched.alpha_mode == "fixed_one"
+        assert switched.gram is optimized.gram
+        assert switched.bias_cross is optimized.bias_cross
         got = evolve_subnetwork(optimized, cfg)
         assert [i.objectives.as_tuple() for i in got.front] == [
             i.objectives.as_tuple() for i in expect.front
         ]
         assert optimized.alpha_mode == "optimized"
 
-    def test_unknown_alpha_mode(self, ctx):
+    def test_unknown_alpha_mode(self, ctx, reference):
         with pytest.raises(ArgumentError):
-            EvaluationContext.build(ctx.sub, ctx.map_l, "nonsense")
+            EvaluationContext(ctx.gram, ctx.bias_cross, ctx.bias_sq, ctx.ref_norm, "nonsense")
         with pytest.raises(ArgumentError):
-            EvaluationContext(
-                ctx.sub, ctx.map_l, ctx.reference, ctx.first_layer_full_output, "nonsense"
-            )
+            replace(ctx, alpha_mode="nonsense")
+        with pytest.raises(ArgumentError):
+            reconstruction_error(reference, reference, "nonsense")

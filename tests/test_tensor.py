@@ -557,21 +557,56 @@ class TestSoftmaxCrossEntropy:
             T.softmax_cross_entropy(np.zeros((1, 3)), np.array([3]))
 
 
+def new_list_sgd_update(params, grads, lr, momentum, velocity):
+    """The new-list form of momentum SGD that the in-place sgd_update
+    replaced, kept as its oracle: (new params, new velocity)."""
+    new_v = [momentum * v + g for v, g in zip(velocity, grads)]
+    new_p = [p - lr * v for p, v in zip(params, new_v)]
+    return new_p, new_v
+
+
+def with_signed_zeros(a, rng):
+    """`a` with a random quarter of its entries set to +0.0 or -0.0."""
+    a = a.copy()
+    zero = rng.random(a.shape) < 0.25
+    a[zero] = np.where(rng.random(a.shape) < 0.5, 0.0, -0.0)[zero]
+    return a
+
+
 class TestSgd:
     def test_plain_step(self):
-        p, v = T.sgd_update([np.zeros(1)], [np.ones(1)], 0.01, 0.0, [np.zeros(1)])
+        p = [np.zeros(1)]
+        assert T.sgd_update(p, [np.ones(1)], 0.01, 0.0, [np.zeros(1)]) is None
         assert p[0][0] == pytest.approx(-0.01)
 
     def test_zero_gradient_no_change(self):
-        p, v = T.sgd_update([np.full(3, 2.0)], [np.zeros(3)], 0.1, 0.9, [np.zeros(3)])
+        p = [np.full(3, 2.0)]
+        T.sgd_update(p, [np.zeros(3)], 0.1, 0.9, [np.zeros(3)])
         np.testing.assert_array_equal(p[0], np.full(3, 2.0))
 
     def test_momentum_recurrence(self):
         lr = 0.1
         p, v = [np.zeros(1)], [np.zeros(1)]
         for _ in range(2):
-            p, v = T.sgd_update(p, [np.ones(1)], lr, 0.9, v)
+            T.sgd_update(p, [np.ones(1)], lr, 0.9, v)
         assert p[0][0] == pytest.approx(-lr * (1 + 1.9))
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_in_place_steps_equal_new_list_form(self, momentum):
+        rng = np.random.default_rng(5)
+        shapes = [(4, 3, 3, 3), (4,), (16, 10)]
+        params = [with_signed_zeros(rng.normal(size=s), rng) for s in shapes]
+        velocity = [with_signed_zeros(np.zeros(s), rng) for s in shapes]
+        want_p = [a.copy() for a in params]
+        want_v = [a.copy() for a in velocity]
+        arrays = params + velocity
+        for _ in range(6):
+            grads = [with_signed_zeros(rng.normal(size=s), rng) for s in shapes]
+            T.sgd_update(params, grads, 0.05, momentum, velocity)
+            want_p, want_v = new_list_sgd_update(want_p, grads, 0.05, momentum, want_v)
+            assert all(a is b for a, b in zip(params + velocity, arrays))
+            for got, want in zip(params + velocity, want_p + want_v):
+                assert got.tobytes() == want.tobytes()  # bit for bit, signs of zeros too
 
 
 class TestNorms:
