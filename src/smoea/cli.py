@@ -78,8 +78,6 @@ DEFAULT_CONFIG = {
         "seed": 0,
     },
     "calibration_size": 64,
-    "output_dir": None,
-    "deterministic": True,
 }
 
 
@@ -102,6 +100,9 @@ def load_config(path: str | None) -> dict:
         raise ArgumentError(f"cannot read config {path}: {e}") from e
     if not isinstance(user, dict):
         raise ArgumentError("config must be a JSON object")
+    unknown = set(user) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise ArgumentError(f"unknown top-level config keys {sorted(unknown)}")
     return _merge(DEFAULT_CONFIG, user)
 
 
@@ -142,6 +143,31 @@ def build_model(cfg: dict, model_path: str | None = None) -> Network:
             seed=m["seed"],
         )
     raise ArgumentError(f"unknown builtin model {m['builtin']!r}")
+
+
+def build_dataset_and_model(
+    cfg: dict, model_path: str | None = None
+) -> tuple[Dataset, Network]:
+    """The config's dataset and model, checked to fit each other before any
+    work: the images must have the model's input shape, and the model must
+    output a score for every class the labels name."""
+    dataset = build_dataset(cfg)
+    net = build_model(cfg, model_path)
+    image_shape = tuple(dataset.train_images.shape[1:])
+    if image_shape != tuple(net.input_shape):
+        raise ArgumentError(
+            f"dataset images of shape {list(image_shape)} do not fit the model's "
+            f"input_shape {list(net.input_shape)}"
+        )
+    out_shape = net.input_shape
+    for lay in net.layers:
+        out_shape = lay.out_shape(out_shape)
+    if len(out_shape) != 1 or out_shape[0] < dataset.num_classes:
+        raise ArgumentError(
+            f"the model outputs shape {list(out_shape)} but the dataset has "
+            f"{dataset.num_classes} classes"
+        )
+    return dataset, net
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -238,8 +264,7 @@ def write_report(run_dir: Path, payload: dict) -> None:
 
 def cmd_train(args) -> int:
     cfg, run_dir = setup_run(args, "train")
-    dataset = build_dataset(cfg)
-    net = build_model(cfg, args.model)
+    dataset, net = build_dataset_and_model(cfg, args.model)
     ft = finetune_config(cfg)
     if args.epochs is not None:
         ft = replace(ft, epochs=args.epochs,
@@ -258,8 +283,7 @@ def cmd_train(args) -> int:
 
 def cmd_evolve_layer(args) -> int:
     cfg, run_dir = setup_run(args, "evolve-layer")
-    dataset = build_dataset(cfg)
-    net = build_model(cfg, args.model)
+    dataset, net = build_dataset_and_model(cfg, args.model)
     if not 1 <= args.layer <= net.num_convs:
         raise UnknownLayerError(f"layer {args.layer} out of range 1..{net.num_convs}")
     evo = replace(evolution_config(cfg), alpha_mode=args.alpha_mode)
@@ -281,8 +305,7 @@ def cmd_evolve_layer(args) -> int:
 
 def cmd_prune(args) -> int:
     cfg, run_dir = setup_run(args, "prune")
-    dataset = build_dataset(cfg)
-    net = build_model(cfg, args.model)
+    dataset, net = build_dataset_and_model(cfg, args.model)
     plan = group_plan(cfg)
     pruned, report = smoea_prune(
         net, dataset, plan, evolution_config(cfg), finetune_config(cfg),
@@ -303,8 +326,7 @@ def cmd_prune(args) -> int:
 
 def cmd_baseline(args) -> int:
     cfg, run_dir = setup_run(args, "baseline")
-    dataset = build_dataset(cfg)
-    net = build_model(cfg, args.model)
+    dataset, net = build_dataset_and_model(cfg, args.model)
     plan = group_plan(cfg)
     targets = [l for group in group_layers(plan, net.num_convs) for l in group]
     rates = {l: args.retain for l in targets}
@@ -330,8 +352,7 @@ def cmd_baseline(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, run_dir = setup_run(args, "sweep")
-    dataset = build_dataset(cfg)
-    net = build_model(cfg, args.model)
+    dataset, net = build_dataset_and_model(cfg, args.model)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError as e:
@@ -358,7 +379,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     cfg, run_dir = setup_run(args, "report")
-    net = build_model(cfg, args.model)
+    if args.with_accuracy:
+        dataset, net = build_dataset_and_model(cfg, args.model)
+    else:
+        net = build_model(cfg, args.model)
     payload = {
         "command": "report",
         "params": N.count_params(net),
@@ -367,7 +391,6 @@ def cmd_report(args) -> int:
         "input_shape": list(net.input_shape),
     }
     if args.with_accuracy:
-        dataset = build_dataset(cfg)
         payload["test_accuracy"] = evaluate_accuracy(
             net, dataset.test_images, dataset.test_labels
         )

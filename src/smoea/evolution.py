@@ -1,10 +1,11 @@
 """Constrained NSGA-II over binary filter masks.
 
-Population members carry a binary genome (1 = filter retained), the two
-objective values, a non-domination rank and a crowding distance. Retention
-is kept inside [tau1, tau2] by stochastic repair. All randomness is drawn
-from per-individual streams keyed by (seed, generation, index), so results
-do not depend on how evaluations are scheduled.
+Population members carry a binary genome (1 = filter retained) and the two
+objective values; selection ranks and crowds the pool from its [N, 2]
+objective array. Retention is kept inside [tau1, tau2] by stochastic repair.
+All randomness is drawn from per-individual streams keyed by (seed,
+generation, index), so results do not depend on how evaluations are
+scheduled.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .objectives import (
 class Individual:
     genes: np.ndarray  # bool, 1 = retained
     objectives: ObjectiveVector | None = None
-    rank: int = 0
-    crowding: float = 0.0
 
     @property
     def retained(self) -> int:
@@ -129,61 +128,44 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     )
 
 
+def _points(pop: list[Individual]) -> np.ndarray:
+    """[N, 2] array of (filter_pct, error) rows."""
+    rows = [(ind.objectives.filter_pct, ind.objectives.error) for ind in pop]
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
 def fast_nondominated_sort(pop: list[Individual]) -> list[list[int]]:
-    """Deb's fast non-dominated sort; writes 1-based ranks back."""
-    n = len(pop)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts: list[list[int]] = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(pop[i].objectives, pop[j].objectives):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(pop[j].objectives, pop[i].objectives):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    for i in range(n):
-        if domination_count[i] == 0:
-            pop[i].rank = 1
-            fronts[0].append(i)
-    f = 0
-    while fronts[f]:
-        nxt = []
-        for i in fronts[f]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    pop[j].rank = f + 2
-                    nxt.append(j)
-        fronts.append(sorted(nxt))
-        f += 1
-    return fronts[:-1]
+    """Fronts as ascending index lists, best first, peeled from one
+    dominance matrix: beats[i, j] when pop[i] dominates pop[j]."""
+    points = _points(pop)
+    weakly = (points[:, None] <= points[None]).all(2)
+    beats = weakly & ~weakly.T
+    count = beats.sum(0)
+    left = np.ones(len(pop), dtype=bool)
+    fronts: list[list[int]] = []
+    while left.any():
+        front = left & (count == 0)
+        fronts.append(np.flatnonzero(front).tolist())
+        count -= beats[front].sum(0)
+        left &= ~front
+    return fronts
 
 
-def crowding_distance(front: list[int], pop: list[Individual]) -> None:
-    """Writes crowding back for the given front; boundaries get +inf and a
-    zero objective range contributes nothing."""
-    for i in front:
-        pop[i].crowding = 0.0
-    if len(front) <= 2:
-        for i in front:
-            pop[i].crowding = float("inf")
-        return
-    for value in (
-        lambda i: pop[i].objectives.filter_pct,
-        lambda i: pop[i].objectives.error,
-    ):
-        order = sorted(front, key=value)
-        lo, hi = value(order[0]), value(order[-1])
-        pop[order[0]].crowding = float("inf")
-        pop[order[-1]].crowding = float("inf")
-        if hi == lo:
+def crowding_distance(points: np.ndarray) -> np.ndarray:
+    """Crowding distances of one front's [n, 2] objective rows; boundaries
+    get +inf and a zero objective range contributes nothing."""
+    n = len(points)
+    if n <= 2:
+        return np.full(n, np.inf)
+    dist = np.zeros(n)
+    for column in points.T:
+        order = np.argsort(column, kind="stable")
+        value = column[order]
+        dist[order[[0, -1]]] = np.inf
+        if value[-1] == value[0]:
             continue
-        for k in range(1, len(order) - 1):
-            pop[order[k]].crowding += (value(order[k + 1]) - value(order[k - 1])) / (
-                hi - lo
-            )
+        dist[order[1:-1]] += (value[2:] - value[:-2]) / (value[-1] - value[0])
+    return dist
 
 
 def select_elites(pop: list[Individual], k: int) -> list[Individual]:
@@ -191,19 +173,16 @@ def select_elites(pop: list[Individual], k: int) -> list[Individual]:
     crowding, ties by lower filter_pct, then stable input order."""
     if len(pop) < k:
         raise EvolutionError(f"cannot select {k} elites from {len(pop)} individuals")
-    fronts = fast_nondominated_sort(pop)
-    for front in fronts:
-        crowding_distance(front, pop)
     elites: list[Individual] = []
-    for front in fronts:
-        if len(elites) + len(front) <= k:
-            elites.extend(pop[i] for i in front)
-        else:
-            ordered = sorted(
-                front,
-                key=lambda i: (-pop[i].crowding, pop[i].objectives.filter_pct, i),
-            )
-            elites.extend(pop[i] for i in ordered[: k - len(elites)])
+    for front in fast_nondominated_sort(pop):
+        room = k - len(elites)
+        if len(front) > room:
+            points = _points([pop[i] for i in front])
+            crowding = crowding_distance(points).tolist()
+            pct = points[:, 0].tolist()
+            order = sorted(range(len(front)), key=lambda j: (-crowding[j], pct[j], j))
+            front = [front[j] for j in order[:room]]
+        elites.extend(pop[i] for i in front)
         if len(elites) == k:
             break
     return elites
@@ -405,14 +384,10 @@ def run_summary(
 ) -> dict:
     """JSON-ready document: config echo, error traces, final front and the
     knee-point index within it."""
-    knee = knee_point(result.front)
-    knee_idx = next(
-        i for i, ind in enumerate(result.front) if ind.genes.tobytes() == knee.genes.tobytes()
-    )
     return {
         "config": asdict(cfg),
         "best_error": result.history["best_error"],
         "median_error": result.history["median_error"],
         "front": front_rows(result.front),
-        "knee_index": knee_idx,
+        "knee_index": result.front.index(knee_point(result.front)),
     }

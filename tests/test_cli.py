@@ -291,18 +291,20 @@ def single_batch_config(tmp_path):
     )
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("fine-tuning or evolution ran")
+
+    for target in ("smoea.pipeline.finetune_with_history",
+                   "smoea.pipeline.evolve_layer", "smoea.cli.evolve_layer",
+                   "smoea.cli.finetune"):
+        monkeypatch.setattr(target, must_not_run)
+
+
 class TestNoTestSplit:
     """train and sweep need a test split; without one they exit 3 before
     doing any work."""
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("fine-tuning or evolution ran")
-
-        for target in ("smoea.pipeline.finetune_with_history",
-                       "smoea.pipeline.evolve_layer", "smoea.cli.finetune"):
-            monkeypatch.setattr(target, must_not_run)
 
     @pytest.mark.parametrize("argv", [["train"], ["sweep", "--fractions", "0.5"]])
     def test_fails_before_work(self, tmp_path, capsys, no_work, argv):
@@ -468,6 +470,47 @@ ERROR_CASES.update({
     ),
 })
 
+# top-level keys outside DEFAULT_CONFIG, and a dataset that does not fit the
+# model, are rejected before any evolution or fine-tuning
+ERROR_CASES.update({
+    "misspelt_top_level_key": (
+        ["prune"], {"calibraton_size": 8}, None, 2, "ArgumentError",
+    ),
+    "removed_top_level_keys": (
+        ["prune"], {"output_dir": "runs", "deterministic": False}, None,
+        2, "ArgumentError",
+    ),
+    "model_classes_below_dataset": (
+        ["prune"], {"model": {"classes": 1}}, None, 2, "ArgumentError",
+    ),
+    "dataset_channels_mismatch": (
+        ["prune"], {"dataset": {"channels": 4}}, None, 2, "ArgumentError",
+    ),
+    "dataset_size_mismatch": (
+        ["train"], {"dataset": {"height": 16, "width": 16}}, None, 2, "ArgumentError",
+    ),
+    "evolve_layer_classes_mismatch": (
+        ["evolve-layer", "--layer", "1"], {"model": {"classes": 5}}, None,
+        2, "ArgumentError",
+    ),
+    "baseline_channels_mismatch": (
+        ["baseline", "--criterion", "l2"], {"dataset": {"channels": 1}}, None,
+        2, "ArgumentError",
+    ),
+    "sweep_classes_mismatch": (
+        ["sweep", "--fractions", "0.5"], {"model": {"classes": 9}}, None,
+        2, "ArgumentError",
+    ),
+    "report_accuracy_classes_mismatch": (
+        ["report", "--with-accuracy"], {"model": {"classes": 1}}, None,
+        2, "ArgumentError",
+    ),
+    "report_accuracy_shape_mismatch": (
+        ["report", "--with-accuracy"], {"dataset": {"width": 4}}, None,
+        2, "ArgumentError",
+    ),
+})
+
 
 def _invalid(*extra):
     """Values of the wrong JSON type for a number field, plus `extra`."""
@@ -585,7 +628,7 @@ class TestErrors:
         ids=list(ERROR_CASES),
     )
     def test_error_contract(
-        self, tmp_path, capsys, argv, config, edit_manifest, code, error_type
+        self, tmp_path, capsys, no_work, argv, config, edit_manifest, code, error_type
     ):
         if isinstance(config, str):
             cfg = tmp_path / "config.json"
