@@ -12,10 +12,18 @@ bit-identical to those forms. The forward builds its operand for one block
 of whole images at a time, so no full-batch copy of it exists; a batch
 that fits in one block is the lowering's single GEMM, and the tests pin the
 tiled shapes.
+
+Independent halves of one conv run side by side on a helper thread (see
+_side_by_side): the backward's weight and input gradients, and the first and
+second halves of the forward's blocks. Each half makes the same numpy calls
+on the same operands as it would alone, so no result depends on the thread
+that computed it.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +79,52 @@ def conv_output_hw(params: ConvParams, h: int, w: int) -> tuple[int, int]:
             f"stride {params.stride}, padding {params.padding}"
         )
     return num_h // params.stride + 1, num_w // params.stride + 1
+
+
+def _check_input(x: np.ndarray, params: ConvParams) -> None:
+    if x.ndim != 4 or x.shape[1] != params.in_channels:
+        raise ShapeError(
+            f"conv input shape {tuple(x.shape)} incompatible with "
+            f"{params.in_channels} input channels"
+        )
+
+
+def _new_helper() -> None:
+    """Make the one helper thread of the conv kernels, which starts on the
+    first submit and runs only numpy and private functions of this module."""
+    global _HELPER
+    _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="smoea-conv")
+
+
+_new_helper()
+# a forked child has no helper thread, and the executor it inherits would
+# never start one, so every split call would wait forever: give it its own
+os.register_at_fork(after_in_child=_new_helper)
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _side_by_side(first, second):
+    """(first(), second()), with first run on the helper thread while second
+    runs on this one. Returns or raises only after first has finished, so no
+    work of this call outlives it; first's exception is raised when second
+    succeeded, second's otherwise. A process held to one CPU runs first, then
+    second, on this thread: two threads would only take turns on that CPU,
+    which made fine-tuning slower than one thread does."""
+    if _cpu_count() < 2:
+        return first(), second()
+    future = _HELPER.submit(first)
+    try:
+        second_result = second()
+    finally:
+        wait([future])
+    return future.result(), second_result
 
 
 def _windows(x_pad: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -142,13 +196,11 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     [o, c*kh*kw], each block's windows are copied into a C-contiguous
     [c*kh*kw, k*oh*ow] operand X, the lowering's own layout, and W @ X fills
     that block's columns of one channel-major [o, n, oh, ow] result. A batch
-    that fits in one block is the lowering's single GEMM.
+    that fits in one block is the lowering's single GEMM. With two or more
+    blocks, the helper thread fills the first half of them while this thread
+    fills the rest, each through its own buffer.
     """
-    if x.ndim != 4 or x.shape[1] != params.in_channels:
-        raise ShapeError(
-            f"conv input shape {tuple(x.shape)} incompatible with "
-            f"{params.in_channels} input channels"
-        )
+    _check_input(x, params)
     n, c = x.shape[:2]
     o, kh, kw = params.out_channels, params.kernel_h, params.kernel_w
     oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
@@ -156,17 +208,27 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     rows, span = c * kh * kw, oh * ow
     w = params.weights.reshape(o, rows)
     blocks = _forward_blocks(n, span, w)
-    buf = np.empty(rows * blocks[0] * span)  # the first block is the largest
     out = np.empty((o, n, oh, ow))
     out_cols = out.reshape(o, n * span)
-    start = 0
-    for m in blocks:
-        cols = buf[: rows * m * span].reshape(rows, m * span)
-        cols.reshape(c, kh, kw, m, oh, ow)[...] = win[start : start + m].transpose(
-            1, 4, 5, 0, 2, 3
+
+    def fill(blocks, start):
+        # the blocks' GEMMs, starting at image `start`, through one buffer
+        buf = np.empty(rows * blocks[0] * span)  # the first block is the largest
+        for m in blocks:
+            cols = buf[: rows * m * span].reshape(rows, m * span)
+            cols.reshape(c, kh, kw, m, oh, ow)[...] = win[start : start + m].transpose(
+                1, 4, 5, 0, 2, 3
+            )
+            np.matmul(w, cols, out=out_cols[:, start * span : (start + m) * span])
+            start += m
+
+    half = len(blocks) // 2
+    if half:
+        _side_by_side(
+            lambda: fill(blocks[:half], 0), lambda: fill(blocks[half:], sum(blocks[:half]))
         )
-        np.matmul(w, cols, out=out_cols[:, start * span : (start + m) * span])
-        start += m
+    else:
+        fill(blocks, 0)
     # a fresh array, not an in-place add: it takes the lowering's strides
     return out.transpose(1, 0, 2, 3) + params.bias[None, :, None, None]
 
@@ -186,7 +248,13 @@ def conv2d_backward(
     order, into a channel-major padded buffer. The x gradient keeps the
     padded input's NCHW layout, so the reductions taken over it downstream
     sum in the same order too.
+
+    Where X is larger than CHUNK_BYTES, the helper thread gathers X and
+    computes grad_w while this thread computes the x gradient; X is freed as
+    soon as grad_w is done. Smaller calls run the two halves one after the
+    other on this thread.
     """
+    _check_input(x, params)
     n, c = x.shape[:2]
     o, kh, kw = params.out_channels, params.kernel_h, params.kernel_w
     oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
@@ -196,30 +264,36 @@ def conv2d_backward(
         )
     x_pad = _pad(x, params.padding)
     g = grad_out.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
-    index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
-    cols = np.take(x_pad.reshape(n, -1), index, axis=1).reshape(n * oh * ow, -1)
-    grad_w = np.matmul(g, cols).reshape(params.weights.shape)
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    if not input_grad:
-        return None, grad_w, grad_b
 
-    w_taps = params.weights.transpose(2, 3, 1, 0)  # [kh, kw, c, o] view
-    if c == 1:
-        # the lowering drops the unit axis and hands matmul a contiguous row
-        w_taps = np.ascontiguousarray(w_taps)
-    acc = np.zeros((c, n) + x_pad.shape[2:])
-    tap = np.empty((c, n * oh * ow))
-    s = params.stride
-    for i in range(kh):
-        for j in range(kw):
-            np.matmul(w_taps[i, j], g, out=tap)
-            acc[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap.reshape(c, n, oh, ow)
-    grad_x_pad = np.empty_like(x_pad)
-    grad_x_pad[...] = acc.transpose(1, 0, 2, 3)
-    p = params.padding
-    if p:
-        return grad_x_pad[:, :, p:-p, p:-p], grad_w, grad_b
-    return grad_x_pad, grad_w, grad_b
+    def weight_grad():
+        index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
+        cols = np.take(x_pad.reshape(n, -1), index, axis=1).reshape(n * oh * ow, -1)
+        return np.matmul(g, cols).reshape(params.weights.shape)
+
+    def x_grad():
+        w_taps = params.weights.transpose(2, 3, 1, 0)  # [kh, kw, c, o] view
+        if c == 1:
+            # the lowering drops the unit axis and hands matmul a contiguous row
+            w_taps = np.ascontiguousarray(w_taps)
+        acc = np.zeros((c, n) + x_pad.shape[2:])
+        tap = np.empty((c, n * oh * ow))
+        s = params.stride
+        for i in range(kh):
+            for j in range(kw):
+                np.matmul(w_taps[i, j], g, out=tap)
+                acc[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap.reshape(c, n, oh, ow)
+        grad_x_pad = np.empty_like(x_pad)
+        grad_x_pad[...] = acc.transpose(1, 0, 2, 3)
+        p = params.padding
+        return grad_x_pad[:, :, p:-p, p:-p] if p else grad_x_pad
+
+    if not input_grad:
+        grad_x, grad_w = None, weight_grad()
+    elif 8 * n * oh * ow * c * kh * kw > CHUNK_BYTES:  # X's bytes
+        grad_w, grad_x = _side_by_side(weight_grad, x_grad)
+    else:
+        grad_w, grad_x = weight_grad(), x_grad()
+    return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

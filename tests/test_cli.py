@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoea.cli import build_dataset, load_config, main
-from smoea.data import write_cifar10_batch
+from smoea.data import CIFAR_RECORD, write_cifar10_batch
 from smoea.evolution import read_front_csv
 from smoea.network import build_toy_cnn, load_model, save_model
 from smoea.pipeline import evaluate_accuracy
@@ -621,6 +621,38 @@ def invalid_config(draw):
     return config, code
 
 
+def cifar_records(n, seed=0):
+    """The bytes of n valid CIFAR-10 binary records."""
+    rng = np.random.default_rng(seed)
+    records = rng.integers(0, 256, size=(n, CIFAR_RECORD), dtype=np.uint8)
+    records[:, 0] = rng.integers(0, 10, size=n)
+    return records.tobytes()
+
+
+@st.composite
+def corrupt_cifar_batch(draw):
+    """(batch file name, its bytes, error type): a training or test batch
+    that is cut or padded off a record boundary, holds a label byte of 10
+    to 255, or is empty."""
+    name = draw(st.sampled_from(["data_batch_1.bin", "test_batch.bin"]))
+    kind = draw(st.sampled_from(["length", "label", "empty"]))
+    if kind == "length":
+        n = draw(st.integers(0, 3))
+        extra = draw(st.integers(1, CIFAR_RECORD - 1))
+        if n and draw(st.booleans()):
+            data = cifar_records(n)[:-extra]
+        else:
+            data = cifar_records(n) + bytes(extra)
+        return name, data, "DataFormatError"
+    if kind == "label":
+        n = draw(st.integers(1, 3))
+        data = bytearray(cifar_records(n))
+        data[draw(st.integers(0, n - 1)) * CIFAR_RECORD] = draw(st.integers(10, 255))
+        return name, bytes(data), "DataFormatError"
+    # no training records, or no test split: train refuses before any step
+    return name, b"", "DataError"
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "argv, config, edit_manifest, code, error_type",
@@ -659,3 +691,29 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} ")
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=corrupt_cifar_batch())
+    def test_corrupt_cifar_bytes_property(self, tmp_path_factory, case):
+        name, data, error_type = case
+        tmp_path = tmp_path_factory.mktemp("cifar")
+        data_dir = tmp_path / "cifar"
+        data_dir.mkdir()
+        for batch in ("data_batch_1.bin", "test_batch.bin"):
+            (data_dir / batch).write_bytes(data if batch == name else cifar_records(8))
+        cfg = write_config(
+            tmp_path,
+            {
+                "dataset": {"kind": "cifar10-binary", "path": str(data_dir)},
+                "model": {"input_shape": [3, 32, 32]},
+                "finetune": {"epochs": 1, "milestones": []},
+            },
+        )
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["train", "--config", cfg, "--out", str(tmp_path / "r")]) == 3
+        err = err.getvalue()
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"ERROR code=3 type={error_type} ")

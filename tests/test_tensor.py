@@ -1,3 +1,8 @@
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +15,22 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import naive_conv2d, numerical_grad, rel_err
 from smoea import tensor as T
 from smoea.exceptions import GeometryError, LabelError, ShapeError
+from smoea.network import build_toy_cnn
+from smoea.pipeline import FineTuneConfig, finetune
 from smoea.tensor import ConvParams
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Split calls hand work to the helper thread on any test machine."""
+    monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+
+
+class NoHelper:
+    """Stands in for tensor._HELPER where no work may reach it."""
+
+    def submit(self, *args):
+        raise AssertionError("work reached the helper thread")
 
 
 def conv_params(oc, ic, k, stride=1, padding=0, rng=None, weights=None, bias=None):
@@ -118,11 +138,20 @@ class TestConvBackward:
 
         assert rel_err(gb, numerical_grad(loss_b, p.bias.copy())) < 1e-4
 
-    def test_shape_mismatch_raises(self):
+    def test_shape_mismatch_raises(self, monkeypatch):
         rng = np.random.default_rng(0)
         p = conv_params(2, 1, 3, padding=1, rng=rng)
         with pytest.raises(ShapeError):
             T.conv2d_backward(np.zeros((1, 1, 4, 4)), p, np.zeros((1, 2, 3, 3)))
+        # an x that does not fit the weights is rejected before any work
+        # reaches the helper thread, which every valid call here would use
+        monkeypatch.setattr(T, "CHUNK_BYTES", 0)
+        monkeypatch.setattr(T, "_side_by_side", None)
+        q = conv_params(4, 3, 3, padding=1, rng=rng)
+        with pytest.raises(ShapeError):  # 5 input channels for 3
+            T.conv2d_backward(np.zeros((1, 5, 6, 6)), q, np.zeros((1, 4, 6, 6)))
+        with pytest.raises(ShapeError):  # 3-D x
+            T.conv2d_backward(np.zeros((3, 6, 6)), q, np.zeros((1, 4, 6, 6)))
 
 
 def einsum_conv2d_backward(x, params, grad_out):
@@ -175,6 +204,38 @@ BITWISE_CONV_SHAPES = {
 }
 
 
+def backward_case(shape, x_layout=np.asarray, g_layout=np.asarray):
+    """Seeded x, conv parameters and output gradient for a
+    BITWISE_CONV_SHAPES shape, in the given layouts."""
+    n, c, h, w, o, k, stride, padding = shape
+    rng = np.random.default_rng(sum(shape))
+    x = x_layout(rng.normal(size=(n, c, h, w)))
+    p = ConvParams(o, c, k, k, stride, padding, rng.normal(size=(o, c, k, k)), rng.normal(size=o))
+    g = g_layout(rng.normal(size=T.conv2d_forward(x, p).shape))
+    return x, p, g
+
+
+def assert_backward_equals_einsum(x, p, g):
+    want = einsum_conv2d_backward(x, p, g)
+    got = T.conv2d_backward(x, p, g)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+        assert np.array_equal(a, b), name
+    assert got[0].strides == want[0].strides
+
+
+def count_side_by_side(monkeypatch):
+    """Record every call of tensor._side_by_side from now on; returns the
+    list of calls."""
+    calls, real = [], T._side_by_side
+    monkeypatch.setattr(T, "_side_by_side", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+# CHUNK_BYTES that force the backward's two halves onto both threads, or
+# onto this one, at every shape
+HALVES = {"concurrent": 0, "serial": 2**62}
+
+
 class TestConvBackwardBitwise:
     """conv2d_backward equals the einsum form exactly, with the same grad_x
     strides, for inputs and output gradients in both memory layouts."""
@@ -183,16 +244,22 @@ class TestConvBackwardBitwise:
     @pytest.mark.parametrize("x_layout", [np.asarray, channel_major], ids=["x_nchw", "x_cnhw"])
     @pytest.mark.parametrize("g_layout", [np.asarray, channel_major], ids=["g_nchw", "g_cnhw"])
     def test_equals_einsum_form(self, shape, x_layout, g_layout):
-        n, c, h, w, o, k, stride, padding = shape
-        rng = np.random.default_rng(sum(shape))
-        x = x_layout(rng.normal(size=(n, c, h, w)))
-        p = ConvParams(o, c, k, k, stride, padding, rng.normal(size=(o, c, k, k)), rng.normal(size=o))
-        g = g_layout(rng.normal(size=T.conv2d_forward(x, p).shape))
-        want = einsum_conv2d_backward(x, p, g)
-        got = T.conv2d_backward(x, p, g)
-        for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
-            assert np.array_equal(a, b), name
-        assert got[0].strides == want[0].strides
+        assert_backward_equals_einsum(*backward_case(shape, x_layout, g_layout))
+
+    @pytest.mark.parametrize("halves", HALVES)
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    @pytest.mark.parametrize("x_layout", [np.asarray, channel_major], ids=["x_nchw", "x_cnhw"])
+    @pytest.mark.parametrize("g_layout", [np.asarray, channel_major], ids=["g_nchw", "g_cnhw"])
+    def test_forced_halves_equal_einsum_form(self, shape, x_layout, g_layout, halves, monkeypatch):
+        """The same bits whichever thread computes the weight gradient,
+        with the halves forced side by side and forced one after the other
+        at every shape (by default the 32-channel 32x32 shape runs them side
+        by side and the others one after the other)."""
+        case = backward_case(shape, x_layout, g_layout)
+        monkeypatch.setattr(T, "CHUNK_BYTES", HALVES[halves])
+        calls = count_side_by_side(monkeypatch)
+        assert_backward_equals_einsum(*case)
+        assert len(calls) == (halves == "concurrent")
 
     @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
     def test_no_input_grad(self, shape):
@@ -300,7 +367,10 @@ class TestConvForwardTiling:
         n = x.shape[0]
         blocks = [min(k, n - start) for start in range(0, n, k)]
         monkeypatch.setattr(T, "_forward_blocks", lambda *args: blocks)
+        calls = count_side_by_side(monkeypatch)
         got = T.conv2d_forward(channel_major(x), p)
+        # two or more blocks are split between the helper and this thread
+        assert len(calls) == (len(blocks) > 1)
         for start in range(0, n, k):
             want = einsum_conv2d_forward(x[start : start + k], p)
             assert np.array_equal(got[start : start + k], want)
@@ -318,6 +388,114 @@ class TestConvForwardTiling:
             tracemalloc.stop()
         padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
         assert peak < padded + 2 * out + T._forward_bound(p.weights) + 2**20
+
+
+class TestHelperThread:
+    def test_helper_error_is_raised_and_the_next_call_works(self, monkeypatch):
+        x, p, g = backward_case(BITWISE_CONV_SHAPES["cifar_32ch_32x32"])
+        threads = []
+
+        def broken_index(*args):
+            threads.append(threading.current_thread())
+            raise RuntimeError("im2col index failed")
+
+        with monkeypatch.context() as m:
+            m.setattr(T, "_im2col_index", broken_index)
+            with pytest.raises(RuntimeError, match="im2col index failed"):
+                T.conv2d_backward(x, p, g)
+        assert threads and threads[0] is not threading.main_thread()
+        assert_backward_equals_einsum(x, p, g)
+
+    def test_returns_or_raises_only_after_the_helper_half(self):
+        done = []
+
+        def slow():
+            time.sleep(0.05)
+            done.append(1)
+
+        def failing():
+            raise ValueError("inline half failed")
+
+        with pytest.raises(ValueError, match="inline half failed"):
+            T._side_by_side(slow, failing)
+        assert done == [1]
+        assert T._side_by_side(lambda: 1, lambda: 2) == (1, 2)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_helper(self):
+        """A child forked after the helper thread started still finishes a
+        split backward, with the parent's bits."""
+        x, p, g = backward_case(BITWISE_CONV_SHAPES["cifar_32ch_32x32"])
+        want = T.conv2d_backward(x, p, g)  # the helper thread is running now
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit code only
+            code = 1
+            try:
+                got = T.conv2d_backward(x, p, g)
+                code = 0 if all(np.array_equal(a, b) for a, b in zip(got, want)) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's backward did not finish")
+
+    def test_one_cpu_runs_both_halves_here(self, monkeypatch):
+        x, p, g = backward_case(BITWISE_CONV_SHAPES["cifar_32ch_32x32"])
+        monkeypatch.setattr(T, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(T, "_HELPER", NoHelper())
+        calls = count_side_by_side(monkeypatch)
+        assert_backward_equals_einsum(x, p, g)
+        got, want = T.conv2d_forward(x, p), einsum_conv2d_forward(x, p)
+        assert np.array_equal(got, want) and got.strides == want.strides
+        assert len(calls) == 2  # both calls split, on this thread alone
+
+    def test_toy_finetune_hands_nothing_to_the_helper(self, monkeypatch, toy_dataset):
+        monkeypatch.setattr(T, "_HELPER", NoHelper())
+        cfg = FineTuneConfig(lr=0.01, epochs=1, milestones=(), batch_size=32, seed=1)
+        finetune(build_toy_cnn(seed=1), toy_dataset, cfg)
+
+    def test_concurrent_callers_get_their_own_results(self, monkeypatch):
+        """More callers than cores share the one helper thread, every call
+        split, with a short switch interval: each caller still gets the
+        bits a lone call gives."""
+        monkeypatch.setattr(T, "CHUNK_BYTES", 0)
+        cases = [
+            backward_case(BITWISE_CONV_SHAPES[name])
+            for name in ("toy_conv2", "stride2", "non_square", "one_in_channel")
+        ]
+        lone = [(T.conv2d_forward(x, p), T.conv2d_backward(x, p, g)) for x, p, g in cases]
+        failures = []
+
+        def caller(case, want):
+            x, p, g = case
+            try:
+                for _ in range(20):
+                    got = (T.conv2d_forward(x, p), T.conv2d_backward(x, p, g))
+                    flat_got, flat_want = [got[0], *got[1]], [want[0], *want[1]]
+                    if not all(np.array_equal(a, b) for a, b in zip(flat_got, flat_want)):
+                        failures.append("results differ")
+            except Exception as e:  # reported below, with the caller's error
+                failures.append(repr(e))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=cw) for cw in zip(cases, lone)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert failures == []
 
 
 class TestForwardBlocks:
