@@ -60,6 +60,12 @@ class PlanError(SmoeaError):
     exit_code = 6
 
 
+class NonFiniteError(SmoeaError):
+    """A value that must be finite is NaN or infinite (a fine-tune's loss
+    diverged, or a model's weights give non-finite evaluation terms)."""
+    exit_code = 7
+
+
 class EvolutionError(SmoeaError):
     """Evolution cannot proceed (infeasible bounds, degenerate elites, empty front)."""
     exit_code = 7

@@ -20,11 +20,12 @@ compare against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ArgumentError, MaskError, ShapeError
+from .exceptions import ArgumentError, MaskError, NonFiniteError, ShapeError
 from .network import FilterMask, SubNetwork
 
 ALPHA_MODES = ("optimized", "fixed_one")
@@ -66,12 +67,19 @@ class EvaluationContext:
     def build(cls, sub: SubNetwork, map_l: np.ndarray) -> "EvaluationContext":
         """The context of `sub` on the calibration input `map_l`: one pass
         through the first conv and the interstitial layers feeds both ||r||
-        and the Gram terms."""
+        and the Gram terms. Raises NonFiniteError where a term is NaN or
+        infinite, since no mask could then be ranked."""
         x = T.conv2d_forward(map_l, sub.first.params)
         for lay in sub.interstitial:
             x, _ = lay.forward(x)
         ref_norm = T.frobenius_norm(sub.second.forward(x)[0])
-        return cls(*_gram_terms(sub, x), ref_norm)
+        terms = (*_gram_terms(sub, x), ref_norm)
+        if not all(np.isfinite(term).all() for term in terms):
+            raise NonFiniteError(
+                "the evaluation terms of the sub-network are not finite "
+                "(NaN or infinite weights or activations)"
+            )
+        return cls(*terms)
 
     @property
     def num_filters(self) -> int:
@@ -81,8 +89,22 @@ class EvaluationContext:
 def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(G, h, beta) of the second layer's per-channel responses to its input
     x, accumulated in chunks of images, output positions and output channels
-    so that no buffer exceeds T.CHUNK_BYTES (unchunked, VGG-14 conv 9's
-    responses alone take about 268 MB at a batch of 8 images)."""
+    (unchunked, VGG-14 conv 9's responses alone take about 268 MB at a batch
+    of 8 images).
+
+    A chunk of k positions and o outputs holds a [C, k, taps] block and its
+    [C, k*o] response y. The rule keeps both within T.CHUNK_BYTES, except
+    that a chunk never holds less than one output row: at VGG-14 conv 9
+    (4x4 output, 512 channels in and out) the rule allows 2 positions but a
+    chunk takes a row of 4, so each y is 512 x 2048 doubles, 8 MiB, twice
+    CHUNK_BYTES. Two chunks are in flight at once, so the build holds up to
+    two such y and their C x C products.
+
+    The chunk products y @ y.T run two at a time on tensor._side_by_side,
+    chunk i on the helper thread beside chunk i + 1 on this one, and are
+    added into G in chunk order; an odd last chunk runs on this thread.
+    Each product is the same numpy call on the same operand as it would be
+    alone, so G does not depend on the thread that formed its terms."""
     n, c = x.shape[0], sub.first.params.out_channels
     weights, bias = sub.second.arrays()
     if sub.second.kind == "conv":
@@ -96,22 +118,45 @@ def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
         patches = x.reshape(n, c, 1, 1, -1)
         w = weights.reshape(c, -1, weights.shape[1])
     w = np.ascontiguousarray(w)  # [C, taps, outs]
-    _, taps, outs = w.shape
     out_h, out_w = patches.shape[2:4]
+    gram = np.zeros((c, c))
+    patch_sums = np.zeros(w.shape[:2])
+    products = _chunk_products(patches, w, patch_sums)
+    for first in products:
+        second = next(products, None)
+        if second is None:
+            gram += first()
+        else:
+            for product in T._side_by_side(first, second):
+                gram += product
+            # a product kept alive through the next pair's work held about
+            # 8 MB more resident memory on evolve-vgg
+            del product
+    # <Y_c, B> = sum over positions and taps of patch * (w_c @ bias)
+    cross = (patch_sums * (w @ bias)).sum(axis=1)
+    return gram, cross, n * out_h * out_w * float(bias @ bias)
+
+
+def _chunk_products(patches: np.ndarray, w: np.ndarray, patch_sums: np.ndarray):
+    """The Gram build's chunk products, in chunk order, as calls that have
+    yet to run. Cutting each block of patches adds its per-channel patch
+    sums into patch_sums, in block order."""
+    n, c, out_h, out_w = patches.shape[:4]
+    _, taps, outs = w.shape
     budget = T.CHUNK_BYTES // 8
     out_step = min(outs, max(1, budget // c))
     rows = max(1, budget // (c * max(out_step, taps)))
-    gram = np.zeros((c, c))
-    patch_sums = np.zeros((c, taps))
     for images, out_rows in _position_blocks(n, out_h, out_w, rows):
         block = patches[images, :, out_rows].swapaxes(0, 1).reshape(c, -1, taps)
         patch_sums += block.sum(axis=1)
         for o in range(0, outs, out_step):
-            y = np.matmul(block, w[:, :, o : o + out_step]).reshape(c, -1)
-            gram += y @ y.T  # one buffer: numpy takes its symmetric kernel
-    # <Y_c, B> = sum over positions and taps of patch * (w_c @ bias)
-    cross = (patch_sums * (w @ bias)).sum(axis=1)
-    return gram, cross, n * out_h * out_w * float(bias @ bias)
+            yield partial(_chunk_product, block, w[:, :, o : o + out_step])
+
+
+def _chunk_product(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """y @ y.T of the responses y = block @ w, flattened per channel."""
+    y = np.matmul(block, w).reshape(w.shape[0], -1)
+    return y @ y.T  # one buffer: numpy takes its symmetric kernel
 
 
 def _position_blocks(

@@ -6,6 +6,7 @@ geometric-median baseline criteria and a uniform-retention sweep.
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -20,7 +21,13 @@ from .evolution import (
     front_rows,
     knee_point,
 )
-from .exceptions import ArgumentError, DataError, PlanError, check_fields
+from .exceptions import (
+    ArgumentError,
+    DataError,
+    NonFiniteError,
+    PlanError,
+    check_fields,
+)
 from .network import FilterMask, Network
 from .objectives import EvaluationContext
 from . import tensor as T
@@ -163,7 +170,8 @@ def finetune_with_history(
     """Momentum SGD over softmax cross-entropy with the step lr schedule.
 
     Shuffle order is fixed by cfg.seed; returns the tuned network and the
-    mean training loss per epoch.
+    mean training loss per epoch. Raises NonFiniteError at the first step
+    whose loss is NaN or infinite, before that step's update.
     """
     dataset.require_nonempty()
     net = _clone(net)
@@ -180,6 +188,12 @@ def finetune_with_history(
             idx = order[i : i + cfg.batch_size]
             logits, inputs, records = N.forward_cached(net, x[idx])
             loss, grad = T.softmax_cross_entropy(logits, y[idx])
+            if not math.isfinite(loss):
+                raise NonFiniteError(
+                    f"fine-tuning diverged: loss {loss} at epoch {epoch + 1} of "
+                    f"{cfg.epochs}, step {i // cfg.batch_size + 1} (lr {lr}); "
+                    "lower finetune.lr"
+                )
             for pos, grads in N.backward(net, inputs, records, grad).items():
                 if pos not in velocity:
                     velocity[pos] = [np.zeros_like(g) for g in grads]

@@ -511,6 +511,16 @@ ERROR_CASES.update({
     ),
 })
 
+# a fine-tune whose loss turns non-finite fails at that step, before any
+# model is saved; these rows run their fine-tune
+RUNS_FINETUNE = {"diverging_finetune"}
+ERROR_CASES.update({
+    "diverging_finetune": (
+        ["train"], {"finetune": {"lr": 1e6, "epochs": 2, "milestones": []}}, None,
+        7, "NonFiniteError",
+    ),
+})
+
 
 def _invalid(*extra):
     """Values of the wrong JSON type for a number field, plus `extra`."""
@@ -660,8 +670,10 @@ class TestErrors:
         ids=list(ERROR_CASES),
     )
     def test_error_contract(
-        self, tmp_path, capsys, no_work, argv, config, edit_manifest, code, error_type
+        self, tmp_path, capsys, request, argv, config, edit_manifest, code, error_type
     ):
+        if request.node.callspec.id not in RUNS_FINETUNE:
+            request.getfixturevalue("no_work")
         if isinstance(config, str):
             cfg = tmp_path / "config.json"
             cfg.write_text(config)
@@ -676,6 +688,7 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
+        assert not (tmp_path / "r" / "model").exists()
 
     @settings(max_examples=120, deadline=None)
     @given(case=invalid_config())

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from smoea import objectives as O
 from smoea import tensor as T
-from smoea.exceptions import ArgumentError, MaskError, ShapeError
+from smoea.exceptions import ArgumentError, MaskError, NonFiniteError, ShapeError
 from smoea.network import (
     ConvLayer,
     FilterMask,
@@ -406,3 +407,174 @@ class TestGramForm:
             replace(ctx, alpha_mode="nonsense")
         with pytest.raises(ArgumentError):
             reconstruction_error(reference, reference, "nonsense")
+
+
+def second_layer_input(sub, map_l):
+    """What EvaluationContext.build feeds _gram_terms: map_l through the
+    first conv and the interstitial layers."""
+    x = T.conv2d_forward(map_l, sub.first.params)
+    for lay in sub.interstitial:
+        x, _ = lay.forward(x)
+    return x
+
+
+def sequential_gram_terms(sub, x):
+    """(G, h, beta, chunk count): the Gram build with one ``gram += y @ y.T``
+    per chunk, in chunk order, all on this thread."""
+    n, c = x.shape[0], sub.first.params.out_channels
+    weights, bias = sub.second.arrays()
+    if sub.second.kind == "conv":
+        params = sub.second.params
+        patches = T._windows(T._pad(x, params.padding), params)
+        w = weights.transpose(1, 2, 3, 0).reshape(c, -1, params.out_channels)
+    else:
+        patches = x.reshape(n, c, 1, 1, -1)
+        w = weights.reshape(c, -1, weights.shape[1])
+    w = np.ascontiguousarray(w)
+    _, taps, outs = w.shape
+    out_h, out_w = patches.shape[2:4]
+    budget = T.CHUNK_BYTES // 8
+    out_step = min(outs, max(1, budget // c))
+    rows = max(1, budget // (c * max(out_step, taps)))
+    gram = np.zeros((c, c))
+    patch_sums = np.zeros((c, taps))
+    chunks = 0
+    for images, out_rows in O._position_blocks(n, out_h, out_w, rows):
+        block = patches[images, :, out_rows].swapaxes(0, 1).reshape(c, -1, taps)
+        patch_sums += block.sum(axis=1)
+        for o in range(0, outs, out_step):
+            y = np.matmul(block, w[:, :, o : o + out_step]).reshape(c, -1)
+            gram += y @ y.T
+            chunks += 1
+    cross = (patch_sums * (w @ bias)).sum(axis=1)
+    return gram, cross, n * out_h * out_w * float(bias @ bias), chunks
+
+
+def assert_terms_equal(got, expect):
+    gram, cross, beta = got
+    assert np.array_equal(gram, expect[0])
+    assert np.array_equal(cross, expect[1])
+    assert beta == expect[2]
+
+
+def count_side_by_side(monkeypatch):
+    """Pass every tensor._side_by_side call through and count it."""
+    calls = []
+    side_by_side = T._side_by_side
+
+    def counted(first, second):
+        calls.append(1)
+        return side_by_side(first, second)
+
+    monkeypatch.setattr(T, "_side_by_side", counted)
+    return calls
+
+
+# id -> (tail kind, calibration images, CHUNK_BYTES, chunks of the build)
+CHUNKINGS = {
+    "one-chunk": ("relu-conv", 6, T.CHUNK_BYTES, 1),
+    "even-conv": ("relu-conv", 6, 4096, 48),
+    "odd-conv": ("relu-conv", 5, 24576, 15),
+    "even-dense": ("relu-pool-flatten-dense", 6, 2048, 6),
+    "odd-dense": ("relu-pool-flatten-dense", 5, 2048, 5),
+}
+
+
+class TestPairedGramBuild:
+    """The chunk products run two at a time, one on the conv helper thread;
+    G, h and beta must equal the one-chunk-at-a-time build bit for bit."""
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("chunk_bytes", [T.CHUNK_BYTES, 1024])
+    @pytest.mark.parametrize("kind", TOY_TAILS)
+    def test_every_tail_equals_sequential_build(self, kind, chunk_bytes, cpus, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(T, "CHUNK_BYTES", chunk_bytes)
+        l, shape = TOY_TAILS[kind]
+        sub = biased_toy_subnetwork(l)
+        x = second_layer_input(sub, np.random.default_rng(l).normal(size=shape))
+        assert_terms_equal(O._gram_terms(sub, x), sequential_gram_terms(sub, x))
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_conv9_shaped_layer_equals_sequential_build(self, conv9_context, cpus, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: cpus)
+        sub, map_l, ctx = conv9_context
+        x = second_layer_input(sub, map_l)
+        expect = sequential_gram_terms(sub, x)
+        assert expect[3] == 8  # a 4-position output row per chunk, 2 images
+        calls = count_side_by_side(monkeypatch)
+        assert_terms_equal(O._gram_terms(sub, x), expect)
+        assert len(calls) == 4
+        assert_terms_equal((ctx.gram, ctx.bias_cross, ctx.bias_sq), expect)
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("case", CHUNKINGS)
+    def test_pairs_chunks_on_the_helper(self, case, cpus, monkeypatch):
+        """floor(chunks / 2) helper hand-offs, none for a one-chunk build;
+        an odd last chunk runs on this thread."""
+        kind, images, chunk_bytes, chunks = CHUNKINGS[case]
+        monkeypatch.setattr(T, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(T, "CHUNK_BYTES", chunk_bytes)
+        l, shape = TOY_TAILS[kind]
+        sub = biased_toy_subnetwork(l)
+        map_l = np.random.default_rng(l).normal(size=(images, *shape[1:]))
+        x = second_layer_input(sub, map_l)
+        expect = sequential_gram_terms(sub, x)
+        assert expect[3] == chunks
+        calls = count_side_by_side(monkeypatch)
+        assert_terms_equal(O._gram_terms(sub, x), expect)
+        assert len(calls) == (0 if chunks == 1 else chunks // 2)
+
+    def test_error_on_the_helper_propagates_from_build(self, monkeypatch):
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(T, "CHUNK_BYTES", 4096)
+        sub = biased_toy_subnetwork(1)
+        map_l = np.random.default_rng(1).normal(size=TOY_TAILS["relu-conv"][1])
+        expect = EvaluationContext.build(sub, map_l)
+        product = O._chunk_product
+        helper_calls = []
+
+        def fails_on_helper(block, w):
+            if threading.current_thread() is not threading.main_thread():
+                helper_calls.append(1)
+                raise RuntimeError("chunk product failed on the helper")
+            return product(block, w)
+
+        monkeypatch.setattr(O, "_chunk_product", fails_on_helper)
+        with pytest.raises(RuntimeError, match="failed on the helper"):
+            EvaluationContext.build(sub, map_l)
+        assert helper_calls == [1]
+        monkeypatch.setattr(O, "_chunk_product", product)
+        again = EvaluationContext.build(sub, map_l)  # the helper still serves
+        assert_terms_equal((again.gram, again.bias_cross, again.bias_sq),
+                           (expect.gram, expect.bias_cross, expect.bias_sq))
+
+
+def _nan_first_weight(sub, map_l):
+    sub.first.params.weights[0, 0, 0, 0] = np.nan
+
+
+def _nan_second_weight(sub, map_l):
+    sub.second.arrays()[0].flat[0] = np.nan
+
+
+def _inf_second_bias(sub, map_l):
+    sub.second.arrays()[1][0] = np.inf
+
+
+def _inf_input(sub, map_l):
+    map_l[0, 0, 0, 0] = np.inf
+
+
+class TestNonFiniteContext:
+    @pytest.mark.parametrize(
+        "poison", [_nan_first_weight, _nan_second_weight, _inf_second_bias, _inf_input]
+    )
+    @pytest.mark.parametrize("kind", TOY_TAILS)
+    def test_build_rejects_non_finite_terms(self, kind, poison):
+        l, shape = TOY_TAILS[kind]
+        sub = biased_toy_subnetwork(l)
+        map_l = np.random.default_rng(l).normal(size=shape)
+        poison(sub, map_l)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            EvaluationContext.build(sub, map_l)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from smoea import network as N
+from smoea import tensor as T
 from smoea.data import Dataset, SyntheticParams, generate_synthetic
 from smoea.evolution import EvolutionConfig
-from smoea.exceptions import ArgumentError, DataError, PlanError
+from smoea.exceptions import ArgumentError, DataError, NonFiniteError, PlanError
 from smoea.network import (
     DenseLayer,
     FilterMask,
@@ -102,6 +103,24 @@ class TestFinetune:
         empty.train_images = empty.train_images[:0]
         with pytest.raises(DataError):
             finetune(build_toy_cnn(), empty, SMALL_FT)
+
+    def test_diverging_loss_raises_at_its_step(self, toy_dataset, monkeypatch):
+        net = build_toy_cnn(seed=2)
+        before = net.conv(1).params.weights.copy()
+        updates = []
+        sgd_update = T.sgd_update
+        monkeypatch.setattr(
+            T, "sgd_update", lambda *a: updates.append(1) or sgd_update(*a)
+        )
+        cfg = FineTuneConfig(lr=1e6, epochs=2, milestones=(), batch_size=32, seed=2)
+        with np.errstate(all="ignore"), pytest.raises(
+            NonFiniteError, match=r"epoch 1 of 2, step [2-9]"
+        ) as err:
+            finetune_with_history(net, toy_dataset, cfg)
+        step = int(err.value.args[0].split("step ")[1].split()[0])
+        per_step = sum(lay.parametric for lay in net.layers)
+        assert len(updates) == (step - 1) * per_step  # none for the failing step
+        np.testing.assert_array_equal(net.conv(1).params.weights, before)
 
 
 class TestEvaluateAccuracy:
