@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import network as N
@@ -29,7 +29,6 @@ from .exceptions import (
     check_fields,
 )
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
-from .objectives import ALPHA_MODES
 from .pipeline import (
     FineTuneConfig,
     GroupPlan,
@@ -255,7 +254,9 @@ def setup_run(args, command: str) -> tuple[dict, Path]:
 
 
 def write_report(run_dir: Path, payload: dict) -> None:
-    (run_dir / "report.json").write_text(json.dumps(payload, indent=2))
+    # a NaN, the accuracy of a run without a test split, is not JSON: null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    (run_dir / "report.json").write_text(json.dumps(payload, indent=2, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +267,6 @@ def cmd_train(args) -> int:
     cfg, run_dir = setup_run(args, "train")
     dataset, net = build_dataset_and_model(cfg, args.model)
     ft = finetune_config(cfg)
-    if args.epochs is not None:
-        ft = replace(ft, epochs=args.epochs,
-                     milestones=tuple(m for m in ft.milestones if m < args.epochs))
     dataset.require_test_split()  # fail before training, not after it
     net = finetune(net, dataset, ft)
     acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
@@ -286,7 +284,7 @@ def cmd_evolve_layer(args) -> int:
     dataset, net = build_dataset_and_model(cfg, args.model)
     if not 1 <= args.layer <= net.num_convs:
         raise UnknownLayerError(f"layer {args.layer} out of range 1..{net.num_convs}")
-    evo = replace(evolution_config(cfg), alpha_mode=args.alpha_mode)
+    evo = evolution_config(cfg)
     calib = calibration_batch(dataset, cfg["calibration_size"], evo.seed)
     summary = run_summary(evo, evolve_layer(net, calib, args.layer, evo))
     write_front_csv(summary["front"], run_dir / "fronts" / f"layer_{args.layer}.csv")
@@ -415,14 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and save it")
     common(p)
-    p.add_argument("--epochs", type=int, help="override training epochs")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evolve-layer", help="evolve one layer's mask front")
     common(p)
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--alpha-mode", choices=ALPHA_MODES, default="optimized",
-                   dest="alpha_mode")
     p.set_defaults(func=cmd_evolve_layer)
 
     p = sub.add_parser("prune", help="full group-wise evolutionary pruning")

@@ -21,9 +21,9 @@ import numpy as np
 from .exceptions import ArgumentError, EvolutionError, check_fields
 from .network import FilterMask
 from .objectives import (
-    ALPHA_MODES,
     EvaluationContext,
     ObjectiveVector,
+    _check_alpha_mode,
     evaluate_individual,
 )
 
@@ -64,10 +64,7 @@ class EvolutionConfig:
         for name in ("crossover_prob", "mutation_prob"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ArgumentError(f"{name} must lie in [0, 1]")
-        if self.alpha_mode not in ALPHA_MODES:
-            raise ArgumentError(
-                f"alpha_mode must be one of {ALPHA_MODES}, got {self.alpha_mode!r}"
-            )
+        _check_alpha_mode(self.alpha_mode)
         if self.crossover not in ("uniform", "one-point"):
             raise ArgumentError(
                 f"crossover must be uniform or one-point, got {self.crossover!r}"

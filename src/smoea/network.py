@@ -631,4 +631,7 @@ def _read_blob(path: Path, entry: dict, expected: int) -> np.ndarray:
         raise ModelFormatError(
             f"blob {name} has {len(raw)} bytes, expected {expected * 8}"
         )
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"blob {name} holds a NaN or infinite value")
+    return values

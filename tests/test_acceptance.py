@@ -42,7 +42,7 @@ from smoea.pipeline import (
     smoea_prune,
 )
 
-from conftest import numerical_grad, rel_err
+from conftest import deb_rank, deb_select, numerical_grad, rel_err
 
 
 def criterion(num, name, time_limit):
@@ -249,50 +249,6 @@ def test_criterion_05_gradients():
 # 6. sorting and selection vs independent oracles
 
 
-def _oracle_fronts(objs):
-    """Dominance-matrix peeling over an (n, 2) objective array."""
-    le = (objs[:, None, :] <= objs[None, :, :]).all(axis=2)
-    lt = (objs[:, None, :] < objs[None, :, :]).any(axis=2)
-    dom = le & lt
-    remaining = np.ones(len(objs), dtype=bool)
-    fronts = []
-    while remaining.any():
-        idx = np.flatnonzero(remaining)
-        sub = dom[np.ix_(idx, idx)]
-        nondom = idx[~sub.any(axis=0)]
-        fronts.append(sorted(int(i) for i in nondom))
-        remaining[nondom] = False
-    return fronts
-
-
-def _oracle_select(pop, objs, k):
-    chosen = []
-    for front in _oracle_fronts(objs):
-        if len(chosen) + len(front) <= k:
-            chosen.extend(front)
-        else:
-            dist = {i: 0.0 for i in front}
-            if len(front) <= 2:
-                dist = {i: float("inf") for i in front}
-            else:
-                for axis in (0, 1):
-                    order = sorted(front, key=lambda i: objs[i, axis])
-                    dist[order[0]] = dist[order[-1]] = float("inf")
-                    span = objs[order[-1], axis] - objs[order[0], axis]
-                    if span == 0:
-                        continue
-                    for j in range(1, len(order) - 1):
-                        if dist[order[j]] != float("inf"):
-                            dist[order[j]] += (
-                                objs[order[j + 1], axis] - objs[order[j - 1], axis]
-                            ) / span
-            ordered = sorted(front, key=lambda i: (-dist[i], objs[i, 0], i))
-            chosen.extend(ordered[: k - len(chosen)])
-        if len(chosen) == k:
-            break
-    return [pop[i] for i in chosen]
-
-
 @criterion(6, "sorting and selection match oracles", 10.0)
 def test_criterion_06_sorting_oracles():
     rng = np.random.default_rng(2)
@@ -311,12 +267,13 @@ def test_criterion_06_sorting_oracles():
             p.objectives = ObjectiveVector(fp, err)
             pop.append(p)
         got = [sorted(f) for f in fast_nondominated_sort(pop)]
-        assert got == _oracle_fronts(objs)
+        ranked = deb_rank(pop)
+        assert got == ranked[0]
         k = int(rng.integers(1, size + 1))
         if k < 2:
             continue
         got_elites = [id(e) for e in select_elites(pop, k)]
-        expect = [id(e) for e in _oracle_select(pop, objs, k)]
+        expect = [id(pop[i]) for i in deb_select(pop, k, ranked)]
         assert got_elites == expect
 
 

@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import json
-import math
 
 import numpy as np
 import pytest
@@ -59,7 +58,7 @@ class TestTrain:
     def test_writes_model_and_report(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path)
-        assert run(["train", "--config", cfg, "--out", str(out), "--epochs", "2"]) == 0
+        assert run(["train", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "report.json").read_text())
         assert 0.0 <= payload["test_accuracy"] <= 1.0
         net = load_model(out / "model")
@@ -67,8 +66,8 @@ class TestTrain:
 
     def test_saved_model_reusable_by_report(self, tmp_path):
         train_out = tmp_path / "train"
-        cfg = write_config(tmp_path)
-        run(["train", "--config", cfg, "--out", str(train_out), "--epochs", "1"])
+        cfg = write_config(tmp_path, {"finetune": {"epochs": 1, "milestones": []}})
+        run(["train", "--config", cfg, "--out", str(train_out)])
         report_out = tmp_path / "report"
         assert (
             run(
@@ -105,21 +104,22 @@ class TestEvolveLayer:
 
     def test_alpha_modes_produce_comparable_fronts(self, tmp_path):
         # layer 1 has only 8 filters so both searches converge to the
-        # per-count optima and the intensity-compensated errors dominate
-        cfg = write_config(
-            tmp_path,
-            {"evolution": {"population_size": 40, "elite_size": 15,
-                           "generations": 30, "seed": 7}},
-        )
+        # per-count optima and the intensity-compensated errors dominate;
+        # the two configs differ only in evolution.alpha_mode
         outs = {}
         for mode in ("optimized", "fixed_one"):
-            out = tmp_path / mode
-            run(
-                [
-                    "evolve-layer", "--config", cfg, "--out", str(out),
-                    "--layer", "1", "--alpha-mode", mode,
-                ]
+            cfg = write_config(
+                tmp_path,
+                {"evolution": {"population_size": 40, "elite_size": 15,
+                               "generations": 30, "seed": 7, "alpha_mode": mode}},
+                name=f"{mode}.json",
             )
+            out = tmp_path / mode
+            assert run(
+                ["evolve-layer", "--config", cfg, "--out", str(out), "--layer", "1"]
+            ) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["alpha_mode"] == mode
             outs[mode] = {
                 r.retained: r.objectives.error
                 for r in read_front_csv(out / "fronts" / "layer_1.csv", 8)
@@ -138,6 +138,51 @@ class TestEvolveLayer:
         assert code == 5
         err = capsys.readouterr().err
         assert "ERROR code=5 type=UnknownLayerError" in err
+
+
+class TestConfigIsTheRecord:
+    """The config is the one way to set a value, so a run's config.echo
+    records the settings it ran with and reruns it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["evolve-layer", "--layer", "1", "--alpha-mode", "optimized"],
+         ["train", "--epochs", "1"]],
+        ids=["alpha_mode", "epochs"],
+    )
+    def test_removed_flags_are_unknown(self, tmp_path, capsys, no_work, argv):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--config", cfg, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_evolve_layer_runs_the_configured_alpha_mode(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"evolution": {**FAST_EVO, "alpha_mode": "fixed_one"}}
+        )
+        out = tmp_path / "run"
+        assert run(["evolve-layer", "--config", cfg, "--out", str(out), "--layer", "1"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        echo = json.loads((out / "config.echo").read_text())
+        assert report["config"]["alpha_mode"] == echo["evolution"]["alpha_mode"] == "fixed_one"
+        assert "alpha_mode=fixed_one" in capsys.readouterr().out
+
+    def test_train_rerun_from_echo_saves_identical_blobs(self, tmp_path):
+        cfg = write_config(tmp_path, {"finetune": {"epochs": 1, "milestones": []}})
+        first = tmp_path / "first"
+        assert run(["train", "--config", cfg, "--out", str(first)]) == 0
+        assert json.loads((first / "config.echo").read_text())["finetune"]["epochs"] == 1
+        echoed = tmp_path / "echoed.json"
+        echoed.write_text((first / "config.echo").read_text())
+        second = tmp_path / "second"
+        assert run(["train", "--config", str(echoed), "--out", str(second)]) == 0
+        blobs = sorted(p.name for p in (first / "model").iterdir())
+        assert blobs == sorted(p.name for p in (second / "model").iterdir())
+        for name in blobs:
+            a, b = (run_dir / "model" / name for run_dir in (first, second))
+            assert a.read_bytes() == b.read_bytes()
+        assert (first / "report.json").read_text() == (second / "report.json").read_text()
 
 
 @pytest.fixture(scope="module")
@@ -258,17 +303,23 @@ class TestBaselineAndSweep:
         assert payload["final_accuracy"] == expected
         assert f"final_accuracy={expected:.4f}" in capsys.readouterr().out
 
-    def test_baseline_without_test_split_reports_nan(self, tmp_path, capsys):
+    def test_baseline_without_test_split_reports_null(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = single_batch_config(tmp_path)
         assert run(["baseline", "--config", cfg, "--out", str(out),
                     "--criterion", "l2"]) == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert len(payload["stage_accuracies"]) == 4
-        assert all(math.isnan(a) for a in payload["stage_accuracies"])
-        assert math.isnan(payload["final_accuracy"])
+        payload = json.loads(
+            (out / "report.json").read_text(), parse_constant=reject_constant
+        )
+        assert payload["stage_accuracies"] == [None] * 4
+        assert payload["final_accuracy"] is None
         assert "final_accuracy=nan" in capsys.readouterr().out
         assert load_model(out / "model").conv(1).params.out_channels == 4
+
+
+def reject_constant(name):
+    """json parse_constant hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"{name} is not valid JSON")
 
 
 def single_batch_config(tmp_path):

@@ -28,6 +28,8 @@ from smoea.evolution import (
 from smoea.exceptions import EvolutionError
 from smoea.objectives import ObjectiveVector
 
+from conftest import deb_rank, deb_select, deb_sort
+
 
 def ind(fp, err, genes=None):
     i = Individual(np.zeros(4, dtype=bool) if genes is None else genes)
@@ -43,144 +45,20 @@ def random_population(rng, size):
     return pop
 
 
-# --- independent oracles -----------------------------------------------------
-
-
-def peel_fronts(pop):
-    """Naive repeated-peeling non-dominated sort."""
-    remaining = list(range(len(pop)))
-    fronts = []
-    while remaining:
-        front = [
-            i
-            for i in remaining
-            if not any(
-                dominates(pop[j].objectives, pop[i].objectives)
-                for j in remaining
-                if j != i
-            )
-        ]
-        fronts.append(front)
-        remaining = [i for i in remaining if i not in front]
-    return fronts
-
-
-def oracle_crowding(front, pop):
-    dist = {i: 0.0 for i in front}
-    if len(front) <= 2:
-        return {i: float("inf") for i in front}
-    for get in (lambda i: pop[i].objectives.filter_pct, lambda i: pop[i].objectives.error):
-        order = sorted(front, key=get)
-        dist[order[0]] = dist[order[-1]] = float("inf")
-        rng_ = get(order[-1]) - get(order[0])
-        if rng_ == 0:
-            continue
-        for k in range(1, len(order) - 1):
-            if dist[order[k]] != float("inf"):
-                dist[order[k]] += (get(order[k + 1]) - get(order[k - 1])) / rng_
-    return dist
-
-
-def deb_sort(pop):
-    """The general N-objective sort of Deb et al. (2002) that selection ran
-    before the dominance-matrix sort, with ranks left out."""
-    n = len(pop)
-    dominated_by = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts = [[]]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(pop[i].objectives, pop[j].objectives):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(pop[j].objectives, pop[i].objectives):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    for i in range(n):
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    f = 0
-    while fronts[f]:
-        nxt = []
-        for i in fronts[f]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        fronts.append(sorted(nxt))
-        f += 1
-    return fronts[:-1]
-
-
-def deb_crowding(front, pop):
-    """The per-member crowding loop selection ran before the array form;
-    returns {index: distance} instead of writing it onto the members."""
-    crowding = {i: 0.0 for i in front}
-    if len(front) <= 2:
-        return {i: float("inf") for i in front}
-    for value in (
-        lambda i: pop[i].objectives.filter_pct,
-        lambda i: pop[i].objectives.error,
-    ):
-        order = sorted(front, key=value)
-        lo, hi = value(order[0]), value(order[-1])
-        crowding[order[0]] = float("inf")
-        crowding[order[-1]] = float("inf")
-        if hi == lo:
-            continue
-        for k in range(1, len(order) - 1):
-            crowding[order[k]] += (value(order[k + 1]) - value(order[k - 1])) / (hi - lo)
-    return crowding
-
-
-def deb_select(pop, k, fronts, crowding):
-    """The elite fill selection ran before, over deb_sort fronts and
-    deb_crowding distances of every front."""
-    chosen = []
-    for front in fronts:
-        if len(chosen) + len(front) <= k:
-            chosen.extend(front)
-        else:
-            ordered = sorted(
-                front, key=lambda i: (-crowding[i], pop[i].objectives.filter_pct, i)
-            )
-            chosen.extend(ordered[: k - len(chosen)])
-        if len(chosen) == k:
-            break
-    return chosen
-
-
 def assert_matches_deb(pop):
     """Fronts, crowding bit for bit (inf included) and the elite order for
     every k equal the Deb-sort oracles'."""
-    fronts = deb_sort(pop)
+    fronts, crowding = deb_rank(pop)
     assert fast_nondominated_sort(pop) == fronts
-    crowding = {}
     for front in fronts:
-        expect = deb_crowding(front, pop)
-        crowding.update(expect)
         points = np.array(
             [[pop[i].objectives.filter_pct, pop[i].objectives.error] for i in front]
         )
         got = crowding_distance(points)
-        assert got.tobytes() == np.array([expect[i] for i in front]).tobytes()
+        assert got.tobytes() == np.array([crowding[i] for i in front]).tobytes()
     for k in range(1, len(pop) + 1):
         got = [id(e) for e in select_elites(pop, k)]
-        assert got == [id(pop[i]) for i in deb_select(pop, k, fronts, crowding)]
-
-
-def oracle_select(pop, k):
-    chosen = []
-    for front in peel_fronts(pop):
-        if len(chosen) + len(front) <= k:
-            chosen.extend(front)
-        else:
-            dist = oracle_crowding(front, pop)
-            ordered = sorted(front, key=lambda i: (-dist[i], pop[i].objectives.filter_pct, i))
-            chosen.extend(ordered[: k - len(chosen)])
-        if len(chosen) == k:
-            break
-    return chosen
+        assert got == [id(pop[i]) for i in deb_select(pop, k, (fronts, crowding))]
 
 
 # --- tests -------------------------------------------------------------------
@@ -243,8 +121,7 @@ class TestSorting:
         rng = np.random.default_rng(seed)
         pop = random_population(rng, 200)
         got = [sorted(f) for f in fast_nondominated_sort(pop)]
-        expect = [sorted(f) for f in peel_fronts(pop)]
-        assert got == expect
+        assert got == deb_sort(pop)
 
 
 class TestCrowding:
@@ -278,7 +155,7 @@ class TestSelectElites:
         pop = random_population(rng, 120)
         k = int(rng.integers(5, 60))
         got = [id(e) for e in select_elites(pop, k)]
-        expect = [id(pop[i]) for i in oracle_select(pop, k)]
+        expect = [id(pop[i]) for i in deb_select(pop, k)]
         assert got == expect
 
     def test_too_small_pool(self):

@@ -348,6 +348,19 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize("blob_name", ["layer_00.bin", "layer_04.bin"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_blob_value(self, tmp_path, toy, blob_name, value):
+        """A NaN or infinite weight or bias, in a conv or the dense layer, is
+        a model-format error."""
+        save_model(toy, tmp_path / "m")
+        blob = tmp_path / "m" / blob_name
+        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        values[-1] = value  # the last bias
+        blob.write_bytes(values.tobytes())
+        with pytest.raises(ModelFormatError, match="NaN or infinite"):
+            load_model(tmp_path / "m")
+
     def test_missing_model(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "nope")

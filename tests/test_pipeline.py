@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from smoea import network as N
+from smoea import pipeline as P
 from smoea import tensor as T
 from smoea.data import Dataset, SyntheticParams, generate_synthetic
 from smoea.evolution import EvolutionConfig
@@ -185,6 +188,32 @@ class TestBaselineMask:
         )
         bits = baseline_mask(w, 0.5, "fpgm", rng)
         assert set(np.flatnonzero(bits == 0)) == set(np.argsort(sums)[:3])
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(7, 5), (6, 2, 3, 3), (16, 8, 3, 3), (33, 17, 1, 1), (64, 64, 3, 3),
+         (256, 256, 3, 3)],
+    )
+    def test_fpgm_row_form_equals_broadcast_form(self, shape):
+        """The distance sums, one row at a time, equal bit for bit the form
+        that built the whole [n, n, d] difference array."""
+        w = np.random.default_rng(3).normal(size=shape)
+        flat = w.reshape(shape[0], -1)
+        diff = flat[:, None, :] - flat[None, :, :]
+        broadcast = np.sqrt((diff ** 2).sum(axis=2)).sum(axis=1)
+        assert P._fpgm_distance_sums(w).tobytes() == broadcast.tobytes()
+
+    def test_fpgm_peak_memory_is_a_few_weight_copies(self):
+        n, d = 128, 64 * 9
+        w = np.random.default_rng(4).normal(size=(n, 64, 3, 3))
+        tracemalloc.start()
+        try:
+            baseline_mask(w, 0.5, "fpgm", np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an [n, n, d] difference array alone would take n·n·d·8 bytes (75 MB)
+        assert peak < 4 * n * d * 8
 
     def test_invalid_fraction(self):
         with pytest.raises(ArgumentError):

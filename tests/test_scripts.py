@@ -1,12 +1,10 @@
-"""Smoke tests for the scripts the README documents: each runs to completion
-at its smallest settings and prints its table."""
+"""Smoke test for the script the README documents: it runs to completion at
+its smallest settings and prints its table."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,19 +20,8 @@ def run_script(name, *args):
     )
 
 
-@pytest.mark.parametrize(
-    "name, args, expect",
-    [
-        ("alpha_ablation.py", ["--generations", "2"], "reconstruction error by retained"),
-        (
-            "run_desk_smoea.py",
-            ["--generations", "1", "--population", "16"],
-            "random-prune accuracy",
-        ),
-    ],
-)
-def test_script_runs(name, args, expect):
-    proc = run_script(name, *args)
+def test_run_desk_smoea_runs():
+    proc = run_script("run_desk_smoea.py", "--generations", "1", "--population", "16")
     assert proc.returncode == 0, proc.stderr
-    assert expect in proc.stdout
+    assert "random-prune accuracy" in proc.stdout
     assert "Traceback" not in proc.stderr
