@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import network as N
@@ -54,18 +54,7 @@ DEFAULT_CONFIG = {
         "input_shape": [3, 8, 8],
         "classes": 10,
     },
-    "dataset": {
-        "kind": "synthetic",
-        "path": None,
-        "classes": 10,
-        "train_per_class": 40,
-        "test_per_class": 10,
-        "channels": 3,
-        "height": 8,
-        "width": 8,
-        "noise": 0.3,
-        "seed": 0,
-    },
+    "dataset": {"kind": "synthetic", "path": None, **asdict(SyntheticParams())},
     "groups": {"l0": 1, "block_counts": [1, 1, 1, 1]},
     "evolution": asdict(EvolutionConfig()),
     "finetune": {
@@ -105,53 +94,35 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def build_dataset(cfg: dict) -> Dataset:
-    d = _dataset_section(cfg)
-    if d["kind"] == "synthetic":
-        return generate_synthetic(
-            SyntheticParams(
-                classes=d["classes"],
-                train_per_class=d["train_per_class"],
-                test_per_class=d["test_per_class"],
-                channels=d["channels"],
-                height=d["height"],
-                width=d["width"],
-                noise=d["noise"],
-                seed=d["seed"],
-            )
-        )
+def build_dataset(d: dict) -> Dataset:
+    """The dataset of a checked `dataset` section."""
     if d["kind"] == "cifar10-binary":
-        if not d.get("path"):
-            raise ArgumentError("dataset.path required for cifar10-binary")
         return load_cifar10(d["path"])
-    raise ArgumentError(f"unknown dataset kind {d['kind']!r}")
+    synthetic = {k: v for k, v in d.items() if k not in ("kind", "path")}
+    return generate_synthetic(SyntheticParams(**synthetic))
 
 
-def build_model(cfg: dict, model_path: str | None = None) -> Network:
-    m = _model_section(cfg)
-    path = model_path or m.get("path")
-    if path:
-        return load_model(path)
+def build_model(m: dict) -> Network:
+    """The model of a checked `model` section: the saved model at its path,
+    else the builtin."""
+    if m["path"]:
+        return load_model(m["path"])
     if m["builtin"] == "vgg14":
         return build_vgg14(seed=m["seed"])
-    if m["builtin"] == "toy-cnn":
-        return build_toy_cnn(
-            conv_channels=tuple(m["conv_channels"]),
-            input_shape=tuple(m["input_shape"]),
-            num_classes=m["classes"],
-            seed=m["seed"],
-        )
-    raise ArgumentError(f"unknown builtin model {m['builtin']!r}")
+    return build_toy_cnn(
+        conv_channels=tuple(m["conv_channels"]),
+        input_shape=tuple(m["input_shape"]),
+        num_classes=m["classes"],
+        seed=m["seed"],
+    )
 
 
-def build_dataset_and_model(
-    cfg: dict, model_path: str | None = None
-) -> tuple[Dataset, Network]:
+def build_dataset_and_model(settings: Settings) -> tuple[Dataset, Network]:
     """The config's dataset and model, checked to fit each other before any
     work: the images must have the model's input shape, and the model must
     output a score for every class the labels name."""
-    dataset = build_dataset(cfg)
-    net = build_model(cfg, model_path)
+    dataset = build_dataset(settings.dataset)
+    net = build_model(settings.model)
     image_shape = tuple(dataset.train_images.shape[1:])
     if image_shape != tuple(net.input_shape):
         raise ArgumentError(
@@ -181,8 +152,16 @@ def _section(cfg: dict, name: str) -> dict:
     return dict(section)
 
 
+def _check_choice(fields: dict, name: str, choices: tuple[str, ...], section: str) -> None:
+    if fields[name] not in choices:
+        raise ArgumentError(
+            f"{section}.{name} must be one of {list(choices)}, got {fields[name]!r}"
+        )
+
+
 def _model_section(cfg: dict) -> dict:
     m = _section(cfg, "model")
+    _check_choice(m, "builtin", ("toy-cnn", "vgg14"), "model")
     check_fields(m, "a string or null", ("path",), section="model")
     check_fields(m, "an integer", ("seed",), low=0, section="model")
     check_fields(m, "an integer", ("classes",), low=1, section="model")
@@ -199,7 +178,10 @@ def _model_section(cfg: dict) -> dict:
 
 def _dataset_section(cfg: dict) -> dict:
     d = _section(cfg, "dataset")
+    _check_choice(d, "kind", ("synthetic", "cifar10-binary"), "dataset")
     check_fields(d, "a string or null", ("path",), section="dataset")
+    if d["kind"] == "cifar10-binary" and not d["path"]:
+        raise ArgumentError("dataset.path required for cifar10-binary")
     # fewer than 2 classes is a data error (exit 3), raised by the generator
     check_fields(d, "an integer", ("classes",), section="dataset")
     check_fields(
@@ -211,19 +193,34 @@ def _dataset_section(cfg: dict) -> dict:
     return d
 
 
-def evolution_config(cfg: dict) -> EvolutionConfig:
-    return EvolutionConfig(**_section(cfg, "evolution"))
+@dataclass(frozen=True)
+class Settings:
+    """A run's merged config with every section checked: all a command reads."""
+
+    model: dict
+    dataset: dict
+    plan: GroupPlan
+    evolution: EvolutionConfig
+    finetune: FineTuneConfig
+    calibration_size: int
 
 
-def finetune_config(cfg: dict) -> FineTuneConfig:
-    return FineTuneConfig(**_section(cfg, "finetune"))
-
-
-def group_plan(cfg: dict) -> GroupPlan:
+def read_settings(cfg: dict) -> Settings:
+    """Check every section of a merged config, whichever a command reads,
+    and return the checked values."""
+    model, dataset = _model_section(cfg), _dataset_section(cfg)
     if not isinstance(cfg["groups"], dict):
         raise PlanError("config section 'groups' must be an object")
-    g = _section(cfg, "groups")
-    return GroupPlan(g["l0"], g["block_counts"])
+    plan = GroupPlan(**_section(cfg, "groups"))
+    check_fields(cfg, "an integer", ("calibration_size",), low=1)
+    return Settings(
+        model=model,
+        dataset=dataset,
+        plan=plan,
+        evolution=EvolutionConfig(**_section(cfg, "evolution")),
+        finetune=FineTuneConfig(**_section(cfg, "finetune")),
+        calibration_size=cfg["calibration_size"],
+    )
 
 
 def make_run_dir(args, command: str) -> Path:
@@ -236,10 +233,15 @@ def make_run_dir(args, command: str) -> Path:
     return run_dir
 
 
-def setup_run(args, command: str) -> tuple[dict, Path]:
+def setup_run(args, command: str) -> tuple[Settings, Path]:
+    """Check the whole config, --model folded in as model.path, then make
+    the run directory and echo the config: a bad value in any section fails
+    before any work or output."""
     cfg = load_config(args.config)
-    _model_section(cfg)  # reject a bad model or dataset value before any work
-    _dataset_section(cfg)
+    if args.model:
+        # a new section: the defaults' own model dict must stay as it is
+        cfg["model"] = {**_section(cfg, "model"), "path": args.model}
+    settings = read_settings(cfg)
     run_dir = make_run_dir(args, command)
     (run_dir / "config.echo").write_text(json.dumps(cfg, indent=2))
     for old in list(log.handlers):
@@ -250,7 +252,7 @@ def setup_run(args, command: str) -> tuple[dict, Path]:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     log.info("command=%s run_dir=%s", command, run_dir)
-    return cfg, run_dir
+    return settings, run_dir
 
 
 def write_report(run_dir: Path, payload: dict) -> None:
@@ -264,11 +266,10 @@ def write_report(run_dir: Path, payload: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg, run_dir = setup_run(args, "train")
-    dataset, net = build_dataset_and_model(cfg, args.model)
-    ft = finetune_config(cfg)
+    s, run_dir = setup_run(args, "train")
+    dataset, net = build_dataset_and_model(s)
     dataset.require_test_split()  # fail before training, not after it
-    net = finetune(net, dataset, ft)
+    net = finetune(net, dataset, s.finetune)
     acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     save_model(net, run_dir / "model")
     log.info("trained model accuracy=%.4f", acc)
@@ -280,12 +281,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evolve_layer(args) -> int:
-    cfg, run_dir = setup_run(args, "evolve-layer")
-    dataset, net = build_dataset_and_model(cfg, args.model)
+    s, run_dir = setup_run(args, "evolve-layer")
+    dataset, net = build_dataset_and_model(s)
     if not 1 <= args.layer <= net.num_convs:
         raise UnknownLayerError(f"layer {args.layer} out of range 1..{net.num_convs}")
-    evo = evolution_config(cfg)
-    calib = calibration_batch(dataset, cfg["calibration_size"], evo.seed)
+    evo = s.evolution
+    calib = calibration_batch(dataset, s.calibration_size, evo.seed)
     summary = run_summary(evo, evolve_layer(net, calib, args.layer, evo))
     write_front_csv(summary["front"], run_dir / "fronts" / f"layer_{args.layer}.csv")
     summary["command"] = "evolve-layer"
@@ -302,12 +303,11 @@ def cmd_evolve_layer(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    cfg, run_dir = setup_run(args, "prune")
-    dataset, net = build_dataset_and_model(cfg, args.model)
-    plan = group_plan(cfg)
+    s, run_dir = setup_run(args, "prune")
+    dataset, net = build_dataset_and_model(s)
     pruned, report = smoea_prune(
-        net, dataset, plan, evolution_config(cfg), finetune_config(cfg),
-        calibration_size=cfg["calibration_size"],
+        net, dataset, s.plan, s.evolution, s.finetune,
+        calibration_size=s.calibration_size,
     )
     save_model(pruned, run_dir / "model")
     for row in report.layers:
@@ -323,14 +323,11 @@ def cmd_prune(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    cfg, run_dir = setup_run(args, "baseline")
-    dataset, net = build_dataset_and_model(cfg, args.model)
-    plan = group_plan(cfg)
-    targets = [l for group in group_layers(plan, net.num_convs) for l in group]
-    rates = {l: args.retain for l in targets}
+    s, run_dir = setup_run(args, "baseline")
+    dataset, net = build_dataset_and_model(s)
+    rates = {l: args.retain for group in group_layers(s.plan, net.num_convs) for l in group}
     pruned, accuracies = baseline_prune(
-        net, dataset, plan, rates, args.criterion, finetune_config(cfg),
-        seed=cfg["evolution"]["seed"],
+        net, dataset, s.plan, rates, args.criterion, s.finetune, seed=s.evolution.seed
     )
     save_model(pruned, run_dir / "model")
     final = accuracies[-1] if accuracies else _test_accuracy(pruned, dataset)
@@ -349,21 +346,19 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, run_dir = setup_run(args, "sweep")
-    dataset, net = build_dataset_and_model(cfg, args.model)
+    s, run_dir = setup_run(args, "sweep")
+    dataset, net = build_dataset_and_model(s)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError as e:
         raise ArgumentError(f"bad --fractions {args.fractions!r}: {e}") from e
     rows = sweep_uniform_retention(
-        net, dataset, fractions, evolution_config(cfg), finetune_config(cfg),
-        calibration_size=cfg["calibration_size"],
+        net, dataset, fractions, s.evolution, s.finetune,
+        calibration_size=s.calibration_size,
     )
-    lines = ["fraction,remained_params_pct,accuracy"]
-    for row in rows:
-        lines.append(
-            f"{row['fraction']},{row['remained_params_pct']},{row['accuracy']}"
-        )
+    lines = ["fraction,remained_params_pct,accuracy"] + [
+        f"{row['fraction']},{row['remained_params_pct']},{row['accuracy']}" for row in rows
+    ]
     (run_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     write_report(run_dir, {"command": "sweep", "rows": rows})
     for row in rows:
@@ -376,11 +371,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg, run_dir = setup_run(args, "report")
+    s, run_dir = setup_run(args, "report")
     if args.with_accuracy:
-        dataset, net = build_dataset_and_model(cfg, args.model)
+        dataset, net = build_dataset_and_model(s)
     else:
-        net = build_model(cfg, args.model)
+        net = build_model(s.model)
     payload = {
         "command": "report",
         "params": N.count_params(net),
@@ -409,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="run directory (default: $SMOEA_RUNS/<cmd>-<ts>)")
-        p.add_argument("--model", help="model directory to load instead of builtin")
+        p.add_argument("--model", help="model directory to load (recorded as model.path)")
 
     p = sub.add_parser("train", help="train a model and save it")
     common(p)

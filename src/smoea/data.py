@@ -86,14 +86,12 @@ def normalize_per_channel(
     return images
 
 
-def load_cifar10(
-    path: str | Path, mean: np.ndarray | None = None, std: np.ndarray | None = None
-) -> Dataset:
+def load_cifar10(path: str | Path) -> Dataset:
     """Load a CIFAR-10 directory (data_batch_*.bin + test_batch.bin) or a
     single batch file (all records into the train split).
 
-    Per-channel normalization defaults to statistics computed from the
-    training split.
+    Both splits are normalized per channel with the training split's mean
+    and standard deviation.
     """
     path = Path(path)
     if path.is_dir():
@@ -107,13 +105,9 @@ def load_cifar10(
         raise DataFormatError(f"no such dataset path: {path}")
     train_images, train_labels = _read_split(train_files)
     test_images, test_labels = _read_split(test_files)
-    if mean is None:
-        mean = train_images.mean(axis=(0, 2, 3)) if train_images.size else np.zeros(3)
-    if std is None:
-        std = train_images.std(axis=(0, 2, 3)) if train_images.size else np.ones(3)
-        std = np.where(std > 0, std, 1.0)
-    mean = np.asarray(mean, dtype=np.float64)
-    std = np.asarray(std, dtype=np.float64)
+    mean = train_images.mean(axis=(0, 2, 3)) if train_images.size else np.zeros(3)
+    std = train_images.std(axis=(0, 2, 3)) if train_images.size else np.ones(3)
+    std = np.where(std > 0, std, 1.0)
     normalize_per_channel(train_images, mean, std)
     normalize_per_channel(test_images, mean, std)
     return Dataset(train_images, train_labels, test_images, test_labels)

@@ -302,7 +302,8 @@ class SubNetwork:
 # construction
 
 
-def _he_conv(rng, out_c, in_c, k) -> ConvParams:
+def _he_conv(rng, out_c, in_c) -> ConvParams:
+    k = 3
     std = np.sqrt(2.0 / (in_c * k * k))
     return ConvParams(
         out_channels=out_c,
@@ -322,16 +323,15 @@ def build_cnn(
     input_shape: tuple[int, int, int],
     num_classes: int = 10,
     seed: int = 0,
-    kernel: int = 3,
 ) -> Network:
-    """Conv-relu stacks with 2x2 maxpools after the listed conv ordinals,
+    """3x3 conv-relu stacks with 2x2 maxpools after the listed conv ordinals,
     then flatten and a single classifier dense layer. He-style init."""
     rng = np.random.default_rng(seed)
     c, h, w = input_shape
     layers: list[Layer] = []
     in_c = c
     for l, out_c in enumerate(conv_channels, start=1):
-        layers.append(ConvLayer(_he_conv(rng, out_c, in_c, kernel)))
+        layers.append(ConvLayer(_he_conv(rng, out_c, in_c)))
         layers.append(ReluLayer())
         if l in pool_after:
             layers.append(PoolLayer())
@@ -525,11 +525,10 @@ def count_params(net: Network) -> int:
     return int(sum(a.size for lay in net.layers if lay.parametric for a in lay.arrays()))
 
 
-def count_flops(net: Network, input_shape: tuple[int, int, int] | None = None) -> int:
+def count_flops(net: Network) -> int:
     """Forward FLOPs, one multiply-accumulate counted as 2 operations."""
-    work = net if input_shape is None else Network(net.layers, input_shape)
-    shapes = activation_shapes(work)
-    return int(sum(lay.flops(shape) for lay, shape in zip(work.layers, shapes)))
+    shapes = activation_shapes(net)
+    return int(sum(lay.flops(shape) for lay, shape in zip(net.layers, shapes)))
 
 
 # ---------------------------------------------------------------------------

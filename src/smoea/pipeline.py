@@ -137,14 +137,16 @@ def group_layers(plan: GroupPlan, num_convs: int) -> list[list[int]]:
 # training / evaluation
 
 
-def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray,
-                      batch_size: int = 256) -> float:
+EVAL_BATCH = 256  # images per forward pass of an accuracy evaluation
+
+
+def evaluate_accuracy(net: Network, images: np.ndarray, labels: np.ndarray) -> float:
     if images.shape[0] == 0:
         raise DataError("empty evaluation split")
     correct = 0
-    for i in range(0, images.shape[0], batch_size):
-        logits, _ = N.forward(net, images[i : i + batch_size])
-        correct += int((logits.argmax(axis=1) == labels[i : i + batch_size]).sum())
+    for i in range(0, images.shape[0], EVAL_BATCH):
+        logits, _ = N.forward(net, images[i : i + EVAL_BATCH])
+        correct += int((logits.argmax(axis=1) == labels[i : i + EVAL_BATCH]).sum())
     return correct / images.shape[0]
 
 
@@ -262,18 +264,21 @@ def smoea_prune(
     plan: GroupPlan,
     evo: EvolutionConfig,
     ft: FineTuneConfig,
-    calibration_size: int = 128,
+    *,
+    calibration_size: int,
 ) -> tuple[Network, PruneReport]:
     """Prune groups in reverse order; inside a group, evolve each block's
     mask on the current network state, then compact and fine-tune before
     moving to the next (earlier) group."""
+    # a plan that does not fit, or a bad calibration size, fails before the
+    # baseline's test pass
+    groups = group_layers(plan, net.num_convs)
+    calib = calibration_batch(dataset, calibration_size, evo.seed)
     report = PruneReport(
         params_before=N.count_params(net),
         flops_before=N.count_flops(net),
         baseline_accuracy=_test_accuracy(net, dataset),
     )
-    groups = group_layers(plan, net.num_convs)
-    calib = calibration_batch(dataset, calibration_size, evo.seed)
 
     def knee_genes(current: Network, l: int) -> np.ndarray:
         result = evolve_layer(current, calib, l, evo)
@@ -383,7 +388,8 @@ def sweep_uniform_retention(
     fractions: list[float],
     evo: EvolutionConfig,
     ft: FineTuneConfig,
-    calibration_size: int = 128,
+    *,
+    calibration_size: int,
 ) -> list[dict]:
     """Evolve every conv once, then for each fraction pick each front's
     member with the closest retention (ties toward lower error), prune all
@@ -391,11 +397,11 @@ def sweep_uniform_retention(
     for f in fractions:
         if not 0 < f <= 1:
             raise ArgumentError(f"fraction {f} outside (0, 1]")
-    # measured first, so that a dataset without a test split fails before
-    # any evolution or fine-tuning
+    calib = calibration_batch(dataset, calibration_size, evo.seed)
+    # measured before any evolution or fine-tuning, so that a dataset
+    # without a test split fails first
     baseline_acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     layers = list(range(1, net.num_convs + 1))
-    calib = calibration_batch(dataset, calibration_size, evo.seed)
     fronts = {l: evolve_layer(net, calib, l, evo).front for l in layers}
     params_before = N.count_params(net)
     rows = []

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smoea.cli import build_dataset, load_config, main
+from smoea.cli import DEFAULT_CONFIG, build_dataset, load_config, main, read_settings
 from smoea.data import CIFAR_RECORD, write_cifar10_batch
 from smoea.evolution import read_front_csv
-from smoea.network import build_toy_cnn, load_model, save_model
+from smoea.network import build_toy_cnn, count_params, load_model, save_model
 from smoea.pipeline import evaluate_accuracy
 
 FAST_OVERRIDES = {
@@ -32,6 +32,11 @@ def write_config(tmp_path, extra=None, name="config.json"):
 
 def run(argv):
     return main(argv)
+
+
+def config_dataset(cfg):
+    """The dataset a config file names."""
+    return build_dataset(read_settings(load_config(cfg)).dataset)
 
 
 class TestReport:
@@ -168,6 +173,50 @@ class TestConfigIsTheRecord:
         assert report["config"]["alpha_mode"] == echo["evolution"]["alpha_mode"] == "fixed_one"
         assert "alpha_mode=fixed_one" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, outputs",
+        [(["evolve-layer", "--layer", "1"], ["report.json", "fronts/layer_1.csv"]),
+         (["report", "--with-accuracy"], ["report.json"])],
+        ids=["evolve-layer", "report"],
+    )
+    def test_model_flag_is_echoed_as_model_path(self, tmp_path, argv, outputs):
+        # a rerun from the echo alone loads the model --model named, not the
+        # builtin net of the same shape
+        model = tmp_path / "model"
+        save_model(build_toy_cnn(seed=5), model)
+        cfg = write_config(tmp_path)
+        first, second, builtin = (tmp_path / name for name in ("first", "second", "builtin"))
+        assert run([*argv, "--config", cfg, "--out", str(first), "--model", str(model)]) == 0
+        echo = json.loads((first / "config.echo").read_text())
+        assert echo["model"]["path"] == str(model)
+        echoed = tmp_path / "echoed.json"
+        echoed.write_text((first / "config.echo").read_text())
+        assert run([*argv, "--config", str(echoed), "--out", str(second)]) == 0
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert run([*argv, "--config", cfg, "--out", str(builtin)]) == 0
+        report = (first / "report.json").read_bytes()
+        assert (builtin / "report.json").read_bytes() != report
+
+    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "defaults"])
+    def test_model_flag_leaves_later_runs_alone(self, tmp_path, with_config):
+        # --model replaces the model section; the defaults' own dict, which
+        # a config without a model section shares, keeps its null path
+        small = tmp_path / "small"
+        save_model(build_toy_cnn(conv_channels=(4, 4, 4, 4)), small)
+        argv = ["report", "--config", write_config(tmp_path)] if with_config else ["report"]
+        assert run([*argv, "--out", str(tmp_path / "a"), "--model", str(small)]) == 0
+        assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+        params = [
+            json.loads((tmp_path / name / "report.json").read_text())["params"]
+            for name in ("a", "b")
+        ]
+        assert params == [
+            count_params(build_toy_cnn((4, 4, 4, 4))), count_params(build_toy_cnn())
+        ]
+        assert DEFAULT_CONFIG["model"]["path"] is None
+        assert json.loads((tmp_path / "b" / "config.echo").read_text())["model"]["path"] is None
+
     def test_train_rerun_from_echo_saves_identical_blobs(self, tmp_path):
         cfg = write_config(tmp_path, {"finetune": {"epochs": 1, "milestones": []}})
         first = tmp_path / "first"
@@ -221,7 +270,7 @@ class TestPrune:
         _, out, cfg, _ = prune_run
         text = (out / "report.json").read_text()
         payload = json.loads(text)
-        dataset = build_dataset(load_config(cfg))
+        dataset = config_dataset(cfg)
         fresh = evaluate_accuracy(
             load_model(out / "model"), dataset.test_images, dataset.test_labels
         )
@@ -298,7 +347,7 @@ class TestBaselineAndSweep:
         assert payload["stage_accuracies"] == []
         assert payload["params_after"] == payload["params_before"]
         net = load_model(out / "model")
-        dataset = build_dataset(load_config(cfg))
+        dataset = config_dataset(cfg)
         expected = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
         assert payload["final_accuracy"] == expected
         assert f"final_accuracy={expected:.4f}" in capsys.readouterr().out
@@ -668,6 +717,28 @@ INVALID_FIELDS = {
     ("dataset", "width"): (_invalid_int(0), 2),
     ("dataset", "noise"): (_invalid(), 2),
     ("dataset", "seed"): (_invalid_int(0), 2),
+    ("model", "builtin"): (_invalid_choice("toy-cnn", "vgg14"), 2),
+    ("dataset", "kind"): (_invalid_choice("synthetic", "cifar10-binary"), 2),
+}
+
+# every command, with its required arguments
+COMMANDS = {
+    "train": ["train"],
+    "evolve-layer": ["evolve-layer", "--layer", "1"],
+    "prune": ["prune"],
+    "baseline": ["baseline", "--criterion", "l2"],
+    "sweep": ["sweep", "--fractions", "0.5"],
+    "report": ["report"],
+}
+
+# one bad value per config section, with its exit code
+BAD_SECTION_VALUES = {
+    "model": ({"model": {"builtin": "resnet"}}, 2),
+    "dataset": ({"dataset": {"kind": "imagenet"}}, 2),
+    "groups": ({"groups": {"l0": "a"}}, 6),
+    "evolution": ({"evolution": {"population_size": "x"}}, 2),
+    "finetune": ({"finetune": {"lr": -1}}, 2),
+    "calibration_size": ({"calibration_size": 0}, 2),
 }
 
 
@@ -742,19 +813,60 @@ class TestErrors:
         assert not (tmp_path / "r" / "model").exists()
 
     @settings(max_examples=120, deadline=None)
-    @given(case=invalid_config())
-    def test_invalid_field_property(self, tmp_path_factory, case):
+    @given(case=invalid_config(), argv=st.sampled_from(list(COMMANDS.values())))
+    def test_invalid_field_property(self, tmp_path_factory, case, argv):
         config, code = case
         tmp_path = tmp_path_factory.mktemp("fuzz")
         cfg = write_config(tmp_path, config)
+        out = tmp_path / "r"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert run(["prune", "--config", cfg, "--out", str(tmp_path / "r")]) == code
+            assert run([*argv, "--config", cfg, "--out", str(out)]) == code
         err = err.getvalue()
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} ")
+        # refused before the run directory and config.echo, so before any work
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", list(BAD_SECTION_VALUES))
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_every_command_checks_every_section(
+        self, tmp_path, capsys, no_work, command, section
+    ):
+        config, code = BAD_SECTION_VALUES[section]
+        out = tmp_path / "r"
+        argv = [*COMMANDS[command], "--config", write_config(tmp_path, config)]
+        assert run([*argv, "--out", str(out)]) == code
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("ERROR code=")
+        ]
+        assert len(errors) == 1 and errors[0].startswith(f"ERROR code={code} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, code",
+        [(["prune"], {"groups": {"l0": 4, "block_counts": [2]}}, 6),
+         (["prune"], {"calibration_size": 0}, 2),
+         (["sweep", "--fractions", "0.5"], {"calibration_size": 0}, 2)],
+        ids=["prune_plan_overflow", "prune_zero_calibration", "sweep_zero_calibration"],
+    )
+    def test_no_accuracy_pass_before_a_config_error(
+        self, tmp_path, monkeypatch, no_work, argv, config, code
+    ):
+        passes = []
+
+        def counted(net, images, labels):
+            passes.append(net)
+            return 0.0
+
+        for target in ("smoea.pipeline.evaluate_accuracy", "smoea.cli.evaluate_accuracy"):
+            monkeypatch.setattr(target, counted)
+        cfg = write_config(tmp_path, config)
+        assert run([*argv, "--config", cfg, "--out", str(tmp_path / "r")]) == code
+        assert passes == []
 
     @settings(max_examples=60, deadline=None)
     @given(case=corrupt_cifar_batch())

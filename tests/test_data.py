@@ -143,10 +143,6 @@ class TestLoadCifar:
             tracemalloc.stop()
         assert peak < 2.5 * (ds.train_images.nbytes + ds.test_images.nbytes)
 
-    def test_explicit_statistics(self, cifar_dir):
-        ds = load_cifar10(cifar_dir, mean=np.zeros(3), std=np.ones(3))
-        assert ds.train_images.min() >= 0.0 and ds.train_images.max() <= 1.0
-
     def test_single_file_goes_to_train(self, cifar_dir):
         ds = load_cifar10(cifar_dir / "data_batch_1.bin")
         assert ds.train_images.shape[0] == 8

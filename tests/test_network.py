@@ -58,7 +58,7 @@ class TestVgg14:
         assert count_params(N.Network([dense], (512, 1, 1))) == 5130
 
     def test_flops_near_paper_total(self, vgg):
-        assert 6.20e8 <= count_flops(vgg, (3, 32, 32)) <= 6.33e8
+        assert 6.20e8 <= count_flops(vgg) <= 6.33e8
 
 
 class TestForwardCapture:

@@ -224,6 +224,10 @@ class TestBaselineMask:
             baseline_mask(np.zeros((4, 1, 1, 1)), 0.5, "l1", np.random.default_rng(0))
 
 
+def no_test_pass(*args):
+    raise AssertionError("a test-split accuracy pass ran")
+
+
 @pytest.fixture(scope="module")
 def small_run(trained_toy, toy_dataset):
     return smoea_prune(
@@ -239,7 +243,8 @@ def small_run(trained_toy, toy_dataset):
 class TestSmoeaPrune:
     def test_empty_plan_is_noop(self, trained_toy, toy_dataset):
         pruned, report = smoea_prune(
-            trained_toy, toy_dataset, GroupPlan(1, []), SMALL_EVO, SMALL_FT
+            trained_toy, toy_dataset, GroupPlan(1, []), SMALL_EVO, SMALL_FT,
+            calibration_size=128,
         )
         assert report.layers == [] and report.stages == []
         assert count_params(pruned) == count_params(trained_toy)
@@ -284,9 +289,9 @@ class TestSmoeaPrune:
         # is the last stage's, not another pass over the same network
         passes = []
 
-        def counted(net, images, labels, batch_size=256):
+        def counted(net, images, labels):
             passes.append(net)
-            return evaluate_accuracy(net, images, labels, batch_size)
+            return evaluate_accuracy(net, images, labels)
 
         monkeypatch.setattr("smoea.pipeline.evaluate_accuracy", counted)
         pruned, report = smoea_prune(
@@ -299,6 +304,19 @@ class TestSmoeaPrune:
         assert report.final_accuracy == evaluate_accuracy(
             pruned, toy_dataset.test_images, toy_dataset.test_labels
         )
+
+    @pytest.mark.parametrize(
+        "plan, calibration_size, error",
+        [(GroupPlan(4, [2]), 32, PlanError), (GroupPlan(1, [1]), 0, ArgumentError)],
+        ids=["plan_overflow", "zero_calibration"],
+    )
+    def test_bad_argument_fails_before_the_baseline_pass(
+        self, trained_toy, toy_dataset, monkeypatch, plan, calibration_size, error
+    ):
+        monkeypatch.setattr("smoea.pipeline.evaluate_accuracy", no_test_pass)
+        with pytest.raises(error):
+            smoea_prune(trained_toy, toy_dataset, plan, SMALL_EVO, SMALL_FT,
+                        calibration_size=calibration_size)
 
     def test_deterministic(self, trained_toy, toy_dataset, small_run):
         pruned_a, report_a = small_run
@@ -405,8 +423,18 @@ class TestSweep:
         expected = 100.0 * count_params(compact(trained_toy, masks))
         assert row["remained_params_pct"] == expected / count_params(trained_toy)
 
+    def test_zero_calibration_fails_before_the_baseline_pass(
+        self, trained_toy, toy_dataset, monkeypatch
+    ):
+        monkeypatch.setattr("smoea.pipeline.evaluate_accuracy", no_test_pass)
+        with pytest.raises(ArgumentError):
+            sweep_uniform_retention(
+                trained_toy, toy_dataset, [0.5], SMALL_EVO, SMALL_FT, calibration_size=0
+            )
+
     def test_bad_fraction(self, trained_toy, toy_dataset):
         with pytest.raises(ArgumentError):
             sweep_uniform_retention(
-                trained_toy, toy_dataset, [1.5], SMALL_EVO, SMALL_FT
+                trained_toy, toy_dataset, [1.5], SMALL_EVO, SMALL_FT,
+                calibration_size=128,
             )
