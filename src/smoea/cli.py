@@ -27,6 +27,7 @@ from .exceptions import (
     SmoeaError,
     UnknownLayerError,
     check_fields,
+    check_fraction,
 )
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
 from .pipeline import (
@@ -45,6 +46,8 @@ from .pipeline import (
 
 log = logging.getLogger("smoea")
 
+IMAGE_SHAPE = ("channels", "height", "width")
+
 DEFAULT_CONFIG = {
     "model": {
         "builtin": "toy-cnn",
@@ -54,7 +57,12 @@ DEFAULT_CONFIG = {
         "input_shape": [3, 8, 8],
         "classes": 10,
     },
-    "dataset": {"kind": "synthetic", "path": None, **asdict(SyntheticParams())},
+    # synthetic images take the model's input shape
+    "dataset": {
+        "kind": "synthetic",
+        "path": None,
+        **{k: v for k, v in asdict(SyntheticParams()).items() if k not in IMAGE_SHAPE},
+    },
     "groups": {"l0": 1, "block_counts": [1, 1, 1, 1]},
     "evolution": asdict(EvolutionConfig()),
     "finetune": {
@@ -94,11 +102,13 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def build_dataset(d: dict) -> Dataset:
-    """The dataset of a checked `dataset` section."""
+def build_dataset(d: dict, input_shape: tuple[int, int, int]) -> Dataset:
+    """The dataset of a checked `dataset` section; synthetic images have
+    the given input shape."""
     if d["kind"] == "cifar10-binary":
         return load_cifar10(d["path"])
     synthetic = {k: v for k, v in d.items() if k not in ("kind", "path")}
+    synthetic.update(zip(IMAGE_SHAPE, input_shape))
     return generate_synthetic(SyntheticParams(**synthetic))
 
 
@@ -117,12 +127,9 @@ def build_model(m: dict) -> Network:
     )
 
 
-def build_dataset_and_model(settings: Settings) -> tuple[Dataset, Network]:
-    """The config's dataset and model, checked to fit each other before any
-    work: the images must have the model's input shape, and the model must
+def check_fit(dataset: Dataset, net: Network) -> None:
+    """The images must have the model's input shape, and the model must
     output a score for every class the labels name."""
-    dataset = build_dataset(settings.dataset)
-    net = build_model(settings.model)
     image_shape = tuple(dataset.train_images.shape[1:])
     if image_shape != tuple(net.input_shape):
         raise ArgumentError(
@@ -137,7 +144,6 @@ def build_dataset_and_model(settings: Settings) -> tuple[Dataset, Network]:
             f"the model outputs shape {list(out_shape)} but the dataset has "
             f"{dataset.num_classes} classes"
         )
-    return dataset, net
 
 
 def _section(cfg: dict, name: str) -> dict:
@@ -186,8 +192,7 @@ def _dataset_section(cfg: dict) -> dict:
     check_fields(d, "an integer", ("classes",), section="dataset")
     check_fields(
         d, "an integer",
-        ("train_per_class", "test_per_class", "channels", "height", "width", "seed"),
-        low=0, section="dataset",
+        ("train_per_class", "test_per_class", "seed"), low=0, section="dataset",
     )
     check_fields(d, "a number", ("noise",), section="dataset")
     return d
@@ -197,6 +202,7 @@ def _dataset_section(cfg: dict) -> dict:
 class Settings:
     """A run's merged config with every section checked: all a command reads."""
 
+    config: dict  # as config.echo records it
     model: dict
     dataset: dict
     plan: GroupPlan
@@ -214,6 +220,7 @@ def read_settings(cfg: dict) -> Settings:
     plan = GroupPlan(**_section(cfg, "groups"))
     check_fields(cfg, "an integer", ("calibration_size",), low=1)
     return Settings(
+        config=cfg,
         model=model,
         dataset=dataset,
         plan=plan,
@@ -223,27 +230,32 @@ def read_settings(cfg: dict) -> Settings:
     )
 
 
-def make_run_dir(args, command: str) -> Path:
+def read_run(args, with_data: bool = True) -> tuple[Settings, Network, Dataset | None]:
+    """Everything a run reads, checked and built while nothing is written:
+    the config with --model folded in as model.path, the model and, with
+    `with_data`, the dataset checked to fit the model."""
+    cfg = load_config(args.config)
+    if args.model:
+        # a new section: the defaults' own model dict must stay as it is
+        cfg["model"] = {**_section(cfg, "model"), "path": args.model}
+    settings = read_settings(cfg)
+    net = build_model(settings.model)
+    if not with_data:
+        return settings, net, None
+    dataset = build_dataset(settings.dataset, net.input_shape)
+    check_fit(dataset, net)
+    return settings, net, dataset
+
+
+def open_run(args, command: str, settings: Settings) -> Path:
+    """Make the run directory, echo the config and start log.txt."""
     if args.out:
         run_dir = Path(args.out)
     else:
         root = Path(os.environ.get("SMOEA_RUNS", "runs"))
         run_dir = root / f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
     run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
-
-
-def setup_run(args, command: str) -> tuple[Settings, Path]:
-    """Check the whole config, --model folded in as model.path, then make
-    the run directory and echo the config: a bad value in any section fails
-    before any work or output."""
-    cfg = load_config(args.config)
-    if args.model:
-        # a new section: the defaults' own model dict must stay as it is
-        cfg["model"] = {**_section(cfg, "model"), "path": args.model}
-    settings = read_settings(cfg)
-    run_dir = make_run_dir(args, command)
-    (run_dir / "config.echo").write_text(json.dumps(cfg, indent=2))
+    (run_dir / "config.echo").write_text(json.dumps(settings.config, indent=2))
     for old in list(log.handlers):
         log.removeHandler(old)
         old.close()
@@ -252,7 +264,7 @@ def setup_run(args, command: str) -> tuple[Settings, Path]:
     log.addHandler(handler)
     log.setLevel(logging.INFO)
     log.info("command=%s run_dir=%s", command, run_dir)
-    return settings, run_dir
+    return run_dir
 
 
 def write_report(run_dir: Path, payload: dict) -> None:
@@ -266,9 +278,9 @@ def write_report(run_dir: Path, payload: dict) -> None:
 
 
 def cmd_train(args) -> int:
-    s, run_dir = setup_run(args, "train")
-    dataset, net = build_dataset_and_model(s)
-    dataset.require_test_split()  # fail before training, not after it
+    s, net, dataset = read_run(args)
+    dataset.require_test_split()
+    run_dir = open_run(args, "train", s)
     net = finetune(net, dataset, s.finetune)
     acc = evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
     save_model(net, run_dir / "model")
@@ -281,10 +293,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_evolve_layer(args) -> int:
-    s, run_dir = setup_run(args, "evolve-layer")
-    dataset, net = build_dataset_and_model(s)
+    s, net, dataset = read_run(args)
     if not 1 <= args.layer <= net.num_convs:
         raise UnknownLayerError(f"layer {args.layer} out of range 1..{net.num_convs}")
+    run_dir = open_run(args, "evolve-layer", s)
     evo = s.evolution
     calib = calibration_batch(dataset, s.calibration_size, evo.seed)
     summary = run_summary(evo, evolve_layer(net, calib, args.layer, evo))
@@ -303,8 +315,9 @@ def cmd_evolve_layer(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    s, run_dir = setup_run(args, "prune")
-    dataset, net = build_dataset_and_model(s)
+    s, net, dataset = read_run(args)
+    group_layers(s.plan, net.num_convs)  # the plan must fit the model
+    run_dir = open_run(args, "prune", s)
     pruned, report = smoea_prune(
         net, dataset, s.plan, s.evolution, s.finetune,
         calibration_size=s.calibration_size,
@@ -323,9 +336,10 @@ def cmd_prune(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    s, run_dir = setup_run(args, "baseline")
-    dataset, net = build_dataset_and_model(s)
+    check_fraction("--retain", args.retain)
+    s, net, dataset = read_run(args)
     rates = {l: args.retain for group in group_layers(s.plan, net.num_convs) for l in group}
+    run_dir = open_run(args, "baseline", s)
     pruned, accuracies = baseline_prune(
         net, dataset, s.plan, rates, args.criterion, s.finetune, seed=s.evolution.seed
     )
@@ -346,12 +360,15 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    s, run_dir = setup_run(args, "sweep")
-    dataset, net = build_dataset_and_model(s)
     try:
         fractions = [float(f) for f in args.fractions.split(",")]
     except ValueError as e:
         raise ArgumentError(f"bad --fractions {args.fractions!r}: {e}") from e
+    for f in fractions:
+        check_fraction("--fractions entry", f)
+    s, net, dataset = read_run(args)
+    dataset.require_test_split()
+    run_dir = open_run(args, "sweep", s)
     rows = sweep_uniform_retention(
         net, dataset, fractions, s.evolution, s.finetune,
         calibration_size=s.calibration_size,
@@ -371,11 +388,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    s, run_dir = setup_run(args, "report")
-    if args.with_accuracy:
-        dataset, net = build_dataset_and_model(s)
-    else:
-        net = build_model(s.model)
+    s, net, dataset = read_run(args, with_data=args.with_accuracy)
+    if dataset is not None:
+        dataset.require_test_split()
+    run_dir = open_run(args, "report", s)
     payload = {
         "command": "report",
         "params": N.count_params(net),
@@ -383,7 +399,7 @@ def cmd_report(args) -> int:
         "num_convs": net.num_convs,
         "input_shape": list(net.input_shape),
     }
-    if args.with_accuracy:
+    if dataset is not None:
         payload["test_accuracy"] = evaluate_accuracy(
             net, dataset.test_images, dataset.test_labels
         )

@@ -49,7 +49,6 @@ class EvolutionConfig:
     tau2: float = 0.8
     seed: int = 0
     alpha_mode: str = "optimized"
-    crossover: str = "uniform"  # or "one-point"
 
     def __post_init__(self):
         fields = vars(self)
@@ -65,10 +64,6 @@ class EvolutionConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ArgumentError(f"{name} must lie in [0, 1]")
         _check_alpha_mode(self.alpha_mode)
-        if self.crossover not in ("uniform", "one-point"):
-            raise ArgumentError(
-                f"crossover must be uniform or one-point, got {self.crossover!r}"
-            )
         if self.elite_size > self.population_size:
             raise EvolutionError("elite_size must be <= population_size")
         if not 0 < self.tau1 < self.tau2 < 1:
@@ -207,7 +202,7 @@ def make_children(
     elites: list[Individual], cfg: EvolutionConfig, generation: int
 ) -> list[Individual]:
     """N unevaluated children from two random distinct elite parents each:
-    crossover, per-gene mutation, then repair."""
+    uniform crossover, per-gene mutation, then repair."""
     if len(elites) < 2:
         raise EvolutionError("need at least 2 elites to breed")
     n = elites[0].genes.shape[0]
@@ -217,12 +212,8 @@ def make_children(
         pa, pb = rng.choice(len(elites), size=2, replace=False)
         p1, p2 = elites[pa].genes, elites[pb].genes
         if rng.random() < cfg.crossover_prob:
-            if cfg.crossover == "one-point":
-                point = int(rng.integers(1, n))
-                genes = np.concatenate([p1[:point], p2[point:]])
-            else:
-                pick = rng.random(n) < 0.5
-                genes = np.where(pick, p1, p2)
+            pick = rng.random(n) < 0.5
+            genes = np.where(pick, p1, p2)
         else:
             genes = p1.copy()
         flips = rng.random(n) < cfg.mutation_prob
@@ -362,18 +353,6 @@ def write_front_csv(rows: list[dict], path: str | Path) -> None:
         writer = csv.DictWriter(fh, ["filter_pct", "error", "retained_count", "mask_hex"])
         writer.writeheader()
         writer.writerows(rows)
-
-
-def read_front_csv(path: str | Path, num_filters: int) -> list[Individual]:
-    rows = []
-    with Path(path).open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            ind = Individual(mask_from_hex(row["mask_hex"], num_filters))
-            ind.objectives = ObjectiveVector(
-                float(row["filter_pct"]), float(row["error"])
-            )
-            rows.append(ind)
-    return rows
 
 
 def run_summary(

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and the one type check
-of config fields that raises it.
+"""Exception hierarchy shared across the package, and the checks of config
+fields and retained fractions that raise it.
 
 Every error carries an ``exit_code`` so the CLI can map failures to stable
 process exit statuses.
@@ -108,3 +108,9 @@ def check_fields(
             bound = "" if low is None else f" >= {low}"
             where = f"{section}.{name}" if section else name
             raise error(f"{where} must be {kind}{bound}, got {value!r}")
+
+
+def check_fraction(name: str, value: float) -> None:
+    """A retained fraction must lie in (0, 1]."""
+    if not 0 < value <= 1:
+        raise ArgumentError(f"{name} must be in (0, 1], got {value}")

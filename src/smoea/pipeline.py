@@ -27,6 +27,7 @@ from .exceptions import (
     NonFiniteError,
     PlanError,
     check_fields,
+    check_fraction,
 )
 from .network import FilterMask, Network
 from .objectives import EvaluationContext
@@ -337,8 +338,7 @@ def baseline_mask(
     the filters with the smallest summed distance to all others (the most
     replaceable ones). Ties prune the lower filter index first.
     """
-    if not 0 < retain_fraction <= 1:
-        raise ArgumentError(f"retain_fraction must be in (0, 1], got {retain_fraction}")
+    check_fraction("retain_fraction", retain_fraction)
     n = weights.shape[0]
     keep = max(1, round(retain_fraction * n))
     bits = np.zeros(n, dtype=np.uint8)
@@ -395,8 +395,7 @@ def sweep_uniform_retention(
     member with the closest retention (ties toward lower error), prune all
     convs as one group, fine-tune and record accuracy."""
     for f in fractions:
-        if not 0 < f <= 1:
-            raise ArgumentError(f"fraction {f} outside (0, 1]")
+        check_fraction("fraction", f)
     calib = calibration_batch(dataset, calibration_size, evo.seed)
     # measured before any evolution or fine-tuning, so that a dataset
     # without a test split fails first

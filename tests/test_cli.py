@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from smoea.cli import DEFAULT_CONFIG, build_dataset, load_config, main, read_settings
 from smoea.data import CIFAR_RECORD, write_cifar10_batch
-from smoea.evolution import read_front_csv
+from smoea.evolution import mask_from_hex
 from smoea.network import build_toy_cnn, count_params, load_model, save_model
 from smoea.pipeline import evaluate_accuracy
 
@@ -35,8 +35,19 @@ def run(argv):
 
 
 def config_dataset(cfg):
-    """The dataset a config file names."""
-    return build_dataset(read_settings(load_config(cfg)).dataset)
+    """The dataset a config file names, for its builtin toy model."""
+    s = read_settings(load_config(cfg))
+    return build_dataset(s.dataset, tuple(s.model["input_shape"]))
+
+
+def read_front(path, num_filters):
+    """(genes, filter_pct, error) of each row of a front CSV."""
+    with path.open(newline="") as fh:
+        return [
+            (mask_from_hex(row["mask_hex"], num_filters), float(row["filter_pct"]),
+             float(row["error"]))
+            for row in csv.DictReader(fh)
+        ]
 
 
 class TestReport:
@@ -48,6 +59,16 @@ class TestReport:
         assert 6.20e8 <= payload["flops"] <= 6.33e8
         assert payload["num_convs"] == 13
         assert "flops=" in capsys.readouterr().out
+
+    def test_vgg14_accuracy_on_default_dataset(self, tmp_path):
+        # synthetic images take the model's input shape, so no dataset
+        # setting repeats VGG-14's 3x32x32
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, {"model": {"builtin": "vgg14"}})
+        assert run(["report", "--config", cfg, "--out", str(out), "--with-accuracy"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["input_shape"] == [3, 32, 32]
+        assert 0.0 <= payload["test_accuracy"] <= 1.0
 
     def test_run_dir_is_self_describing(self, tmp_path):
         out = tmp_path / "run"
@@ -100,9 +121,9 @@ class TestEvolveLayer:
         out = tmp_path / "run"
         cfg = write_config(tmp_path)
         assert run(["evolve-layer", "--config", cfg, "--out", str(out), "--layer", "2"]) == 0
-        rows = read_front_csv(out / "fronts" / "layer_2.csv", 16)
+        rows = read_front(out / "fronts" / "layer_2.csv", 16)
         assert len(rows) >= 1
-        pcts = [r.objectives.filter_pct for r in rows]
+        pcts = [pct for _, pct, _ in rows]
         assert pcts == sorted(pcts)
         payload = json.loads((out / "report.json").read_text())
         assert payload["layer"] == 2
@@ -126,23 +147,13 @@ class TestEvolveLayer:
             report = json.loads((out / "report.json").read_text())
             assert report["config"]["alpha_mode"] == mode
             outs[mode] = {
-                r.retained: r.objectives.error
-                for r in read_front_csv(out / "fronts" / "layer_1.csv", 8)
+                int(genes.sum()): error
+                for genes, _, error in read_front(out / "fronts" / "layer_1.csv", 8)
             }
         shared = set(outs["optimized"]) & set(outs["fixed_one"])
         assert shared
         for k in shared:
             assert outs["optimized"][k] <= outs["fixed_one"][k] + 1e-9
-
-    def test_unknown_layer_exit_code(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        code = run(
-            ["evolve-layer", "--config", cfg, "--out", str(tmp_path / "r"),
-             "--layer", "9"]
-        )
-        assert code == 5
-        err = capsys.readouterr().err
-        assert "ERROR code=5 type=UnknownLayerError" in err
 
 
 class TestConfigIsTheRecord:
@@ -371,9 +382,9 @@ def reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
-def single_batch_config(tmp_path):
+def single_batch_config(tmp_path, input_shape=(3, 32, 32)):
     """A config whose dataset is one 16-record CIFAR batch file: a training
-    split and no test split."""
+    split and no test split. The toy model takes `input_shape`."""
     rng = np.random.default_rng(0)
     batch = tmp_path / "data_batch_1.bin"
     write_cifar10_batch(
@@ -385,7 +396,7 @@ def single_batch_config(tmp_path):
         tmp_path,
         {
             "dataset": {"kind": "cifar10-binary", "path": str(batch)},
-            "model": {"input_shape": [3, 32, 32]},
+            "model": {"input_shape": list(input_shape)},
             "finetune": {"epochs": 1, "milestones": []},
         },
     )
@@ -403,10 +414,12 @@ def no_work(monkeypatch):
 
 
 class TestNoTestSplit:
-    """train and sweep need a test split; without one they exit 3 before
-    doing any work."""
+    """train, sweep and report --with-accuracy need a test split; without one
+    they exit 3 before doing any work or writing their run directory."""
 
-    @pytest.mark.parametrize("argv", [["train"], ["sweep", "--fractions", "0.5"]])
+    @pytest.mark.parametrize(
+        "argv", [["train"], ["sweep", "--fractions", "0.5"], ["report", "--with-accuracy"]]
+    )
     def test_fails_before_work(self, tmp_path, capsys, no_work, argv):
         cfg = single_batch_config(tmp_path)
         out = tmp_path / "run"
@@ -415,7 +428,7 @@ class TestNoTestSplit:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1 and errors[0].startswith("ERROR code=3 type=DataError ")
-        assert not (out / "model").exists()
+        assert not out.exists()
 
 
 def saved_toy_model(tmp_path, edit_manifest):
@@ -439,8 +452,9 @@ def four_channel_input(manifest):
 
 FAST_EVO = FAST_OVERRIDES["evolution"]
 
-# id: (argv, config overrides or raw config text, manifest edit of a saved
-# model passed with --model, exit code, error type)
+# id: (argv, config overrides, raw config text or a function of tmp_path that
+# writes a config file, manifest edit of a saved model passed with --model,
+# exit code, error type)
 ERROR_CASES = {
     "malformed_config": (["report"], "{not json", None, 2, "ArgumentError"),
     "missing_dataset_path": (
@@ -458,10 +472,18 @@ ERROR_CASES = {
     "bad_sweep_fraction": (
         ["sweep", "--fractions", "0.5,abc"], {}, None, 2, "ArgumentError",
     ),
-    "unknown_crossover": (
-        ["evolve-layer", "--layer", "1"],
-        {"evolution": {**FAST_EVO, "crossover": "nonsense"}}, None,
+    "sweep_fraction_above_one": (
+        ["sweep", "--fractions", "0.5,1.5"], {}, None, 2, "ArgumentError",
+    ),
+    "retain_above_one": (
+        ["baseline", "--criterion", "l2", "--retain", "1.5"], {}, None,
         2, "ArgumentError",
+    ),
+    "retain_zero": (
+        ["baseline", "--criterion", "l2", "--retain", "0"], {}, None, 2, "ArgumentError",
+    ),
+    "unknown_layer": (
+        ["evolve-layer", "--layer", "9"], {}, None, 5, "UnknownLayerError",
     ),
     "zero_lr": (
         ["train"], {"finetune": {"epochs": 1, "milestones": [], "lr": 0}}, None,
@@ -583,17 +605,23 @@ ERROR_CASES.update({
     "model_classes_below_dataset": (
         ["prune"], {"model": {"classes": 1}}, None, 2, "ArgumentError",
     ),
-    "dataset_channels_mismatch": (
+    # synthetic images take the model's input shape: the dataset section
+    # has no shape keys
+    "dataset_channels_key": (
         ["prune"], {"dataset": {"channels": 4}}, None, 2, "ArgumentError",
     ),
-    "dataset_size_mismatch": (
+    "dataset_size_keys": (
         ["train"], {"dataset": {"height": 16, "width": 16}}, None, 2, "ArgumentError",
+    ),
+    "cifar_shape_mismatch": (
+        ["prune"], lambda tmp_path: single_batch_config(tmp_path, (3, 8, 8)), None,
+        2, "ArgumentError",
     ),
     "evolve_layer_classes_mismatch": (
         ["evolve-layer", "--layer", "1"], {"model": {"classes": 5}}, None,
         2, "ArgumentError",
     ),
-    "baseline_channels_mismatch": (
+    "baseline_dataset_channels_key": (
         ["baseline", "--criterion", "l2"], {"dataset": {"channels": 1}}, None,
         2, "ArgumentError",
     ),
@@ -605,7 +633,7 @@ ERROR_CASES.update({
         ["report", "--with-accuracy"], {"model": {"classes": 1}}, None,
         2, "ArgumentError",
     ),
-    "report_accuracy_shape_mismatch": (
+    "report_accuracy_dataset_width_key": (
         ["report", "--with-accuracy"], {"dataset": {"width": 4}}, None,
         2, "ArgumentError",
     ),
@@ -690,7 +718,6 @@ INVALID_FIELDS = {
     ("evolution", "crossover_prob"): (_invalid_probability, 2),
     ("evolution", "mutation_prob"): (_invalid_probability, 2),
     ("evolution", "alpha_mode"): (_invalid_choice("optimized", "fixed_one"), 2),
-    ("evolution", "crossover"): (_invalid_choice("uniform", "one-point"), 2),
     ("model", "path"): (_invalid(_non_integral, st.integers()).filter(
         lambda v: v is not None and not isinstance(v, str)
     ), 2),
@@ -712,9 +739,6 @@ INVALID_FIELDS = {
     ("dataset", "classes"): (_invalid(_non_integral), 2),
     ("dataset", "train_per_class"): (_invalid_int(0), 2),
     ("dataset", "test_per_class"): (_invalid_int(0), 2),
-    ("dataset", "channels"): (_invalid_int(0), 2),
-    ("dataset", "height"): (_invalid_int(0), 2),
-    ("dataset", "width"): (_invalid_int(0), 2),
     ("dataset", "noise"): (_invalid(), 2),
     ("dataset", "seed"): (_invalid_int(0), 2),
     ("model", "builtin"): (_invalid_choice("toy-cnn", "vgg14"), 2),
@@ -796,7 +820,9 @@ class TestErrors:
     ):
         if request.node.callspec.id not in RUNS_FINETUNE:
             request.getfixturevalue("no_work")
-        if isinstance(config, str):
+        if callable(config):
+            cfg = config(tmp_path)
+        elif isinstance(config, str):
             cfg = tmp_path / "config.json"
             cfg.write_text(config)
         else:
@@ -811,6 +837,9 @@ class TestErrors:
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
         assert not (tmp_path / "r" / "model").exists()
+        if request.node.callspec.id not in RUNS_FINETUNE:
+            # refused before the run directory, so before any output
+            assert not (tmp_path / "r").exists()
 
     @settings(max_examples=120, deadline=None)
     @given(case=invalid_config(), argv=st.sampled_from(list(COMMANDS.values())))
@@ -867,6 +896,20 @@ class TestErrors:
         cfg = write_config(tmp_path, config)
         assert run([*argv, "--config", cfg, "--out", str(tmp_path / "r")]) == code
         assert passes == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--fractions", "0.5,abc"], ["sweep", "--fractions", "0,0.5"],
+         ["baseline", "--criterion", "random", "--retain", "1.5"]],
+        ids=["unparsable_fraction", "zero_fraction", "retain_above_one"],
+    )
+    def test_flag_error_builds_no_dataset(self, tmp_path, monkeypatch, argv):
+        built = []
+        for target in ("smoea.cli.load_cifar10", "smoea.cli.generate_synthetic"):
+            monkeypatch.setattr(target, lambda *a, **k: built.append(a))
+        cfg = write_config(tmp_path)
+        assert run([*argv, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert built == []
 
     @settings(max_examples=60, deadline=None)
     @given(case=corrupt_cifar_batch())

@@ -1,3 +1,4 @@
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -19,7 +20,6 @@ from smoea.evolution import (
     mask_from_hex,
     mask_hex,
     pareto_front,
-    read_front_csv,
     repair,
     run_summary,
     select_elites,
@@ -346,12 +346,14 @@ class TestExport:
         )
         path = tmp_path / "front.csv"
         write_front_csv(front_rows(res.front), path)
-        back = read_front_csv(path, 10)
+        with path.open(newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert len(back) == len(res.front)
         for a, b in zip(res.front, back):
-            np.testing.assert_array_equal(a.genes, b.genes)
-            assert a.objectives.filter_pct == b.objectives.filter_pct
-            assert a.objectives.error == b.objectives.error
+            np.testing.assert_array_equal(a.genes, mask_from_hex(b["mask_hex"], 10))
+            assert a.objectives.filter_pct == float(b["filter_pct"])
+            assert a.objectives.error == float(b["error"])
+            assert a.retained == int(b["retained_count"])
 
     def test_run_summary_schema(self):
         evaluate, _ = separable_problem()
