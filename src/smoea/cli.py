@@ -279,6 +279,7 @@ def write_report(run_dir: Path, payload: dict) -> None:
 
 def cmd_train(args) -> int:
     s, net, dataset = read_run(args)
+    dataset.require_nonempty()
     dataset.require_test_split()
     run_dir = open_run(args, "train", s)
     net = finetune(net, dataset, s.finetune)
@@ -296,6 +297,7 @@ def cmd_evolve_layer(args) -> int:
     s, net, dataset = read_run(args)
     if not 1 <= args.layer <= net.num_convs:
         raise UnknownLayerError(f"layer {args.layer} out of range 1..{net.num_convs}")
+    dataset.require_nonempty()
     run_dir = open_run(args, "evolve-layer", s)
     evo = s.evolution
     calib = calibration_batch(dataset, s.calibration_size, evo.seed)
@@ -317,6 +319,7 @@ def cmd_evolve_layer(args) -> int:
 def cmd_prune(args) -> int:
     s, net, dataset = read_run(args)
     group_layers(s.plan, net.num_convs)  # the plan must fit the model
+    dataset.require_nonempty()
     run_dir = open_run(args, "prune", s)
     pruned, report = smoea_prune(
         net, dataset, s.plan, s.evolution, s.finetune,
@@ -339,6 +342,7 @@ def cmd_baseline(args) -> int:
     check_fraction("--retain", args.retain)
     s, net, dataset = read_run(args)
     rates = {l: args.retain for group in group_layers(s.plan, net.num_convs) for l in group}
+    dataset.require_nonempty()
     run_dir = open_run(args, "baseline", s)
     pruned, accuracies = baseline_prune(
         net, dataset, s.plan, rates, args.criterion, s.finetune, seed=s.evolution.seed
@@ -367,6 +371,7 @@ def cmd_sweep(args) -> int:
     for f in fractions:
         check_fraction("--fractions entry", f)
     s, net, dataset = read_run(args)
+    dataset.require_nonempty()
     dataset.require_test_split()
     run_dir = open_run(args, "sweep", s)
     rows = sweep_uniform_retention(

@@ -585,17 +585,17 @@ def load_model(path: str | Path) -> Network:
     valid = isinstance(shape, list) and len(shape) == 3
     if not valid or not all(type(v) is int and v >= 1 for v in shape):
         raise ModelFormatError(f"input_shape must be 3 positive ints, got {shape!r}")
-    entries = manifest["layers"]
-    if not isinstance(entries, list) or manifest["num_layers"] != len(entries):
+    entries, count = manifest["layers"], manifest["num_layers"]
+    if not isinstance(entries, list) or type(count) is not int or count != len(entries):
         raise ModelFormatError(
-            f"manifest num_layers {manifest['num_layers']!r} does not match "
+            f"manifest num_layers {count!r} does not match "
             "its list of layer entries"
         )
     layers: list[Layer] = []
     in_shape = tuple(shape)  # per-sample input of the next layer
     for i, entry in enumerate(entries):
         kind = entry.get("kind") if isinstance(entry, dict) else None
-        if kind not in LAYER_CLASSES:
+        if not isinstance(kind, str) or kind not in LAYER_CLASSES:
             raise ModelFormatError(f"unknown layer kind {kind!r}")
         lay = LAYER_CLASSES[kind].from_entry(entry, path)
         problem = lay.input_error(in_shape)

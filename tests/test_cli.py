@@ -639,6 +639,19 @@ ERROR_CASES.update({
     ),
 })
 
+# every command that trains or calibrates refuses an empty training split
+# before its run directory
+for _name, _argv in {
+    "train": ["train"],
+    "evolve_layer": ["evolve-layer", "--layer", "1"],
+    "prune": ["prune"],
+    "baseline": ["baseline", "--criterion", "l2"],
+    "sweep": ["sweep", "--fractions", "0.5"],
+}.items():
+    ERROR_CASES[f"{_name}_empty_training_split"] = (
+        _argv, {"dataset": {"train_per_class": 0}}, None, 3, "DataError",
+    )
+
 # a fine-tune whose loss turns non-finite fails at that step, before any
 # model is saved; these rows run their fine-tune
 RUNS_FINETUNE = {"diverging_finetune"}
@@ -809,6 +822,101 @@ def corrupt_cifar_batch(draw):
     return name, b"", "DataError"
 
 
+TOY_LAYERS = build_toy_cnn().layers
+# each parametric layer's manifest fields, with the smallest valid value
+TOY_FIELDS = {
+    "conv": {"out_channels": 1, "in_channels": 1, "kernel_h": 1, "kernel_w": 1,
+             "stride": 1, "padding": 0},
+    "dense": {"in_features": 1, "out_features": 1},
+}
+PARAMETRIC = [i for i, lay in enumerate(TOY_LAYERS) if lay.parametric]
+_any_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+_not_int = _any_json.filter(lambda v: type(v) is not int)
+DELETE = object()  # a corrupt_model value: remove the field
+
+
+@st.composite
+def corrupt_model(draw):
+    """A change to a saved toy model that load_model must refuse, as
+    (kind, where, value): a manifest field set to a value no model accepts
+    or removed (value DELETE), the manifest text cut short, a parametric
+    layer's blob cut or padded by some bytes, or one of its values set to
+    NaN or an infinity."""
+    kind = draw(st.sampled_from(["top_field", "layer_field", "manifest_text", "blob_size",
+                                 "blob_value"]))
+    if kind == "top_field":
+        key = draw(st.sampled_from(["format", "endianness", "dtype", "input_shape",
+                                    "num_layers", "layers"]))
+        keep = {"format": "smoea-model", "endianness": "little", "dtype": "float64",
+                "input_shape": [3, 8, 8]}
+        values = {
+            "num_layers": st.one_of(
+                st.just(float(len(TOY_LAYERS))), _not_int,
+                st.integers().filter(lambda v: v != len(TOY_LAYERS)),
+            ),
+            "layers": _any_json.filter(lambda v: not isinstance(v, list) or v != []),
+        }.get(key, _any_json.filter(lambda v: v != keep.get(key)))
+        # the endianness and dtype fields may be left out
+        if key not in ("endianness", "dtype") and draw(st.booleans()):
+            return kind, key, DELETE
+        return kind, key, draw(values)
+    if kind == "layer_field":
+        i = draw(st.sampled_from(PARAMETRIC))
+        lay_kind = TOY_LAYERS[i].kind
+        field = draw(st.sampled_from(["kind", "blob", *TOY_FIELDS[lay_kind]]))
+        if draw(st.booleans()):
+            return kind, (i, field), DELETE
+        if field == "kind":
+            value = _any_json.filter(lambda v: v not in ("conv", "dense", "relu", "maxpool",
+                                                         "flatten"))
+        elif field == "blob":  # no blob file of the model has this name
+            value = _any_json.filter(lambda v: not (isinstance(v, str) and v.startswith("layer_")))
+        else:
+            value = _not_int | st.integers(max_value=TOY_FIELDS[lay_kind][field] - 1)
+        return kind, (i, field), draw(value)
+    if kind == "manifest_text":
+        return kind, None, draw(st.integers(0, 200))
+    i = draw(st.sampled_from(PARAMETRIC))
+    values = len(TOY_LAYERS[i].blob()) // 8
+    if kind == "blob_size":
+        return kind, i, draw(st.integers(-8 * values, 17).filter(lambda d: d != 0))
+    return kind, (i, draw(st.integers(0, values - 1))), draw(
+        st.sampled_from([np.nan, np.inf, -np.inf])
+    )
+
+
+def apply_corruption(model, case):
+    """Write a corrupt_model case into the saved model directory `model`."""
+    kind, where, value = case
+    manifest_path = model / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    blobs = [e.get("blob") for e in manifest["layers"]]
+    if kind in ("top_field", "layer_field"):
+        entry, key = (manifest, where) if kind == "top_field" else (
+            manifest["layers"][where[0]], where[1])
+        if value is DELETE:
+            del entry[key]
+        else:
+            entry[key] = value
+        manifest_path.write_text(json.dumps(manifest))
+    elif kind == "manifest_text":
+        text = manifest_path.read_text()
+        manifest_path.write_text(text[: value % len(text)])
+    elif kind == "blob_size":
+        blob = model / blobs[where]
+        raw = blob.read_bytes()
+        blob.write_bytes(raw[:value] if value < 0 else raw + bytes(value))
+    else:
+        blob = model / blobs[where[0]]
+        values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+        values[where[1]] = value
+        blob.write_bytes(values.astype("<f8").tobytes())
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "argv, config, edit_manifest, code, error_type",
@@ -936,3 +1044,25 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code=3 type={error_type} ")
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=corrupt_model())
+    def test_corrupt_model_property(self, tmp_path_factory, case):
+        """Every corrupt manifest field, blob size or non-finite blob value
+        of a saved model exits 4 with one error line, writing nothing."""
+        tmp_path = tmp_path_factory.mktemp("model")
+        model = tmp_path / "model"
+        save_model(build_toy_cnn(), model)
+        apply_corruption(model, case)
+        out = tmp_path / "r"
+        argv = ["report", "--model", str(model), "--with-accuracy",
+                "--config", write_config(tmp_path), "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(argv) == 4
+        err = err.getvalue()
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        assert len(errors) == 1
+        assert errors[0].startswith("ERROR code=4 type=ModelFormatError ")
+        assert not out.exists()

@@ -201,6 +201,31 @@ BITWISE_CONV_SHAPES = {
     "batch1": (1, 4, 6, 6, 5, 3, 1, 1),
     "batch1_one_position": (1, 2, 3, 3, 2, 3, 1, 0),
     "kernel1": (3, 4, 5, 5, 6, 1, 1, 0),
+    # desk-prune's calls on the toy net: the last training batch of 16
+    # images, the 64-image calibration batch, the 100-image test pass, and
+    # pruned widths
+    "toy_conv2_last_batch": (16, 8, 8, 8, 16, 3, 1, 1),
+    "toy_conv1_calibration": (64, 3, 8, 8, 8, 3, 1, 1),
+    "toy_conv2_calibration": (64, 8, 8, 8, 16, 3, 1, 1),
+    "toy_conv3_calibration": (64, 16, 4, 4, 16, 3, 1, 1),
+    "toy_conv1_test_pass": (100, 3, 8, 8, 8, 3, 1, 1),
+    "toy_conv2_test_pass": (100, 8, 8, 8, 16, 3, 1, 1),
+    "toy_conv3_test_pass": (100, 16, 4, 4, 16, 3, 1, 1),
+    "toy_pruned_16_to_5": (32, 16, 4, 4, 5, 3, 1, 1),
+    "toy_pruned_5_to_16": (32, 5, 4, 4, 16, 3, 1, 1),
+    "toy_one_in_channel": (32, 1, 4, 4, 16, 3, 1, 1),
+    "toy_one_out_channel": (32, 16, 4, 4, 1, 3, 1, 1),
+    # short rows, but 13*6*6 columns are not whole column tiles: the
+    # forward's bits change here if its columns are batch innermost
+    "untiled_13x6x6": (13, 8, 6, 6, 16, 3, 1, 1),
+}
+
+# the shapes whose input gradient, and whose forward, order the im2col
+# columns (oh, ow, n); every other shape keeps the (n, oh, ow) order
+BATCH_INNERMOST = {
+    "toy_conv1", "toy_conv2", "toy_conv3", "toy_conv4_last_batch", "toy_pruned",
+    "one_in_channel", "one_out_channel", "one_in_one_out",
+    *(name for name in BITWISE_CONV_SHAPES if name.startswith("toy_")),
 }
 
 
@@ -353,6 +378,63 @@ class TestConvForwardBitwise:
         x, p = conv_case(shape)
         got, want = T.conv2d_forward(x, p), einsum_conv2d_forward(x, p)
         assert np.array_equal(got, want) and got.strides == want.strides
+
+
+def record_results(monkeypatch, name):
+    """Record the result of every call of tensor.<name> from now on;
+    returns the list of results."""
+    results, real = [], getattr(T, name)
+    monkeypatch.setattr(T, name, lambda *args: results.append(real(*args)) or results[-1])
+    return results
+
+
+class TestColumnOrder:
+    """Which column order each conv call takes: batch innermost exactly on
+    the BATCH_INNERMOST shapes, desk-prune's calls among them."""
+
+    @pytest.mark.parametrize("name", BITWISE_CONV_SHAPES)
+    def test_path_of_each_call(self, name, monkeypatch):
+        x, p, g = backward_case(BITWISE_CONV_SHAPES[name])
+        forward = record_results(monkeypatch, "_batch_innermost_forward")
+        T.conv2d_forward(x, p)
+        assert forward == [name in BATCH_INNERMOST]
+        grad = record_results(monkeypatch, "_batch_innermost_grad")
+        T.conv2d_backward(x, p, g)
+        assert grad == [name in BATCH_INNERMOST]
+        grad.clear()
+        T.conv2d_backward(x, p, g, input_grad=False)
+        assert grad == []
+
+    @pytest.mark.parametrize("shape", TILED_CONV_SHAPES.values(), ids=TILED_CONV_SHAPES)
+    def test_network_shapes_keep_the_batch_outermost(self, shape, monkeypatch):
+        """VGG-14 and the CIFAR net, at the batches evolve-vgg and
+        finetune-cifar run, keep the (n, oh, ow) order in the forward."""
+        x, p = conv_case(shape)
+        forward = record_results(monkeypatch, "_batch_innermost_forward")
+        T.conv2d_forward(x, p)
+        assert forward == [False]
+
+    def test_toy_finetune_takes_batch_innermost_columns(self, monkeypatch, toy_dataset):
+        """Every conv call of a toy-network fine-tune, the last short batch
+        included, orders its columns batch innermost, and so does every
+        input gradient; the first conv's backward has none."""
+        forward = record_results(monkeypatch, "_batch_innermost_forward")
+        grad = record_results(monkeypatch, "_batch_innermost_grad")
+        backward, real = [], T.conv2d_backward
+
+        def recorded(x, p, g, input_grad=True):
+            grad.clear()
+            result = real(x, p, g, input_grad)
+            backward.append((input_grad, list(grad)))
+            return result
+
+        monkeypatch.setattr(T, "conv2d_backward", recorded)
+        cfg = FineTuneConfig(lr=0.01, epochs=1, milestones=(), batch_size=32, seed=1)
+        finetune(build_toy_cnn(seed=1), toy_dataset, cfg)
+        steps = -(-toy_dataset.train_images.shape[0] // 32)
+        assert forward == [True] * 4 * steps
+        assert [input_grad for input_grad, _ in backward] == [True, True, True, False] * steps
+        assert all(rule == ([True] if input_grad else []) for input_grad, rule in backward)
 
 
 class TestConvForwardTiling:
