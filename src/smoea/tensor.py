@@ -16,9 +16,11 @@ tiled shapes.
 Both order the im2col columns (n, oh, ow) by default. On short output rows
 (ow < _SHORT_ROW), where that order makes every strided copy and addition
 run over only ow doubles, the backward's input gradient orders them
-(oh, ow, n), batch innermost, and so does a forward that is one block with
-more columns than rows; both need n*oh*ow to be whole column tiles
-(_batch_innermost_grad, _batch_innermost_forward). Each GEMM column is then
+(oh, ow, n), batch innermost, at any channel count, and so does a forward
+that is one block with more columns than rows; both need n*oh*ow to be
+whole column tiles (_batch_innermost_grad, _batch_innermost_forward). Every
+toy-network call and VGG-14's conv 5-13 input gradients take that order;
+VGG-14's forwards and the CIFAR net's calls do not. Each GEMM column is then
 the same product at another position, so every value and output stride is
 unchanged. The weight gradient sums over all columns and keeps the
 (n, oh, ow) order.
@@ -143,19 +145,13 @@ def _windows(x_pad: np.ndarray, params: ConvParams) -> np.ndarray:
     return win[:, :, :: params.stride, :: params.stride]
 
 
-def _pad(x: np.ndarray, padding: int, batch_last: bool = False) -> np.ndarray:
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     """Zero-pad the spatial dims into a new C-contiguous array (np.pad's
-    result, at a third of its cost for small inputs). With batch_last, into
-    an [n, c, h, w] view of a C-contiguous [c, h, w, n] array instead, also
-    where padding is 0."""
-    if padding == 0 and not batch_last:
+    result, at a third of its cost for small inputs)."""
+    if padding == 0:
         return x
     n, c, h, w = x.shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if batch_last:
-        out = np.zeros((c, hp, wp, n), dtype=x.dtype).transpose(3, 0, 1, 2)
-    else:
-        out = np.zeros((n, c, hp, wp), dtype=x.dtype)
+    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     out[:, :, padding : padding + h, padding : padding + w] = x
     return out
 
@@ -210,23 +206,27 @@ def _forward_blocks(n: int, span: int, w: np.ndarray) -> list[int]:
 # GEMMs are the same products on permuted columns. On wider maps the
 # (n, oh, ow) order is faster: at a 32-channel 32x32 conv with a batch of
 # 32, the forward by 1.2-1.7x and the input gradient by about 20 %.
+# Below it the input gradient gains at the toy network's 8x8 and 4x4 maps
+# and holds at VGG-14's convs 5-13 (8x8 to 2x2, 128 to 512 channels): with
+# a batch of 32 their nine backward calls took 622 -> 594 ms in all.
 _SHORT_ROW = 16
 
 
 def _batch_innermost_grad(n: int, oh: int, ow: int) -> bool:
     """Whether the conv input gradient orders its columns (oh, ow, n): on
-    short rows, and only where n*oh*ow is whole column tiles, so that every
-    column, wherever the permutation puts it, sits in a full tile of the
-    GEMM kernel and rounds as it did."""
+    short rows, whatever the channel counts, and only where n*oh*ow is
+    whole column tiles, so that every column, wherever the permutation puts
+    it, sits in a full tile of the GEMM kernel and rounds as it did."""
     return ow < _SHORT_ROW and n * oh * ow % _COLUMN_TILE == 0
 
 
 def _batch_innermost_forward(n: int, rows: int, oh: int, ow: int, blocks: list[int]) -> bool:
     """Whether the conv forward orders its columns (oh, ow, n): where the
     input gradient would, the batch is one block, and X has more columns
-    than rows, as in every toy-network call. VGG-14's deep convs at a batch
-    of 8 have more rows; there the two orders timed within 15 % of each
-    other, and those calls keep the (n, oh, ow) order."""
+    than rows, as in every toy-network call. VGG-14's convs 5-13 fail the
+    last two tests at every batch up to 256 (several blocks, or more rows);
+    at a batch of 8 the two orders timed within 15 % of each other, and
+    those calls keep the (n, oh, ow) order."""
     return len(blocks) == 1 and rows < n * oh * ow and _batch_innermost_grad(n, oh, ow)
 
 
@@ -242,10 +242,10 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     blocks, the helper thread fills the first half of them while this thread
     fills the rest, each through its own buffer.
 
-    Where _batch_innermost_forward holds, the input is padded batch-last,
-    the one block's X is filled [c*kh*kw, oh*ow*n] from it, and W @ X is
-    added to the bias straight into a result with the strides that the
-    channel-major form gives.
+    Where _batch_innermost_forward holds, the input is padded into a
+    [c, h, w, n] buffer, the one block's X is filled [c*kh*kw, oh*ow*n]
+    from it, and W @ X is added to the bias straight into a result with the
+    strides that the channel-major form gives.
     """
     _check_input(x, params)
     n, c = x.shape[:2]
@@ -254,16 +254,21 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     rows, span = c * kh * kw, oh * ow
     w = params.weights.reshape(o, rows)
     blocks = _forward_blocks(n, span, w)
-    batch_last = _batch_innermost_forward(n, rows, oh, ow, blocks)
-    win = _windows(_pad(x, params.padding, batch_last), params)
     out = np.empty((o, n, oh, ow))
     bias = params.bias[None, :, None, None]
-    if batch_last:
+    if _batch_innermost_forward(n, rows, oh, ow, blocks):
+        p, h, wd = params.padding, x.shape[2], x.shape[3]
+        x_pad = np.zeros((c, h + 2 * p, wd + 2 * p, n), dtype=x.dtype)
+        x_pad = x_pad.transpose(3, 0, 1, 2)
+        x_pad[:, :, p : p + h, p : p + wd] = x
         cols = np.empty((rows, span * n))
-        cols.reshape(c, kh, kw, oh, ow, n)[...] = win.transpose(1, 4, 5, 2, 3, 0)
+        cols.reshape(c, kh, kw, oh, ow, n)[...] = _windows(x_pad, params).transpose(
+            1, 4, 5, 2, 3, 0
+        )
         y = np.matmul(w, cols).reshape(o, oh, ow, n).transpose(3, 0, 1, 2)
-        # the layout that out.transpose(1, 0, 2, 3) + bias would take
+        # the layout that out.transpose(1, 0, 2, 3) + bias below takes
         return np.add(y, bias, out=np.empty_like(out.transpose(1, 0, 2, 3)))
+    win = _windows(_pad(x, params.padding), params)
     out_cols = out.reshape(o, n * span)
 
     def fill(blocks, start):

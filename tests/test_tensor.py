@@ -358,6 +358,26 @@ TILED_CONV_SHAPES = {
     "untiled_30x30": (20, 57, 30, 30, 23, 3, 1, 1),
 }
 
+# the TILED_CONV_SHAPES whose input gradient orders the im2col columns
+# (oh, ow, n): every map narrower than 16; no forward among them does
+TILED_GRAD_BATCH_INNERMOST = {
+    *(f"vgg14_conv{l}_n8" for l in range(5, 14)),
+    "pruned_93_to_10_8x8",
+    "pruned_60_to_13_8x8",
+    "pruned_51_to_9_12x12",
+}
+
+# VGG-14's short-row convs at the CLI's training batch of 32 and at a last
+# batch of 16 (convs 7, 10, 12 and 13 repeat the shapes of 6, 9 and 11):
+# their input gradients order the columns batch innermost, their forwards
+# do not
+VGG14_SHORT_ROW_SHAPES = {
+    name: shape
+    for batch in (32, 16)
+    for name, shape in cnn_conv_shapes("vgg14", VGG14_CHANNELS, {2, 4, 7, 10, 13}, batch).items()
+    if name.split("_")[1] in {"conv5", "conv6", "conv8", "conv9", "conv11"}
+}
+
 
 class TestConvForwardBitwise:
     """conv2d_forward equals the einsum form exactly, values and strides, at
@@ -405,14 +425,32 @@ class TestColumnOrder:
         T.conv2d_backward(x, p, g, input_grad=False)
         assert grad == []
 
-    @pytest.mark.parametrize("shape", TILED_CONV_SHAPES.values(), ids=TILED_CONV_SHAPES)
-    def test_network_shapes_keep_the_batch_outermost(self, shape, monkeypatch):
+    @pytest.mark.parametrize("name", TILED_CONV_SHAPES)
+    def test_network_shapes(self, name, monkeypatch):
         """VGG-14 and the CIFAR net, at the batches evolve-vgg and
-        finetune-cifar run, keep the (n, oh, ow) order in the forward."""
-        x, p = conv_case(shape)
+        finetune-cifar run, keep the (n, oh, ow) order in the forward; the
+        input gradient's rule holds exactly on TILED_GRAD_BATCH_INNERMOST."""
+        x, p = conv_case(TILED_CONV_SHAPES[name])
         forward = record_results(monkeypatch, "_batch_innermost_forward")
         T.conv2d_forward(x, p)
         assert forward == [False]
+        oh, ow = T.conv_output_hw(p, *x.shape[2:])
+        assert T._batch_innermost_grad(x.shape[0], oh, ow) == (name in TILED_GRAD_BATCH_INNERMOST)
+
+    @pytest.mark.parametrize("shape", VGG14_SHORT_ROW_SHAPES.values(), ids=VGG14_SHORT_ROW_SHAPES)
+    @pytest.mark.parametrize("x_layout", [np.asarray, channel_major], ids=["x_nchw", "x_cnhw"])
+    @pytest.mark.parametrize("g_layout", [np.asarray, channel_major], ids=["g_nchw", "g_cnhw"])
+    def test_vgg14_short_rows_equal_einsum_form(self, shape, x_layout, g_layout, monkeypatch):
+        """VGG-14's convs 5-13 as the CLI trains them: the input gradient
+        takes the batch-innermost order and the forward does not, and both
+        equal their einsum forms bit for bit."""
+        x, p, g = backward_case(shape, x_layout, g_layout)
+        forward = record_results(monkeypatch, "_batch_innermost_forward")
+        got, want = T.conv2d_forward(x, p), einsum_conv2d_forward(x, p)
+        assert np.array_equal(got, want) and got.strides == want.strides
+        grad = record_results(monkeypatch, "_batch_innermost_grad")
+        assert_backward_equals_einsum(x, p, g)
+        assert forward == [False] and grad == [True]
 
     def test_toy_finetune_takes_batch_innermost_columns(self, monkeypatch, toy_dataset):
         """Every conv call of a toy-network fine-tune, the last short batch
