@@ -2,9 +2,11 @@
 
 Subcommands: train, evolve-layer, prune, baseline, sweep, report. Every
 run writes a self-describing directory: config.echo (the merged JSON
-config), log.txt, any produced model under model/, Pareto fronts under
-fronts/, and report.json. Re-running with the echoed config and seeds
-reproduces all numeric outputs.
+config), log.txt, any produced model under model/, and report.json, the one
+record of the run's results (Pareto fronts included). Re-running with the
+echoed config and seeds reproduces all numeric outputs. `baseline --retain`
+takes one fraction for every planned layer or a prune run's report.json,
+whose per-layer retained rates it replays.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import network as N
 from .data import Dataset, SyntheticParams, generate_synthetic, load_cifar10
-from .evolution import EvolutionConfig, run_summary, write_front_csv
+from .evolution import EvolutionConfig, run_summary
 from .exceptions import (
     ArgumentError,
     PlanError,
@@ -267,6 +269,55 @@ def open_run(args, command: str, settings: Settings) -> Path:
     return run_dir
 
 
+def read_retain(text: str) -> float | dict[int, dict]:
+    """--retain as one fraction in (0, 1], or, where it is not a number, the
+    path of a prune run's report.json, returned as its layer rows by ordinal."""
+    try:
+        fraction = float(text)
+    except ValueError:
+        pass
+    else:
+        check_fraction("--retain", fraction)
+        return fraction
+    try:
+        report = json.loads(Path(text).read_text())
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+        raise ArgumentError(f"cannot read --retain report {text}: {e}") from e
+    layers = report.get("layers") if isinstance(report, dict) else None
+    if not isinstance(layers, list) or report.get("command") != "prune" or not all(
+        isinstance(row, dict) and {"ordinal", "num_filters", "retained_rate"} <= set(row)
+        for row in layers
+    ):
+        raise ArgumentError(f"--retain {text} is not the report.json of a prune run")
+    for row in layers:
+        check_fields(row, "an integer", ("ordinal", "num_filters"), section="layers")
+        check_fields(row, "a number", ("retained_rate",), section="layers")
+        check_fraction("layers.retained_rate", row["retained_rate"])
+    return {row["ordinal"]: row for row in layers}
+
+
+def planned_rates(
+    retain: float | dict[int, dict], groups: list[list[int]], net: Network
+) -> dict[int, float]:
+    """The retained fraction of each planned conv: the one --retain fraction,
+    or the rate in the report's row for that conv, which must record the
+    model's width of it."""
+    planned = [l for group in groups for l in group]
+    if not isinstance(retain, dict):
+        return dict.fromkeys(planned, retain)
+    for l in planned:
+        row = retain.get(l)
+        if row is None:
+            raise ArgumentError(f"the --retain report has no row for planned conv {l}")
+        width = net.conv(l).params.out_channels
+        if row["num_filters"] != width:
+            raise ArgumentError(
+                f"the --retain report's conv {l} has {row['num_filters']} filters, "
+                f"the model's has {width}"
+            )
+    return {l: retain[l]["retained_rate"] for l in planned}
+
+
 def write_report(run_dir: Path, payload: dict) -> None:
     # a NaN, the accuracy of a run without a test split, is not JSON: null
     payload = json.loads(json.dumps(payload), parse_constant=lambda _: None)
@@ -302,7 +353,6 @@ def cmd_evolve_layer(args) -> int:
     evo = s.evolution
     calib = calibration_batch(dataset, s.calibration_size, evo.seed)
     summary = run_summary(evo, evolve_layer(net, calib, args.layer, evo))
-    write_front_csv(summary["front"], run_dir / "fronts" / f"layer_{args.layer}.csv")
     summary["command"] = "evolve-layer"
     summary["layer"] = args.layer
     write_report(run_dir, summary)
@@ -326,8 +376,6 @@ def cmd_prune(args) -> int:
         calibration_size=s.calibration_size,
     )
     save_model(pruned, run_dir / "model")
-    for row in report.layers:
-        write_front_csv(row["front"], run_dir / "fronts" / f"layer_{row['ordinal']}.csv")
     payload = report.to_dict()
     payload["command"] = "prune"
     write_report(run_dir, payload)
@@ -339,9 +387,9 @@ def cmd_prune(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    check_fraction("--retain", args.retain)
+    retain = read_retain(args.retain)
     s, net, dataset = read_run(args)
-    rates = {l: args.retain for group in group_layers(s.plan, net.num_convs) for l in group}
+    rates = planned_rates(retain, group_layers(s.plan, net.num_convs), net)
     dataset.require_nonempty()
     run_dir = open_run(args, "baseline", s)
     pruned, accuracies = baseline_prune(
@@ -352,7 +400,8 @@ def cmd_baseline(args) -> int:
     payload = {
         "command": "baseline",
         "criterion": args.criterion,
-        "retain": args.retain,
+        "retain": args.retain if isinstance(retain, dict) else retain,
+        "rates": rates,
         "params_before": N.count_params(net),
         "params_after": N.count_params(pruned),
         "stage_accuracies": accuracies,
@@ -378,10 +427,6 @@ def cmd_sweep(args) -> int:
         net, dataset, fractions, s.evolution, s.finetune,
         calibration_size=s.calibration_size,
     )
-    lines = ["fraction,remained_params_pct,accuracy"] + [
-        f"{row['fraction']},{row['remained_params_pct']},{row['accuracy']}" for row in rows
-    ]
-    (run_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     write_report(run_dir, {"command": "sweep", "rows": rows})
     for row in rows:
         print(
@@ -443,7 +488,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="prune with a heuristic criterion")
     common(p)
     p.add_argument("--criterion", choices=["random", "l2", "fpgm"], required=True)
-    p.add_argument("--retain", type=float, default=0.5)
+    p.add_argument(
+        "--retain", default="0.5",
+        help="fraction in (0, 1] of each planned conv's filters to keep, or the "
+        "report.json of a prune run, whose per-conv retained_rate is kept",
+    )
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("sweep", help="uniform-retention sweep")

@@ -10,10 +10,8 @@ scheduled.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import asdict, dataclass, replace
 from math import ceil, floor
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -342,17 +340,6 @@ def front_rows(front: list[Individual]) -> list[dict]:
         }
         for ind in front
     ]
-
-
-def write_front_csv(rows: list[dict], path: str | Path) -> None:
-    """Write front_rows output as CSV. csv writes floats with str(), which
-    reads back exactly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, ["filter_pct", "error", "retained_count", "mask_hex"])
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 def run_summary(

@@ -329,7 +329,9 @@ def conv2d_backward(
 
     def weight_grad():
         index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
-        cols = np.take(x_pad.reshape(n, -1), index, axis=1).reshape(n * oh * ow, -1)
+        # explicit sizes: a -1 cannot be inferred for an empty batch
+        flat = x_pad.reshape(n, c * x_pad.shape[2] * x_pad.shape[3])
+        cols = np.take(flat, index, axis=1).reshape(n * oh * ow, c * kh * kw)
         return np.matmul(g, cols).reshape(params.weights.shape)
 
     def x_grad():

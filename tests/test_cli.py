@@ -1,5 +1,4 @@
 import contextlib
-import csv
 import io
 import json
 
@@ -38,16 +37,6 @@ def config_dataset(cfg):
     """The dataset a config file names, for its builtin toy model."""
     s = read_settings(load_config(cfg))
     return build_dataset(s.dataset, tuple(s.model["input_shape"]))
-
-
-def read_front(path, num_filters):
-    """(genes, filter_pct, error) of each row of a front CSV."""
-    with path.open(newline="") as fh:
-        return [
-            (mask_from_hex(row["mask_hex"], num_filters), float(row["filter_pct"]),
-             float(row["error"]))
-            for row in csv.DictReader(fh)
-        ]
 
 
 class TestReport:
@@ -117,16 +106,22 @@ class TestTrain:
 
 
 class TestEvolveLayer:
-    def test_writes_front_csv(self, tmp_path):
+    def test_report_holds_the_front(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(tmp_path)
         assert run(["evolve-layer", "--config", cfg, "--out", str(out), "--layer", "2"]) == 0
-        rows = read_front(out / "fronts" / "layer_2.csv", 16)
-        assert len(rows) >= 1
-        pcts = [pct for _, pct, _ in rows]
-        assert pcts == sorted(pcts)
         payload = json.loads((out / "report.json").read_text())
         assert payload["layer"] == 2
+        front = payload["front"]
+        assert len(front) >= 1
+        pcts = [row["filter_pct"] for row in front]
+        assert pcts == sorted(pcts)
+        for row in front:
+            genes = mask_from_hex(row["mask_hex"], 16)
+            assert genes.sum() == row["retained_count"]
+            assert row["filter_pct"] == row["retained_count"] / 16
+        # report.json is the run's one record
+        assert sorted(p.name for p in out.iterdir()) == ["config.echo", "log.txt", "report.json"]
 
     def test_alpha_modes_produce_comparable_fronts(self, tmp_path):
         # layer 1 has only 8 filters so both searches converge to the
@@ -146,10 +141,7 @@ class TestEvolveLayer:
             ) == 0
             report = json.loads((out / "report.json").read_text())
             assert report["config"]["alpha_mode"] == mode
-            outs[mode] = {
-                int(genes.sum()): error
-                for genes, _, error in read_front(out / "fronts" / "layer_1.csv", 8)
-            }
+            outs[mode] = {row["retained_count"]: row["error"] for row in report["front"]}
         shared = set(outs["optimized"]) & set(outs["fixed_one"])
         assert shared
         for k in shared:
@@ -185,12 +177,11 @@ class TestConfigIsTheRecord:
         assert "alpha_mode=fixed_one" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv, outputs",
-        [(["evolve-layer", "--layer", "1"], ["report.json", "fronts/layer_1.csv"]),
-         (["report", "--with-accuracy"], ["report.json"])],
+        "argv",
+        [["evolve-layer", "--layer", "1"], ["report", "--with-accuracy"]],
         ids=["evolve-layer", "report"],
     )
-    def test_model_flag_is_echoed_as_model_path(self, tmp_path, argv, outputs):
+    def test_model_flag_is_echoed_as_model_path(self, tmp_path, argv):
         # a rerun from the echo alone loads the model --model named, not the
         # builtin net of the same shape
         model = tmp_path / "model"
@@ -203,10 +194,9 @@ class TestConfigIsTheRecord:
         echoed = tmp_path / "echoed.json"
         echoed.write_text((first / "config.echo").read_text())
         assert run([*argv, "--config", str(echoed), "--out", str(second)]) == 0
-        for name in outputs:
-            assert (first / name).read_bytes() == (second / name).read_bytes()
-        assert run([*argv, "--config", cfg, "--out", str(builtin)]) == 0
         report = (first / "report.json").read_bytes()
+        assert (second / "report.json").read_bytes() == report
+        assert run([*argv, "--config", cfg, "--out", str(builtin)]) == 0
         assert (builtin / "report.json").read_bytes() != report
 
     @pytest.mark.parametrize("with_config", [True, False], ids=["config", "defaults"])
@@ -268,8 +258,7 @@ class TestPrune:
         payload = json.loads((out / "report.json").read_text())
         assert payload["remained_parameter_pct"] < 100.0
         assert len(payload["layers"]) == 4
-        for l in range(1, 5):
-            assert (out / "fronts" / f"layer_{l}.csv").exists()
+        assert not (out / "fronts").exists()
         net = load_model(out / "model")
         counts = {row["ordinal"]: row["retained_count"] for row in payload["layers"]}
         for l in range(1, 5):
@@ -288,23 +277,6 @@ class TestPrune:
         assert payload["final_accuracy"] == payload["stages"][-1]["accuracy"] == fresh
         payload["final_accuracy"] = fresh
         assert json.dumps(payload, indent=2) == text
-
-    def test_front_csvs_match_report(self, prune_run):
-        _, out, _, _ = prune_run
-        payload = json.loads((out / "report.json").read_text())
-        for row in payload["layers"]:
-            path = out / "fronts" / f"layer_{row['ordinal']}.csv"
-            with path.open(newline="") as fh:
-                csv_rows = [
-                    {
-                        "filter_pct": float(r["filter_pct"]),
-                        "error": float(r["error"]),
-                        "retained_count": int(r["retained_count"]),
-                        "mask_hex": r["mask_hex"],
-                    }
-                    for r in csv.DictReader(fh)
-                ]
-            assert csv_rows == row["front"]
 
     def test_rerun_reproduces_numbers(self, prune_run):
         _, out, _, tmp_path = prune_run
@@ -336,6 +308,26 @@ class TestBaselineAndSweep:
         payload = json.loads((out / "report.json").read_text())
         assert payload["params_after"] < payload["params_before"]
         assert len(payload["stage_accuracies"]) == 4
+        assert payload["retain"] == 0.5
+        assert payload["rates"] == {str(l): 0.5 for l in range(1, 5)}
+
+    def test_baseline_replays_prune_rates(self, prune_run, tmp_path):
+        # --retain names a prune report: each conv keeps the knee's filter count
+        _, prune_out, cfg, _ = prune_run
+        report = prune_out / "report.json"
+        pruned = json.loads(report.read_text())
+        out = tmp_path / "run"
+        assert run(["baseline", "--config", cfg, "--out", str(out),
+                    "--criterion", "random", "--retain", str(report)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["retain"] == str(report)
+        assert payload["rates"] == {
+            str(row["ordinal"]): row["retained_rate"] for row in pruned["layers"]
+        }
+        net = load_model(out / "model")
+        for row in pruned["layers"]:
+            assert net.conv(row["ordinal"]).params.out_channels == row["retained_count"]
+        assert payload["params_after"] == pruned["params_after"]
 
     def test_sweep(self, tmp_path):
         out = tmp_path / "run"
@@ -345,9 +337,10 @@ class TestBaselineAndSweep:
                  "--fractions", "0.5,1.0"])
             == 0
         )
-        text = (out / "sweep.csv").read_text().strip().splitlines()
-        assert text[0] == "fraction,remained_params_pct,accuracy"
-        assert len(text) == 3
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [row["fraction"] for row in rows] == [0.5, 1.0]
+        assert all(set(row) >= {"remained_params_pct", "accuracy"} for row in rows)
+        assert not (out / "sweep.csv").exists()
 
     def test_baseline_empty_plan_reports_unpruned_accuracy(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -452,9 +445,34 @@ def four_channel_input(manifest):
 
 FAST_EVO = FAST_OVERRIDES["evolution"]
 
-# id: (argv, config overrides, raw config text or a function of tmp_path that
-# writes a config file, manifest edit of a saved model passed with --model,
-# exit code, error type)
+def retain_report(text):
+    """An argv entry: a function of tmp_path that writes `text` as a --retain
+    report (no file for None) and returns its path."""
+
+    def write(tmp_path):
+        path = tmp_path / "prune_report.json"
+        if text is not None:
+            path.write_text(text)
+        return str(path)
+
+    return write
+
+
+def prune_report_text(widths, command="prune"):
+    """A report of `command` whose layers keep half of each conv's filters:
+    `widths` maps ordinal to num_filters."""
+    layers = [{"ordinal": l, "num_filters": w, "retained_count": w // 2,
+               "retained_rate": 0.5} for l, w in widths.items()]
+    return json.dumps({"command": command, "layers": layers})
+
+
+TOY_WIDTHS = {1: 8, 2: 16, 3: 16, 4: 16}
+RETAIN_REPORT = ["baseline", "--criterion", "random", "--retain"]
+
+# id: (argv, whose entries may be functions of tmp_path that return one,
+# config overrides, raw config text or a function of tmp_path that writes a
+# config file, manifest edit of a saved model passed with --model, exit code,
+# error type)
 ERROR_CASES = {
     "malformed_config": (["report"], "{not json", None, 2, "ArgumentError"),
     "missing_dataset_path": (
@@ -481,6 +499,24 @@ ERROR_CASES = {
     ),
     "retain_zero": (
         ["baseline", "--criterion", "l2", "--retain", "0"], {}, None, 2, "ArgumentError",
+    ),
+    "retain_report_missing": (
+        [*RETAIN_REPORT, retain_report(None)], {}, None, 2, "ArgumentError",
+    ),
+    "retain_report_not_json": (
+        [*RETAIN_REPORT, retain_report("{not json")], {}, None, 2, "ArgumentError",
+    ),
+    "retain_report_of_baseline": (
+        [*RETAIN_REPORT, retain_report(prune_report_text(TOY_WIDTHS, "baseline"))], {},
+        None, 2, "ArgumentError",
+    ),
+    "retain_report_lacks_layer": (
+        [*RETAIN_REPORT, retain_report(prune_report_text({1: 8, 2: 16, 3: 16}))], {},
+        None, 2, "ArgumentError",
+    ),
+    "retain_report_width_mismatch": (
+        [*RETAIN_REPORT, retain_report(prune_report_text({**TOY_WIDTHS, 2: 8}))], {},
+        None, 2, "ArgumentError",
     ),
     "unknown_layer": (
         ["evolve-layer", "--layer", "9"], {}, None, 5, "UnknownLayerError",
@@ -935,6 +971,7 @@ class TestErrors:
             cfg.write_text(config)
         else:
             cfg = write_config(tmp_path, config)
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
         argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]
         if edit_manifest is not None:
             argv += ["--model", str(saved_toy_model(tmp_path, edit_manifest))]
@@ -1008,13 +1045,21 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [["sweep", "--fractions", "0.5,abc"], ["sweep", "--fractions", "0,0.5"],
-         ["baseline", "--criterion", "random", "--retain", "1.5"]],
-        ids=["unparsable_fraction", "zero_fraction", "retain_above_one"],
+         ["baseline", "--criterion", "random", "--retain", "1.5"],
+         [*RETAIN_REPORT, retain_report(None)],
+         [*RETAIN_REPORT, retain_report("{not json")],
+         [*RETAIN_REPORT, retain_report(prune_report_text(TOY_WIDTHS, "baseline"))],
+         [*RETAIN_REPORT, retain_report(json.dumps({"command": "prune", "layers": [
+             {"ordinal": 1, "num_filters": 8, "retained_rate": 1.5}]}))]],
+        ids=["unparsable_fraction", "zero_fraction", "retain_above_one",
+             "retain_report_missing", "retain_report_not_json", "retain_report_of_baseline",
+             "retain_report_rate_above_one"],
     )
     def test_flag_error_builds_no_dataset(self, tmp_path, monkeypatch, argv):
         built = []
         for target in ("smoea.cli.load_cifar10", "smoea.cli.generate_synthetic"):
             monkeypatch.setattr(target, lambda *a, **k: built.append(a))
+        argv = [a(tmp_path) if callable(a) else a for a in argv]
         cfg = write_config(tmp_path)
         assert run([*argv, "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         assert built == []

@@ -1,4 +1,3 @@
-import csv
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +22,6 @@ from smoea.evolution import (
     repair,
     run_summary,
     select_elites,
-    write_front_csv,
 )
 from smoea.exceptions import EvolutionError
 from smoea.objectives import ObjectiveVector
@@ -337,23 +335,6 @@ class TestExport:
     def test_mask_hex_round_trip(self, bits):
         genes = np.asarray(bits, dtype=bool)
         np.testing.assert_array_equal(mask_from_hex(mask_hex(genes), len(bits)), genes)
-
-    def test_front_csv_round_trip(self, tmp_path):
-        evaluate, _ = separable_problem()
-        res = evolve(
-            evaluate, 10, EvolutionConfig(population_size=30, elite_size=10,
-                                          generations=10, seed=1)
-        )
-        path = tmp_path / "front.csv"
-        write_front_csv(front_rows(res.front), path)
-        with path.open(newline="") as fh:
-            back = list(csv.DictReader(fh))
-        assert len(back) == len(res.front)
-        for a, b in zip(res.front, back):
-            np.testing.assert_array_equal(a.genes, mask_from_hex(b["mask_hex"], 10))
-            assert a.objectives.filter_pct == float(b["filter_pct"])
-            assert a.objectives.error == float(b["error"])
-            assert a.retained == int(b["retained_count"])
 
     def test_run_summary_schema(self):
         evaluate, _ = separable_problem()

@@ -104,6 +104,22 @@ class TestConvBackward:
         gx, gw, gb = T.conv2d_backward(x, p, np.zeros((1, 3, 4, 4)))
         assert not gx.any() and not gw.any() and not gb.any()
 
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_empty_batch(self, input_grad):
+        # an empty batch gives zero gradients, as the forward gives an empty result
+        rng = np.random.default_rng(0)
+        x = np.zeros((0, 4, 4, 4))
+        p = conv_params(3, 4, 3, padding=1, rng=rng)
+        g = T.conv2d_forward(x, p)
+        assert g.shape == (0, 3, 4, 4)
+        gx, gw, gb = T.conv2d_backward(x, p, g, input_grad=input_grad)
+        if input_grad:
+            assert gx.shape == x.shape
+        else:
+            assert gx is None
+        assert gw.shape == p.weights.shape and not gw.any()
+        assert gb.shape == (3,) and not gb.any()
+
     def test_single_pixel_1x1_kernel(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 1, 3, 3))
