@@ -30,6 +30,7 @@ from .exceptions import (
     UnknownLayerError,
     check_fields,
     check_fraction,
+    read_json_object,
 )
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
 from .pipeline import (
@@ -67,14 +68,7 @@ DEFAULT_CONFIG = {
     },
     "groups": {"l0": 1, "block_counts": [1, 1, 1, 1]},
     "evolution": asdict(EvolutionConfig()),
-    "finetune": {
-        "lr": 0.01,
-        "epochs": 8,
-        "milestones": [4, 6],
-        "batch_size": 32,
-        "momentum": 0.9,
-        "seed": 0,
-    },
+    "finetune": asdict(FineTuneConfig()),
     "calibration_size": 64,
 }
 
@@ -92,12 +86,7 @@ def _merge(base: dict, override: dict) -> dict:
 def load_config(path: str | None) -> dict:
     if path is None:
         return dict(DEFAULT_CONFIG)
-    try:
-        user = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise ArgumentError(f"cannot read config {path}: {e}") from e
-    if not isinstance(user, dict):
-        raise ArgumentError("config must be a JSON object")
+    user = read_json_object(path, ArgumentError, "config")
     unknown = set(user) - set(DEFAULT_CONFIG)
     if unknown:
         raise ArgumentError(f"unknown top-level config keys {sorted(unknown)}")
@@ -138,9 +127,7 @@ def check_fit(dataset: Dataset, net: Network) -> None:
             f"dataset images of shape {list(image_shape)} do not fit the model's "
             f"input_shape {list(net.input_shape)}"
         )
-    out_shape = net.input_shape
-    for lay in net.layers:
-        out_shape = lay.out_shape(out_shape)
+    out_shape = N.activation_shapes(net)[-1]
     if len(out_shape) != 1 or out_shape[0] < dataset.num_classes:
         raise ArgumentError(
             f"the model outputs shape {list(out_shape)} but the dataset has "
@@ -279,11 +266,8 @@ def read_retain(text: str) -> float | dict[int, dict]:
     else:
         check_fraction("--retain", fraction)
         return fraction
-    try:
-        report = json.loads(Path(text).read_text())
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
-        raise ArgumentError(f"cannot read --retain report {text}: {e}") from e
-    layers = report.get("layers") if isinstance(report, dict) else None
+    report = read_json_object(text, ArgumentError, "--retain report")
+    layers = report.get("layers")
     if not isinstance(layers, list) or report.get("command") != "prune" or not all(
         isinstance(row, dict) and {"ordinal", "num_filters", "retained_rate"} <= set(row)
         for row in layers

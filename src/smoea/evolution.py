@@ -10,7 +10,7 @@ scheduled.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from math import ceil, floor
 from typing import Callable
 
@@ -266,10 +266,10 @@ def _record(history: dict[str, list[float]], elites: list[Individual]) -> None:
 def evolve_subnetwork(ctx: EvaluationContext, cfg: EvolutionConfig) -> EvolutionResult:
     """Run the evolution loop against a sub-network evaluation context, in
     cfg's alpha mode."""
-    ctx = replace(ctx, alpha_mode=cfg.alpha_mode)
 
     def evaluate(genes: np.ndarray) -> ObjectiveVector:
-        return evaluate_individual(ctx, FilterMask(genes.astype(np.uint8), 0))
+        mask = FilterMask(genes.astype(np.uint8), 0)
+        return evaluate_individual(ctx, mask, alpha_mode=cfg.alpha_mode)
 
     return evolve(evaluate, ctx.num_filters, cfg)
 

@@ -1,9 +1,13 @@
 """Exception hierarchy shared across the package, and the checks of config
-fields and retained fractions that raise it.
+fields, retained fractions and JSON files that raise it.
 
 Every error carries an ``exit_code`` so the CLI can map failures to stable
 process exit statuses.
 """
+
+import json
+import math
+from pathlib import Path
 
 
 class SmoeaError(Exception):
@@ -76,10 +80,10 @@ def _is_int(value) -> bool:
 
 
 # what a field must be, as the message says it -> test of one value;
-# booleans never count as numbers
+# booleans never count as numbers, and NaN and +-inf are not numbers
 FIELD_KINDS = {
     "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
     "a list of integers": lambda v: isinstance(v, (list, tuple))
     and all(_is_int(x) for x in v),
     "a string or null": lambda v: v is None or isinstance(v, str),
@@ -114,3 +118,16 @@ def check_fraction(name: str, value: float) -> None:
     """A retained fraction must lie in (0, 1]."""
     if not 0 < value <= 1:
         raise ArgumentError(f"{name} must be in (0, 1], got {value}")
+
+
+def read_json_object(path: str | Path, error: type[SmoeaError], what: str) -> dict:
+    """The JSON object in the file at `path`, decoded as UTF-8. A file that
+    cannot be read, is not UTF-8 or not JSON, or holds no object raises
+    `error`, whose message names the file as `what`."""
+    try:
+        value = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+        raise error(f"cannot read {what} {path}: {e}") from e
+    if not isinstance(value, dict):
+        raise error(f"{what} {path} must be a JSON object")
+    return value

@@ -10,7 +10,7 @@ Layer protocol. Each layer class carries the semantics of its kind, so the
 functions below that walk a network are plain loops over its layers:
 
 - ``forward(x) -> (y, record)``: the output, plus what ``backward`` needs
-  besides the input (the winner record of a maxpool, else None);
+  besides the input (a maxpool's winner array, else None);
 - ``backward(x, record, g, input_grad) -> (g_in, grads)``: the gradient wrt
   the input, and ``(grad_weights, grad_bias)`` for a parametric layer, else
   None; a layer may return None for ``g_in`` when ``input_grad`` is False
@@ -38,7 +38,13 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .exceptions import GeometryError, MaskError, ModelFormatError, UnknownLayerError
+from .exceptions import (
+    GeometryError,
+    MaskError,
+    ModelFormatError,
+    UnknownLayerError,
+    read_json_object,
+)
 from .tensor import ConvParams
 
 MODEL_MANIFEST = "manifest.json"
@@ -262,10 +268,6 @@ class FilterMask:
         if not self.bits.any():
             raise MaskError("mask must retain at least one filter")
 
-    @property
-    def retained(self) -> int:
-        return int(self.bits.sum())
-
 
 @dataclass
 class Network:
@@ -487,12 +489,11 @@ def subnetwork_forward(
 
 
 def activation_shapes(net: Network) -> list[tuple[int, ...]]:
-    """Per-layer input shape (channel-first, no batch dim)."""
-    shape: tuple[int, ...] = net.input_shape
-    shapes = []
+    """Per-layer input shape (channel-first, no batch dim), then the
+    network's output shape."""
+    shapes: list[tuple[int, ...]] = [net.input_shape]
     for lay in net.layers:
-        shapes.append(shape)
-        shape = lay.out_shape(shape)
+        shapes.append(lay.out_shape(shapes[-1]))
     return shapes
 
 
@@ -560,18 +561,7 @@ def save_model(net: Network, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> Network:
     path = Path(path)
-    manifest_path = path / MODEL_MANIFEST
-    if not manifest_path.is_file():
-        raise ModelFormatError(f"no model manifest at {manifest_path}")
-    raw = manifest_path.read_text()
-    if not raw.strip():
-        raise ModelFormatError("empty model manifest")
-    try:
-        manifest = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ModelFormatError(f"malformed manifest: {e}") from e
-    if not isinstance(manifest, dict):
-        raise ModelFormatError("manifest must be a JSON object")
+    manifest = read_json_object(path / MODEL_MANIFEST, ModelFormatError, "model manifest")
     for key in ("format", "input_shape", "layers", "num_layers"):
         if key not in manifest:
             raise ModelFormatError(f"manifest missing field {key!r}")

@@ -50,18 +50,13 @@ def _check_alpha_mode(mode) -> None:
 
 @dataclass(frozen=True, eq=False)
 class EvaluationContext:
-    """What a mask's score reads on one layer's sub-network. The terms do
-    not depend on the alpha mode, so ``dataclasses.replace(ctx,
-    alpha_mode=...)`` shares them."""
+    """What a mask's score reads on one layer's sub-network, in either
+    alpha mode: evaluate_individual takes the mode."""
 
     gram: np.ndarray = field(repr=False)  # <Y_c, Y_c'>, [C, C]
     bias_cross: np.ndarray = field(repr=False)  # <Y_c, B>, [C]
     bias_sq: float  # ||B||^2
     ref_norm: float  # ||r||, the norm of the unmasked sub-network output
-    alpha_mode: str = "optimized"
-
-    def __post_init__(self):
-        _check_alpha_mode(self.alpha_mode)
 
     @classmethod
     def build(cls, sub: SubNetwork, map_l: np.ndarray) -> "EvaluationContext":
@@ -213,9 +208,11 @@ def reconstruction_error(
     return T.frobenius_norm(reference - a * approx)
 
 
-def evaluate_individual(ctx: EvaluationContext, mask: FilterMask) -> ObjectiveVector:
+def evaluate_individual(
+    ctx: EvaluationContext, mask: FilterMask, *, alpha_mode: str = "optimized"
+) -> ObjectiveVector:
     """Objective vector (filter_pct, error) for one mask, from the context's
-    Gram terms.
+    Gram terms, with alpha from optimal_alpha or, in the "fixed_one" mode, 1.
 
     With q = 1 - m, the part the mask removes is d = r - a = sum_c q_c Y_c.
     The squared error is ||d||^2 at alpha = 1 and ||d||^2 - <a, d>^2 / ||a||^2
@@ -223,6 +220,7 @@ def evaluate_individual(ctx: EvaluationContext, mask: FilterMask) -> ObjectiveVe
     ||r||^2 - <r, a>^2 / ||a||^2 keeps rounding at the scale of the error
     instead of the scale of ||r||.
     """
+    _check_alpha_mode(alpha_mode)
     if mask.bits.shape[0] != ctx.num_filters:
         raise MaskError(
             f"mask length {mask.bits.shape[0]} != {ctx.num_filters} filters"
@@ -231,7 +229,7 @@ def evaluate_individual(ctx: EvaluationContext, mask: FilterMask) -> ObjectiveVe
     q = 1.0 - m
     g_q, g_m = (ctx.gram @ np.column_stack((q, m))).T
     err_sq = q @ g_q  # ||d||^2
-    if ctx.alpha_mode == "optimized":
+    if alpha_mode == "optimized":
         a_sq = ctx.bias_sq + 2.0 * (m @ ctx.bias_cross) + m @ g_m
         if a_sq <= 0.0:  # alpha = 0, as optimal_alpha takes it
             return ObjectiveVector(filter_pct(mask), ctx.ref_norm)

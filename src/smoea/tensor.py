@@ -377,21 +377,15 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-@dataclass
-class PoolRecord:
-    """What maxpool backward needs: each window's winner, 0..3 in row-major
-    order within the 2x2 window (int8), plus the pooled input's shape."""
-
-    winner: np.ndarray
-    in_shape: tuple[int, int, int, int]
-
-
 # the 2x2 window positions in row-major order, as (row, col) offsets
 _QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, PoolRecord]:
-    """2x2 max pooling, stride 2, into a C-contiguous output.
+def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 max pooling, stride 2, into a C-contiguous output, and the record
+    that maxpool2x2_backward reads: each window's winner, 0..3 in row-major
+    order within the 2x2 window, as an int8 array of the output's shape (the
+    pooled input's shape is that shape with its spatial dims doubled).
 
     Bit-identical to an argmax over each window: np.maximum(later, earlier)
     returns its second operand on a tie, +0.0 against -0.0 included (as
@@ -400,7 +394,7 @@ def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, PoolRecord]:
     is the first slot equal to it. A NaN propagates to the output; its
     winner slot is not pinned.
     """
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h % 2 or w % 2:
         raise GeometryError(f"maxpool2x2 needs even spatial dims, got {h}x{w}")
     q = [x[:, :, di::2, dj::2] for di, dj in _QUADRANTS]
@@ -409,21 +403,21 @@ def maxpool2x2(x: np.ndarray) -> tuple[np.ndarray, PoolRecord]:
     out = np.maximum(bottom, top, order="C")
     not0, not1, not2 = (q[k] != out for k in range(3))
     winner = not0 * (not1 * (not2 + np.int8(1)) + np.int8(1))  # int8, 0..3
-    return out, PoolRecord(winner, (n, c, h, w))
+    return out, winner
 
 
-def maxpool2x2_backward(record: PoolRecord, grad_out: np.ndarray) -> np.ndarray:
-    n, c, h, w = record.in_shape
-    if tuple(grad_out.shape) != (n, c, h // 2, w // 2):
+def maxpool2x2_backward(winner: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    if grad_out.shape != winner.shape:
         raise ShapeError(
-            f"grad_out shape {tuple(grad_out.shape)}, expected {(n, c, h // 2, w // 2)}"
+            f"grad_out shape {tuple(grad_out.shape)}, expected {winner.shape}"
         )
+    n, c, h, w = winner.shape
+    g = np.empty((n, c, 2 * h, 2 * w))
     # each window slot gets grad_out's bits masked by an all-ones (winner)
     # or all-zeros (+0.0) word, so values and signed zeros pass exactly
-    g = np.empty((n, c, h, w))
     bits = np.asarray(grad_out, dtype=np.float64).view(np.int64)
     for k, (di, dj) in enumerate(_QUADRANTS):
-        mask = np.negative((record.winner == k).view(np.int8))
+        mask = np.negative((winner == k).view(np.int8))
         np.bitwise_and(bits, mask, out=g.view(np.int64)[:, :, di::2, dj::2])
     return g
 

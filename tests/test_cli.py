@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -446,16 +447,36 @@ def four_channel_input(manifest):
 FAST_EVO = FAST_OVERRIDES["evolution"]
 
 def retain_report(text):
-    """An argv entry: a function of tmp_path that writes `text` as a --retain
-    report (no file for None) and returns its path."""
+    """An argv entry: a function of tmp_path that writes `text` (str or bytes)
+    as a --retain report (no file for None) and returns its path."""
 
     def write(tmp_path):
         path = tmp_path / "prune_report.json"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text)
         return str(path)
 
     return write
+
+
+# a JSON document saved in Latin-1: its one accented byte is not UTF-8
+NOT_UTF8 = '{"calibration_size": 8, "note": "café"}'.encode("latin-1")
+
+
+def not_utf8_config(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(NOT_UTF8)
+    return str(path)
+
+
+def not_utf8_model(tmp_path):
+    """An argv entry: a saved toy model whose manifest is NOT_UTF8."""
+    model = tmp_path / "model"
+    save_model(build_toy_cnn(), model)
+    (model / "manifest.json").write_bytes(NOT_UTF8)
+    return str(model)
 
 
 def prune_report_text(widths, command="prune"):
@@ -506,6 +527,13 @@ ERROR_CASES = {
     "retain_report_not_json": (
         [*RETAIN_REPORT, retain_report("{not json")], {}, None, 2, "ArgumentError",
     ),
+    "retain_report_not_utf8": (
+        [*RETAIN_REPORT, retain_report(NOT_UTF8)], {}, None, 2, "ArgumentError",
+    ),
+    "config_not_utf8": (["report"], not_utf8_config, None, 2, "ArgumentError"),
+    "manifest_not_utf8": (
+        ["report", "--model", not_utf8_model], {}, None, 4, "ModelFormatError",
+    ),
     "retain_report_of_baseline": (
         [*RETAIN_REPORT, retain_report(prune_report_text(TOY_WIDTHS, "baseline"))], {},
         None, 2, "ArgumentError",
@@ -544,6 +572,8 @@ BAD_EVOLUTION_VALUES = {
     "crossover_prob_above_one": {"crossover_prob": 1.5},
     "mutation_prob_above_one": {"mutation_prob": 3.0},
     "negative_mutation_prob": {"mutation_prob": -0.1},
+    "nan_tau1": {"tau1": math.nan},
+    "infinite_tau2": {"tau2": math.inf},
     "unknown_alpha_mode": {"alpha_mode": "nonsense"},
 }
 for _name, _values in BAD_EVOLUTION_VALUES.items():
@@ -578,6 +608,7 @@ BAD_FINETUNE_VALUES = {
     "milestones_not_list": {"milestones": 3},
     "string_milestone": {"milestones": ["1"]},
     "string_lr": {"lr": "0.01"},
+    "infinite_lr": {"lr": math.inf},
     "momentum_one": {"momentum": 1.0},
     "string_momentum": {"momentum": "0.9"},
 }
@@ -612,6 +643,8 @@ BAD_MODEL_DATASET_VALUES = {
     "zero_model_classes": {"model": {"classes": 0}},
     "short_input_shape": {"model": {"input_shape": [3, 8]}},
     "string_noise": {"dataset": {"noise": "x"}},
+    "nan_noise": {"dataset": {"noise": math.nan}},
+    "negative_infinite_noise": {"dataset": {"noise": -math.inf}},
     "negative_train_per_class": {"dataset": {"train_per_class": -1}},
     "float_dataset_seed": {"dataset": {"seed": 1.5}},
     "int_cifar_path": {"dataset": {"kind": "cifar10-binary", "path": 5}},
@@ -726,6 +759,8 @@ def _invalid_list(entry):
     )
 
 
+_non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+
 _bad_entry = st.one_of(st.text(max_size=3), st.booleans(), st.none(), _non_integral)
 
 _invalid_probability = _invalid(
@@ -747,7 +782,9 @@ INVALID_FIELDS = {
     ("groups", "block_counts"): (
         _invalid_list(st.one_of(_bad_entry, st.integers(max_value=0))), 6,
     ),
-    ("finetune", "lr"): (_invalid(st.floats(max_value=0.0, allow_nan=False)), 2),
+    ("finetune", "lr"): (
+        _invalid(st.floats(max_value=0.0, allow_nan=False), _non_finite), 2,
+    ),
     ("finetune", "epochs"): (_invalid_int(0), 2),
     ("finetune", "milestones"): (_invalid_list(_bad_entry), 2),
     ("finetune", "batch_size"): (_invalid_int(1), 2),
@@ -766,6 +803,8 @@ INVALID_FIELDS = {
     ("evolution", "seed"): (_invalid_int(0), 2),
     ("evolution", "crossover_prob"): (_invalid_probability, 2),
     ("evolution", "mutation_prob"): (_invalid_probability, 2),
+    ("evolution", "tau1"): (_invalid(_non_finite), 2),
+    ("evolution", "tau2"): (_invalid(_non_finite), 2),
     ("evolution", "alpha_mode"): (_invalid_choice("optimized", "fixed_one"), 2),
     ("model", "path"): (_invalid(_non_integral, st.integers()).filter(
         lambda v: v is not None and not isinstance(v, str)
@@ -788,7 +827,7 @@ INVALID_FIELDS = {
     ("dataset", "classes"): (_invalid(_non_integral), 2),
     ("dataset", "train_per_class"): (_invalid_int(0), 2),
     ("dataset", "test_per_class"): (_invalid_int(0), 2),
-    ("dataset", "noise"): (_invalid(), 2),
+    ("dataset", "noise"): (_invalid(_non_finite), 2),
     ("dataset", "seed"): (_invalid_int(0), 2),
     ("model", "builtin"): (_invalid_choice("toy-cnn", "vgg14"), 2),
     ("dataset", "kind"): (_invalid_choice("synthetic", "cifar10-binary"), 2),

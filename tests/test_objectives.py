@@ -1,5 +1,4 @@
 import threading
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -234,15 +233,12 @@ TOY_TAILS = {
 
 @pytest.fixture(scope="module")
 def toy_contexts():
-    """{(tail kind, alpha mode): (sub, map_l, context)} over random
-    calibration inputs, each context built on its own."""
+    """{tail kind: (sub, map_l, context)} over random calibration inputs."""
     contexts = {}
     for kind, (l, shape) in TOY_TAILS.items():
         sub = biased_toy_subnetwork(l)
         map_l = np.random.default_rng(l).normal(size=shape)
-        for mode in ALPHA_MODES:
-            ctx = replace(EvaluationContext.build(sub, map_l), alpha_mode=mode)
-            contexts[kind, mode] = (sub, map_l, ctx)
+        contexts[kind] = (sub, map_l, EvaluationContext.build(sub, map_l))
     return contexts
 
 
@@ -253,13 +249,11 @@ def conv9_context():
     return sub, map_l, EvaluationContext.build(sub, map_l)
 
 
-def assert_matches_slow_path(sub, map_l, ctx, bits):
+def assert_matches_slow_path(sub, map_l, ctx, bits, mode="optimized"):
     mask = FilterMask(np.asarray(bits, dtype=np.uint8), 0)
-    fast = evaluate_individual(ctx, mask).error
+    fast = evaluate_individual(ctx, mask, alpha_mode=mode).error
     reference = subnetwork_forward(sub, map_l)
-    slow = reconstruction_error(
-        reference, subnetwork_forward(sub, map_l, mask), ctx.alpha_mode
-    )
+    slow = reconstruction_error(reference, subnetwork_forward(sub, map_l, mask), mode)
     bound = RTOL * slow + ATOL * T.frobenius_norm(reference)
     assert abs(fast - slow) <= bound, (fast, slow)
 
@@ -278,22 +272,22 @@ class TestGramForm:
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_every_tail_matches_slow_path(self, toy_contexts, kind, mode):
-        sub, map_l, ctx = toy_contexts[kind, mode]
+        sub, map_l, ctx = toy_contexts[kind]
         for bits in random_masks(ctx.num_filters, 12, seed=len(kind)):
-            assert_matches_slow_path(sub, map_l, ctx, bits)
+            assert_matches_slow_path(sub, map_l, ctx, bits, mode)
 
     @pytest.mark.parametrize("mode", ALPHA_MODES)
     def test_conv9_shaped_layer_matches_slow_path(self, conv9_context, mode):
         sub, map_l, ctx = conv9_context
-        ctx = replace(ctx, alpha_mode=mode)
         for bits in random_masks(512, 3, seed=9):
-            assert_matches_slow_path(sub, map_l, ctx, bits)
+            assert_matches_slow_path(sub, map_l, ctx, bits, mode)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_random_masks_property(self, toy_contexts, data):
-        kind, mode = data.draw(st.sampled_from(sorted(toy_contexts)))
-        sub, map_l, ctx = toy_contexts[kind, mode]
+        kind = data.draw(st.sampled_from(sorted(toy_contexts)))
+        mode = data.draw(st.sampled_from(ALPHA_MODES))
+        sub, map_l, ctx = toy_contexts[kind]
         c = ctx.num_filters
         index = st.integers(0, c - 1)
         bits = data.draw(
@@ -303,13 +297,13 @@ class TestGramForm:
                 st.lists(st.booleans(), min_size=c, max_size=c).filter(any),
             )
         )
-        assert_matches_slow_path(sub, map_l, ctx, bits)
+        assert_matches_slow_path(sub, map_l, ctx, bits, mode)
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_terms_equal_per_channel_responses(self, toy_contexts, kind):
         """G, h and beta against Y_c taken from the tail forward of channel c
         alone, minus the tail forward of all-zero channels (the bias B)."""
-        sub, map_l, ctx = toy_contexts[kind, "optimized"]
+        sub, map_l, ctx = toy_contexts[kind]
         first = T.conv2d_forward(map_l, sub.first.params)
         bias_out = subnetwork_tail_forward(sub, np.zeros_like(first))
         ys = []
@@ -327,7 +321,7 @@ class TestGramForm:
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_chunked_build_equals_unchunked(self, toy_contexts, kind, monkeypatch):
-        sub, map_l, _ = toy_contexts[kind, "optimized"]
+        sub, map_l, _ = toy_contexts[kind]
         x = T.conv2d_forward(map_l, sub.first.params)
         for lay in sub.interstitial:
             x, _ = lay.forward(x)
@@ -346,7 +340,7 @@ class TestGramForm:
         if kind == "conv9-shaped":
             sub, map_l, ctx = conv9_context
         else:
-            sub, map_l, ctx = toy_contexts[kind, "optimized"]
+            sub, map_l, ctx = toy_contexts[kind]
         assert ctx.ref_norm == T.frobenius_norm(subnetwork_forward(sub, map_l))
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
@@ -377,37 +371,34 @@ class TestGramForm:
         )
         assert_matches_slow_path(sub, map_l, ctx, bits)
 
-    def test_evolving_in_other_alpha_mode_shares_terms(self, toy_contexts, monkeypatch):
+    def test_one_context_serves_both_modes(self, toy_contexts, monkeypatch):
+        """evolve_subnetwork scores in its config's alpha mode on the one
+        context, whose terms are not built again."""
         from smoea.evolution import EvolutionConfig, evolve_subnetwork
-
-        cfg = EvolutionConfig(
-            population_size=12, elite_size=4, generations=3, seed=2, alpha_mode="fixed_one"
-        )
-        expect = evolve_subnetwork(toy_contexts["relu-conv", "fixed_one"][2], cfg)
 
         def rebuild(*args):
             raise AssertionError("Gram terms built again")
 
         monkeypatch.setattr(O, "_gram_terms", rebuild)
-        optimized = toy_contexts["relu-conv", "optimized"][2]
-        switched = replace(optimized, alpha_mode="fixed_one")
-        assert switched.alpha_mode == "fixed_one"
-        assert switched.gram is optimized.gram
-        assert switched.bias_cross is optimized.bias_cross
-        got = evolve_subnetwork(optimized, cfg)
-        assert [i.objectives.as_tuple() for i in got.front] == [
-            i.objectives.as_tuple() for i in expect.front
-        ]
-        assert optimized.alpha_mode == "optimized"
+        sub, map_l, ctx = toy_contexts["relu-conv"]
+        for mode in ALPHA_MODES:
+            cfg = EvolutionConfig(
+                population_size=12, elite_size=4, generations=3, seed=2, alpha_mode=mode
+            )
+            for ind in evolve_subnetwork(ctx, cfg).front:
+                mask = FilterMask(ind.genes.astype(np.uint8), 0)
+                assert evaluate_individual(ctx, mask, alpha_mode=mode) == ind.objectives
+                assert_matches_slow_path(sub, map_l, ctx, ind.genes, mode)
 
     def test_unknown_alpha_mode(self, ctx, reference):
         with pytest.raises(ArgumentError):
-            EvaluationContext(ctx.gram, ctx.bias_cross, ctx.bias_sq, ctx.ref_norm, "nonsense")
-        with pytest.raises(ArgumentError):
-            replace(ctx, alpha_mode="nonsense")
+            evaluate_individual(ctx, mask_of([1] * 16), alpha_mode="nonsense")
         with pytest.raises(ArgumentError):
             reconstruction_error(reference, reference, "nonsense")
 
+    def test_alpha_mode_is_keyword_only(self, ctx):
+        with pytest.raises(TypeError):
+            evaluate_individual(ctx, mask_of([1] * 16), "fixed_one")
 
 def second_layer_input(sub, map_l):
     """What EvaluationContext.build feeds _gram_terms: map_l through the

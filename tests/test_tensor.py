@@ -712,9 +712,9 @@ class TestMaxPool:
 
     def test_constant_input_routes_to_top_left(self):
         x = np.ones((1, 1, 4, 4))
-        out, rec = T.maxpool2x2(x)
+        out, winner = T.maxpool2x2(x)
         assert np.all(out == 1.0)
-        gx = T.maxpool2x2_backward(rec, np.ones((1, 1, 2, 2)))
+        gx = T.maxpool2x2_backward(winner, np.ones((1, 1, 2, 2)))
         expect = np.zeros((1, 1, 4, 4))
         expect[0, 0, ::2, ::2] = 1.0
         np.testing.assert_array_equal(gx, expect)
@@ -736,9 +736,9 @@ class TestMaxPool:
     def test_backward_routes_to_argmax(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 3, 6, 6))
-        _, rec = T.maxpool2x2(x)
+        _, winner = T.maxpool2x2(x)
         g = rng.normal(size=(2, 3, 3, 3))
-        gx = T.maxpool2x2_backward(rec, g)
+        gx = T.maxpool2x2_backward(winner, g)
         # each window's gradient lands entirely on its maximum
         for b in range(2):
             for c in range(3):
@@ -777,10 +777,10 @@ class TestMaxPoolBitwise:
         # the window's maximum sits at every slot whose bit is set in subset
         slots = [k for k in range(4) if subset >> k & 1]
         x = np.where([subset >> k & 1 for k in range(4)], 2.0, -1.0).reshape(1, 1, 2, 2)
-        out, rec = T.maxpool2x2(x)
+        out, winner = T.maxpool2x2(x)
         assert out[0, 0, 0, 0] == 2.0
-        assert rec.winner[0, 0, 0, 0] == slots[0]
-        gx = T.maxpool2x2_backward(rec, np.full((1, 1, 1, 1), 3.0))
+        assert winner[0, 0, 0, 0] == slots[0]
+        gx = T.maxpool2x2_backward(winner, np.full((1, 1, 1, 1), 3.0))
         expect = np.zeros(4)
         expect[slots[0]] = 3.0
         np.testing.assert_array_equal(gx.ravel(), expect)
@@ -790,13 +790,13 @@ class TestMaxPoolBitwise:
         vals = np.array([-0.0, 0.0, -1.0, 1.0])
         grid = np.stack(np.meshgrid(*[np.arange(4)] * 4, indexing="ij"), -1).reshape(-1, 4)
         x = vals[grid].reshape(1, -1, 2, 2)
-        out, rec = T.maxpool2x2(x)
+        out, winner = T.maxpool2x2(x)
         want, idx = argmax_maxpool2x2(x)
         assert np.array_equal(out, want)
         assert np.array_equal(np.signbit(out), np.signbit(want))
-        assert np.array_equal(rec.winner, idx)
+        assert np.array_equal(winner, idx)
         g = np.where(np.arange(x.shape[1]) % 2, -0.0, -1.5).reshape(out.shape)
-        got_g = T.maxpool2x2_backward(rec, g)
+        got_g = T.maxpool2x2_backward(winner, g)
         want_g = argmax_maxpool2x2_backward(idx, g)
         assert np.array_equal(got_g, want_g)
         assert np.array_equal(np.signbit(got_g), np.signbit(want_g))
@@ -808,13 +808,13 @@ class TestMaxPoolBitwise:
         x = rng.normal(size=shape)
         x[x < 0] = 0.0  # relu output: many all-zero ties
         x = layout(x)
-        out, rec = T.maxpool2x2(x)
+        out, winner = T.maxpool2x2(x)
         want, idx = argmax_maxpool2x2(x)
         assert np.array_equal(out, want) and out.strides == want.strides
         assert out.flags.c_contiguous
-        assert np.array_equal(rec.winner, idx)
+        assert np.array_equal(winner, idx)
         g = layout(rng.normal(size=out.shape))
-        got_g = T.maxpool2x2_backward(rec, g)
+        got_g = T.maxpool2x2_backward(winner, g)
         want_g = argmax_maxpool2x2_backward(idx, g)
         assert np.array_equal(got_g, want_g) and got_g.strides == want_g.strides
 
