@@ -149,14 +149,10 @@ def generate_synthetic(params: SyntheticParams) -> Dataset:
     templates = rng.normal(0.0, 1.0, size=(params.classes, *shape))
 
     def sample(per_class: int) -> tuple[np.ndarray, np.ndarray]:
-        images = np.empty((params.classes * per_class, *shape))
-        labels = np.empty(params.classes * per_class, dtype=np.int64)
-        i = 0
-        for c in range(params.classes):
-            for _ in range(per_class):
-                images[i] = templates[c] + params.noise * rng.normal(size=shape)
-                labels[i] = c
-                i += 1
+        # one draw, filled in stream order: each sample's own draw, in turn
+        images = templates.repeat(per_class, axis=0)
+        images += params.noise * rng.normal(size=images.shape)
+        labels = np.arange(params.classes).repeat(per_class)
         order = rng.permutation(len(labels))
         return images[order], labels[order]
 

@@ -7,6 +7,7 @@ process exit statuses.
 
 import json
 import math
+import sys
 from pathlib import Path
 
 
@@ -80,10 +81,12 @@ def _is_int(value) -> bool:
 
 
 # what a field must be, as the message says it -> test of one value;
-# booleans never count as numbers, and NaN and +-inf are not numbers
+# booleans never count as numbers, and NaN, +-inf and integers beyond the
+# float range are not numbers (math.isfinite raises on such an integer)
 FIELD_KINDS = {
     "an integer": _is_int,
-    "a number": lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)),
+    "a number": lambda v: (_is_int(v) and abs(v) <= sys.float_info.max)
+    or (isinstance(v, float) and math.isfinite(v)),
     "a list of integers": lambda v: isinstance(v, (list, tuple))
     and all(_is_int(x) for x in v),
     "a string or null": lambda v: v is None or isinstance(v, str),

@@ -268,6 +268,11 @@ class FilterMask:
         if not self.bits.any():
             raise MaskError("mask must retain at least one filter")
 
+    def check_width(self, filters: int) -> None:
+        """Raise MaskError unless the mask has one bit per filter."""
+        if self.bits.shape[0] != filters:
+            raise MaskError(f"mask length {self.bits.shape[0]} != {filters} filters")
+
 
 @dataclass
 class Network:
@@ -434,10 +439,7 @@ def apply_mask(net: Network, mask: FilterMask) -> Network:
     """Zero out the pruned output-channel slices (weights and bias) of conv
     layer mask.layer_ordinal; returns a new network."""
     p = net.conv(mask.layer_ordinal).params
-    if mask.bits.shape[0] != p.out_channels:
-        raise MaskError(
-            f"mask length {mask.bits.shape[0]} != {p.out_channels} filters"
-        )
+    mask.check_width(p.out_channels)
     keep = mask.bits.astype(np.float64)
     new_params = replace(
         p, weights=p.weights * keep[:, None, None, None], bias=p.bias * keep
@@ -448,11 +450,8 @@ def apply_mask(net: Network, mask: FilterMask) -> Network:
 
 
 def extract_subnetwork(net: Network, ordinal: int) -> SubNetwork:
-    pos = net.conv_positions
-    if not 1 <= ordinal <= len(pos):
-        raise UnknownLayerError(f"no conv layer with ordinal {ordinal}")
-    i = pos[ordinal - 1]
-    first = net.layers[i]
+    first = net.conv(ordinal)
+    i = net.conv_positions[ordinal - 1]
     interstitial: list[Layer] = []
     for lay in net.layers[i + 1 :]:
         if lay.parametric:
@@ -474,11 +473,7 @@ def subnetwork_forward(
 ) -> np.ndarray:
     out = T.conv2d_forward(map_l, sub.first.params)
     if mask is not None:
-        if mask.bits.shape[0] != sub.first.params.out_channels:
-            raise MaskError(
-                f"mask length {mask.bits.shape[0]} != "
-                f"{sub.first.params.out_channels} filters"
-            )
+        mask.check_width(sub.first.params.out_channels)
         # zeroing the whole output channel equals masking weights+bias
         out = out * mask.bits.astype(np.float64)[None, :, None, None]
     return subnetwork_tail_forward(sub, out)
@@ -504,8 +499,7 @@ def compact(net: Network, masks: dict[int, FilterMask]) -> Network:
     for l, m in masks.items():
         if not 1 <= l <= len(pos):
             raise MaskError(f"mask ordinal {l} out of range")
-        if m.bits.shape[0] != net.conv(l).params.out_channels:
-            raise MaskError(f"mask length mismatch at conv {l}")
+        m.check_width(net.conv(l).params.out_channels)
     ordinal = {p: l for l, p in enumerate(pos, start=1)}
     layers: list[Layer] = []
     bits = None  # retained-channel flags of the last conv, if it was masked

@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .exceptions import ArgumentError, MaskError, NonFiniteError, ShapeError
+from .exceptions import ArgumentError, NonFiniteError, ShapeError
 from .network import FilterMask, SubNetwork
 
 ALPHA_MODES = ("optimized", "fixed_one")
@@ -221,10 +221,7 @@ def evaluate_individual(
     instead of the scale of ||r||.
     """
     _check_alpha_mode(alpha_mode)
-    if mask.bits.shape[0] != ctx.num_filters:
-        raise MaskError(
-            f"mask length {mask.bits.shape[0]} != {ctx.num_filters} filters"
-        )
+    mask.check_width(ctx.num_filters)
     m = mask.bits.astype(np.float64)
     q = 1.0 - m
     g_q, g_m = (ctx.gram @ np.column_stack((q, m))).T

@@ -611,6 +611,7 @@ BAD_FINETUNE_VALUES = {
     "infinite_lr": {"lr": math.inf},
     "momentum_one": {"momentum": 1.0},
     "string_momentum": {"momentum": "0.9"},
+    "lr_beyond_float": {"lr": 10**400},
 }
 for _name, _values in BAD_FINETUNE_VALUES.items():
     ERROR_CASES[_name] = (
@@ -645,6 +646,7 @@ BAD_MODEL_DATASET_VALUES = {
     "string_noise": {"dataset": {"noise": "x"}},
     "nan_noise": {"dataset": {"noise": math.nan}},
     "negative_infinite_noise": {"dataset": {"noise": -math.inf}},
+    "noise_beyond_float": {"dataset": {"noise": 10**400}},
     "negative_train_per_class": {"dataset": {"train_per_class": -1}},
     "float_dataset_seed": {"dataset": {"seed": 1.5}},
     "int_cifar_path": {"dataset": {"kind": "cifar10-binary", "path": 5}},
@@ -761,6 +763,9 @@ def _invalid_list(entry):
 
 _non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
+# integers no float can hold
+_beyond_float = st.sampled_from([10**400, -(10**400), 2**1024])
+
 _bad_entry = st.one_of(st.text(max_size=3), st.booleans(), st.none(), _non_integral)
 
 _invalid_probability = _invalid(
@@ -783,7 +788,7 @@ INVALID_FIELDS = {
         _invalid_list(st.one_of(_bad_entry, st.integers(max_value=0))), 6,
     ),
     ("finetune", "lr"): (
-        _invalid(st.floats(max_value=0.0, allow_nan=False), _non_finite), 2,
+        _invalid(st.floats(max_value=0.0, allow_nan=False), _non_finite, _beyond_float), 2,
     ),
     ("finetune", "epochs"): (_invalid_int(0), 2),
     ("finetune", "milestones"): (_invalid_list(_bad_entry), 2),
@@ -827,7 +832,7 @@ INVALID_FIELDS = {
     ("dataset", "classes"): (_invalid(_non_integral), 2),
     ("dataset", "train_per_class"): (_invalid_int(0), 2),
     ("dataset", "test_per_class"): (_invalid_int(0), 2),
-    ("dataset", "noise"): (_invalid(_non_finite), 2),
+    ("dataset", "noise"): (_invalid(_non_finite, _beyond_float), 2),
     ("dataset", "seed"): (_invalid_int(0), 2),
     ("model", "builtin"): (_invalid_choice("toy-cnn", "vgg14"), 2),
     ("dataset", "kind"): (_invalid_choice("synthetic", "cifar10-binary"), 2),

@@ -50,6 +50,46 @@ class TestSynthetic:
         ds = generate_synthetic(SyntheticParams(classes=4, seed=0))
         assert ds.num_classes == 4
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SyntheticParams(seed=1),
+            SyntheticParams(noise=1.0, seed=7),
+            SyntheticParams(height=32, width=32, test_per_class=0, seed=2),
+            SyntheticParams(classes=3, train_per_class=0, seed=5),
+        ],
+        ids=["defaults", "noise1_seed7", "32x32_no_test", "3_classes_no_train"],
+    )
+    def test_equals_per_sample_draws(self, params):
+        """The per-class draw gives the bytes of a per-sample loop."""
+        got, want = generate_synthetic(params), per_sample_synthetic(params)
+        for name in ("train_images", "train_labels", "test_images", "test_labels"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+
+
+def per_sample_synthetic(params: SyntheticParams) -> Dataset:
+    """generate_synthetic as one noise draw per sample, each added to its
+    class template in a Python loop."""
+    rng = np.random.default_rng(params.seed)
+    shape = (params.channels, params.height, params.width)
+    templates = rng.normal(0.0, 1.0, size=(params.classes, *shape))
+
+    def sample(per_class):
+        images = np.empty((params.classes * per_class, *shape))
+        labels = np.empty(params.classes * per_class, dtype=np.int64)
+        i = 0
+        for c in range(params.classes):
+            for _ in range(per_class):
+                images[i] = templates[c] + params.noise * rng.normal(size=shape)
+                labels[i] = c
+                i += 1
+        order = rng.permutation(len(labels))
+        return images[order], labels[order]
+
+    return Dataset(*sample(params.train_per_class), *sample(params.test_per_class))
+
 
 class TestCifarFormat:
     def test_round_trip_two_records(self, tmp_path):

@@ -525,6 +525,20 @@ class TestConvForwardTiling:
         padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
         assert peak < padded + 2 * out + T._forward_bound(p.weights) + 2**20
 
+    def test_batch_innermost_peak_memory_is_bounded(self):
+        """The toy net's conv 2 at a training batch, one block with its
+        columns batch innermost: the peak is the padded input, X and the
+        GEMM result; the bias-added result is made after X is freed."""
+        x, p = conv_case(BITWISE_CONV_SHAPES["toy_conv2"])
+        tracemalloc.start()
+        try:
+            T.conv2d_forward(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded, cols, out = 32 * 8 * 10 * 10 * 8, 72 * 32 * 8 * 8 * 8, 16 * 32 * 8 * 8 * 8
+        assert peak < padded + cols + out + 2**16
+
 
 class TestHelperThread:
     def test_helper_error_is_raised_and_the_next_call_works(self, monkeypatch):
