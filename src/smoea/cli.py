@@ -222,17 +222,21 @@ def read_settings(cfg: dict) -> Settings:
 def read_run(args, with_data: bool = True) -> tuple[Settings, Network, Dataset | None]:
     """Everything a run reads, checked and built while nothing is written:
     the config with --model folded in as model.path, the model and, with
-    `with_data`, the dataset checked to fit the model."""
+    `with_data`, the dataset checked to fit the model. A size field too
+    large for numpy to make its arrays raises ArgumentError."""
     cfg = load_config(args.config)
     if args.model:
         # a new section: the defaults' own model dict must stay as it is
         cfg["model"] = {**_section(cfg, "model"), "path": args.model}
     settings = read_settings(cfg)
-    net = build_model(settings.model)
-    if not with_data:
-        return settings, net, None
-    dataset = build_dataset(settings.dataset, net.input_shape)
-    check_fit(dataset, net)
+    try:
+        net = build_model(settings.model)
+        dataset = build_dataset(settings.dataset, net.input_shape) if with_data else None
+    except (ValueError, OverflowError, MemoryError) as e:
+        # numpy's refusals of a size field too large for an array
+        raise ArgumentError(f"a model or dataset size is too large: {e}") from e
+    if dataset is not None:
+        check_fit(dataset, net)
     return settings, net, dataset
 
 

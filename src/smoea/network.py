@@ -9,10 +9,13 @@ returns a new Network.
 Layer protocol. Each layer class carries the semantics of its kind, so the
 functions below that walk a network are plain loops over its layers:
 
-- ``forward(x) -> (y, record)``: the output, plus what ``backward`` needs
-  besides the input (a maxpool's winner array, else None);
-- ``backward(x, record, g, input_grad) -> (g_in, grads)``: the gradient wrt
-  the input, and ``(grad_weights, grad_bias)`` for a parametric layer, else
+- ``forward(x) -> (y, saved)``: the output, plus all that ``backward``
+  reads: a conv's or dense layer's input, a relu's bool mask ``x > 0``, a
+  maxpool's int8 winners, a flatten's input shape. A training step keeps
+  only these, so the conv outputs that feed the relus and the relu outputs
+  that feed the maxpools are freed as soon as the next layer has read them;
+- ``backward(saved, g, input_grad) -> (g_in, grads)``: the gradient wrt the
+  input, and ``(grad_weights, grad_bias)`` for a parametric layer, else
   None; a layer may return None for ``g_in`` when ``input_grad`` is False
   (the network's first layer, whose input gradient nobody reads);
 - ``out_shape(shape)`` and ``flops(shape)``: the per-sample output shape
@@ -110,9 +113,9 @@ class ConvLayer(ParametricLayer):
         return [self.params.weights, self.params.bias]
 
     def forward(self, x):
-        return T.conv2d_forward(x, self.params), None
+        return T.conv2d_forward(x, self.params), x
 
-    def backward(self, x, record, g, input_grad=True):
+    def backward(self, x, g, input_grad=True):
         g_in, gw, gb = T.conv2d_backward(x, self.params, g, input_grad)
         return g_in, (gw, gb)
 
@@ -161,10 +164,11 @@ class ReluLayer(Layer):
     kind = "relu"
 
     def forward(self, x):
-        return T.relu(x), None
+        return T.relu(x), x > 0
 
-    def backward(self, x, record, g, input_grad=True):
-        return T.relu_backward(x, g), None
+    def backward(self, mask, g, input_grad=True):
+        # relu_backward's predicate on the mask is the one it takes on x
+        return T.relu_backward(mask, g), None
 
 
 @dataclass
@@ -174,8 +178,8 @@ class PoolLayer(Layer):
     def forward(self, x):
         return T.maxpool2x2(x)
 
-    def backward(self, x, record, g, input_grad=True):
-        return T.maxpool2x2_backward(record, g), None
+    def backward(self, winner, g, input_grad=True):
+        return T.maxpool2x2_backward(winner, g), None
 
     def out_shape(self, shape):
         return (shape[0], shape[1] // 2, shape[2] // 2)
@@ -191,10 +195,10 @@ class FlattenLayer(Layer):
     kind = "flatten"
 
     def forward(self, x):
-        return x.reshape(x.shape[0], -1), None
+        return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, x, record, g, input_grad=True):
-        return g.reshape(x.shape), None
+    def backward(self, shape, g, input_grad=True):
+        return g.reshape(shape), None
 
     def out_shape(self, shape):
         return (int(np.prod(shape)),)
@@ -210,9 +214,9 @@ class DenseLayer(ParametricLayer):
         return [self.weights, self.bias]
 
     def forward(self, x):
-        return T.dense_forward(x, self.weights, self.bias), None
+        return T.dense_forward(x, self.weights, self.bias), x
 
-    def backward(self, x, record, g, input_grad=True):
+    def backward(self, x, g, input_grad=True):
         g_in, gw, gb = T.dense_backward(x, self.weights, g)
         return g_in, (gw, gb)
 
@@ -403,19 +407,17 @@ def forward(
     return x, captured
 
 
-def forward_cached(net: Network, batch: np.ndarray):
-    """Forward pass keeping per-layer inputs and records for backprop."""
+def forward_cached(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward pass keeping, per layer, what its backward reads."""
     x = batch
-    inputs: list = []
-    records: list = []
+    saved: list = []
     for lay in net.layers:
-        inputs.append(x)
-        x, rec = lay.forward(x)
-        records.append(rec)
-    return x, inputs, records
+        x, keep = lay.forward(x)
+        saved.append(keep)
+    return x, saved
 
 
-def backward(net: Network, inputs, records, grad_logits: np.ndarray):
+def backward(net: Network, saved: list, grad_logits: np.ndarray):
     """Backprop through a cached forward pass.
 
     Returns {layer_index: (grad_weights, grad_bias)} for parametric layers.
@@ -423,9 +425,7 @@ def backward(net: Network, inputs, records, grad_logits: np.ndarray):
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_logits
     for i in range(len(net.layers) - 1, -1, -1):
-        g, layer_grads = net.layers[i].backward(
-            inputs[i], records[i], g, input_grad=i > 0
-        )
+        g, layer_grads = net.layers[i].backward(saved[i], g, input_grad=i > 0)
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads

@@ -189,7 +189,7 @@ def finetune_with_history(
         nbatch = 0
         for i in range(0, x.shape[0], cfg.batch_size):
             idx = order[i : i + cfg.batch_size]
-            logits, inputs, records = N.forward_cached(net, x[idx])
+            logits, saved = N.forward_cached(net, x[idx])
             loss, grad = T.softmax_cross_entropy(logits, y[idx])
             if not math.isfinite(loss):
                 raise NonFiniteError(
@@ -197,7 +197,7 @@ def finetune_with_history(
                     f"{cfg.epochs}, step {i // cfg.batch_size + 1} (lr {lr}); "
                     "lower finetune.lr"
                 )
-            for pos, grads in N.backward(net, inputs, records, grad).items():
+            for pos, grads in N.backward(net, saved, grad).items():
                 if pos not in velocity:
                     velocity[pos] = [np.zeros_like(g) for g in grads]
                 # the clone owns its arrays

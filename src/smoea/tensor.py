@@ -9,9 +9,12 @@ The conv forward and backward are matmuls over the im2col operands that
 numpy 2.4 built when it lowered the contraction forms they replaced
 (tests/test_tensor.py keeps those forms as oracles), and their results are
 bit-identical to those forms. The forward builds its operand for one block
-of whole images at a time, so no full-batch copy of it exists; a batch
-that fits in one block is the lowering's single GEMM, and the tests pin the
-tiled shapes.
+of whole images at a time, so no full-batch copy of it exists, and the
+backward's input gradient forms its tap products and their sums one block
+of whole images at a time, so no full-batch tap or sum buffer exists
+either. Both take their blocks from one rule (_image_blocks): whole column
+tiles, none of them a small-matrix GEMM. A batch that fits in one block is
+the lowering's single GEMM, and the tests pin the tiled shapes.
 
 Both order the im2col columns (n, oh, ow) by default. On short output rows
 (ow < _SHORT_ROW), where that order makes every strided copy and addition
@@ -46,9 +49,10 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .exceptions import GeometryError, LabelError, ShapeError
 
 
-# Bound, in bytes, on a scratch buffer that one chunk of work allocates: the
-# conv forward's im2col block (see _forward_bound) and each buffer of one
-# chunk of the Gram build in objectives.
+# Bound, in bytes, on the scratch that one chunk of work allocates: the conv
+# forward's im2col block and the input gradient's buffers for one block (see
+# _block_bound), and each buffer of one chunk of the Gram build in
+# objectives.
 CHUNK_BYTES = 4 * 2**20
 
 
@@ -176,30 +180,30 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.n
 # OpenBLAS's double GEMM (numpy 2.4's bundled build, x86-64 AVX-512 cores)
 # may round a column differently when a split moves it to another column
 # tile of its kernel, or to the separate small-matrix kernel that takes
-# every GEMM of at most _SMALL_GEMM multiply-adds. The conv forward splits
-# its GEMM only where neither happens.
+# every GEMM of at most _SMALL_GEMM multiply-adds. The conv forward and
+# input gradient split their GEMMs only where neither happens.
 _COLUMN_TILE = 16
 _SMALL_GEMM = 100**3
 
 
-def _forward_bound(weights: np.ndarray) -> int:
-    """Bytes of im2col operand the conv forward aims to copy per block:
+def _block_bound(weights: np.ndarray) -> int:
+    """Bytes of scratch a conv kernel aims to fill per block of images:
     CHUNK_BYTES, or twice the weights where those are larger, so that a wide
     layer does not re-stream its weights for every few images."""
     return max(CHUNK_BYTES, 2 * weights.nbytes)
 
 
-def _forward_blocks(n: int, span: int, w: np.ndarray) -> list[int]:
-    """Image counts of the conv forward's blocks, for n images of span
-    output positions each and weights w as [o, rows]: ceil(n / k) blocks of
-    near-equal size, k = max(1, _forward_bound(w) // (one image's
-    [rows, span] operand bytes)). Fewer blocks where a block's GEMM would
-    drop to the small-matrix size, and one block where span is not a whole
-    number of column tiles."""
+def _image_blocks(n: int, span: int, w: np.ndarray, image_bytes: int) -> list[int]:
+    """Image counts of the blocks of a conv kernel whose GEMMs multiply
+    weights w as [o, rows] by [rows, m*span] columns, for n images of span
+    output positions and image_bytes of scratch each: ceil(n / k) blocks of
+    near-equal size, k = max(1, _block_bound(w) // image_bytes). Fewer
+    blocks where a block's GEMM would drop to the small-matrix size, and one
+    block where span is not a whole number of column tiles."""
     if span % _COLUMN_TILE:
         return [n]
     o, rows = w.shape
-    k = max(1, _forward_bound(w) // (8 * rows * span))
+    k = max(1, _block_bound(w) // image_bytes)
     k_min = _SMALL_GEMM // (o * rows * span or 1) + 1
     count = max(1, min(-(-n // k), n // k_min))
     return [n // count + (i < n % count) for i in range(count)]
@@ -244,7 +248,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Cross-correlation plus bias, [n, c, h, w] -> [n, o, oh, ow].
 
     The matmul that numpy lowered the contraction "nchwij,ocij->nohw" to,
-    split over blocks of whole images (_forward_blocks): with W as
+    split over blocks of whole images (_image_blocks): with W as
     [o, c*kh*kw], each block's windows are copied into a C-contiguous
     [c*kh*kw, k*oh*ow] operand X, the lowering's own layout, and W @ X fills
     that block's columns of one [o, n*oh*ow] result. A batch that fits in
@@ -263,7 +267,7 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
     rows, span = c * kh * kw, oh * ow
     w = params.weights.reshape(o, rows)
-    blocks = _forward_blocks(n, span, w)
+    blocks = _image_blocks(n, span, w, 8 * rows * span)  # X's bytes per image
     if _batch_innermost_forward(n, rows, oh, ow, blocks):
         order, nchw = _BATCH_INNERMOST
         p, h, wd = params.padding, x.shape[2], x.shape[3]
@@ -313,11 +317,17 @@ def conv2d_backward(
     result is bit-identical to it. With G = grad_out as [o, n*oh*ow] and X
     the windows as a C-contiguous [n*oh*ow, c*kh*kw]: grad_w = G @ X, and
     each tap's input gradient W[:, :, i, j].T @ G is added, in row-major tap
-    order, into a channel-major padded buffer. Where _batch_innermost_grad
-    holds, the input gradient's G is grad_out as [o, oh*ow*n] instead, and
-    its buffer is [c, h, w, n]. The x gradient keeps the padded input's NCHW
-    layout, so the reductions taken over it downstream sum in the same order
-    too.
+    order, into a channel-major padded buffer acc. The input gradient runs
+    over blocks of whole images (_image_blocks, sized by one image's tap and
+    acc bytes), each with its own tap and acc, whose sums are then copied
+    into the x gradient. The blocks are whole column tiles and none is a
+    small-matrix GEMM, so every column of G keeps its tile position and
+    every acc element receives its taps in the same order as in one
+    full-batch GEMM per tap. Where _batch_innermost_grad holds, the input
+    gradient's G is grad_out as [o, oh*ow*n] instead, its acc is
+    [c, h, w, n], and the whole batch is one block. The x gradient keeps the
+    padded input's NCHW layout, so the reductions taken over it downstream
+    sum in the same order too.
 
     Where X is larger than CHUNK_BYTES, the helper thread gathers X and
     computes grad_w while this thread computes the x gradient; X is freed as
@@ -333,7 +343,8 @@ def conv2d_backward(
             f"grad_out shape {tuple(grad_out.shape)}, expected {(n, o, oh, ow)}"
         )
     x_pad = _pad(x, params.padding)
-    g = grad_out.transpose(1, 0, 2, 3).reshape(o, n * oh * ow)
+    span = oh * ow
+    g = grad_out.transpose(1, 0, 2, 3).reshape(o, n * span)
 
     def weight_grad():
         index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
@@ -347,23 +358,34 @@ def conv2d_backward(
         if c == 1:
             # the lowering drops the unit axis and hands matmul a contiguous row
             w_taps = np.ascontiguousarray(w_taps)
-        # acc and tap are laid out channel first in the columns' order, and
-        # added through [n, c, h, w] views
+        # each block's acc and tap are laid out channel first in the columns'
+        # order, and added through [m, c, h, w] views
+        hp, wp = x_pad.shape[2:]
         if _batch_innermost_grad(n, oh, ow):
             order, nchw = _BATCH_INNERMOST
-            g_x = grad_out.transpose(order).reshape(o, n * oh * ow)
+            g_x, blocks = grad_out.transpose(order).reshape(o, n * span), [n]
         else:
             (order, nchw), g_x = _CHANNEL_MAJOR, g
-        acc = np.zeros([x_pad.shape[k] for k in order]).transpose(nchw)
-        tap = np.empty((c, n * oh * ow))
-        tap_nchw = tap.reshape([(n, c, oh, ow)[k] for k in order]).transpose(nchw)
-        s = params.stride
-        for i in range(kh):
-            for j in range(kw):
-                np.matmul(w_taps[i, j], g_x, out=tap)
-                acc[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap_nchw
+            # tap's and acc's bytes per image
+            blocks = _image_blocks(n, span, w_taps[0, 0], 8 * c * (span + hp * wp))
         grad_x_pad = np.empty_like(x_pad)
-        grad_x_pad[...] = acc
+        # one buffer each for every block's tap and acc: the first block is
+        # the largest
+        tap_buf, acc_buf = np.empty(c * blocks[0] * span), np.empty(c * blocks[0] * hp * wp)
+        s, start = params.stride, 0
+        for m in blocks:
+            acc = acc_buf[: c * m * hp * wp]
+            acc.fill(0.0)
+            acc = acc.reshape([(m, c, hp, wp)[k] for k in order]).transpose(nchw)
+            tap = tap_buf[: c * m * span].reshape(c, m * span)
+            tap_nchw = tap.reshape([(m, c, oh, ow)[k] for k in order]).transpose(nchw)
+            g_block = g_x[:, start * span : (start + m) * span]
+            for i in range(kh):
+                for j in range(kw):
+                    np.matmul(w_taps[i, j], g_block, out=tap)
+                    acc[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap_nchw
+            grad_x_pad[start : start + m] = acc
+            start += m
         p = params.padding
         return grad_x_pad[:, :, p:-p, p:-p] if p else grad_x_pad
 

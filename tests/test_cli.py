@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._exceptions import _ArrayMemoryError
 
 from smoea.cli import DEFAULT_CONFIG, build_dataset, load_config, main, read_settings
 from smoea.data import CIFAR_RECORD, write_cifar10_batch
@@ -663,6 +664,23 @@ ERROR_CASES.update({
     ),
 })
 
+# sizes too large for an array, which numpy refuses before it allocates
+# anything: past its largest dimension, past a C long, or more bytes than
+# an address can count
+HUGE = 10**30
+HUGE_SIZES = {
+    "huge_dataset_classes": {"dataset": {"classes": HUGE}},
+    "huge_train_per_class": {"dataset": {"train_per_class": HUGE}},
+    "huge_conv_channel": {"model": {"conv_channels": [HUGE, 4]}},
+    "huge_input_shape_entry": {"model": {"input_shape": [3, HUGE, 8]}},
+    "conv_channel_past_address_space": {"model": {"conv_channels": [2**62, 4]}},
+}
+for _name, _values in HUGE_SIZES.items():
+    ERROR_CASES[_name] = (["report", "--with-accuracy"], _values, None, 2, "ArgumentError")
+ERROR_CASES["huge_conv_channel_without_data"] = (
+    ["report"], HUGE_SIZES["huge_conv_channel"], None, 2, "ArgumentError",
+)
+
 # top-level keys outside DEFAULT_CONFIG, and a dataset that does not fit the
 # model, are rejected before any evolution or fine-tuning
 ERROR_CASES.update({
@@ -1029,6 +1047,24 @@ class TestErrors:
         if request.node.callspec.id not in RUNS_FINETUNE:
             # refused before the run directory, so before any output
             assert not (tmp_path / "r").exists()
+
+    def test_allocation_refused_by_the_os(self, tmp_path, capsys, monkeypatch):
+        """numpy's MemoryError for a size that passes its own checks but
+        that the OS refuses (10**11 classes asks for 140 TiB) is an
+        ArgumentError too; raised here without asking for the memory."""
+
+        def refused(*args):
+            raise _ArrayMemoryError((10**11, 3, 8, 8), np.dtype(np.float64))
+
+        monkeypatch.setattr("smoea.cli.build_dataset", refused)
+        out = tmp_path / "r"
+        argv = ["report", "--with-accuracy", "--config", write_config(tmp_path)]
+        assert run([*argv, "--out", str(out)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("ERROR code=2 type=ArgumentError msg=")
+        assert "140. TiB" in errors[0]
+        assert not out.exists()
 
     @settings(max_examples=120, deadline=None)
     @given(case=invalid_config(), argv=st.sampled_from(list(COMMANDS.values())))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from smoea import tensor as T
 from smoea.exceptions import MaskError, ModelFormatError, UnknownLayerError
 from smoea.network import (
     FilterMask,
+    activation_shapes,
+    build_cnn,
     build_toy_cnn,
     build_vgg14,
     compact,
@@ -15,6 +18,7 @@ from smoea.network import (
     count_params,
     extract_subnetwork,
     forward,
+    forward_cached,
     load_model,
     save_model,
     subnetwork_forward,
@@ -59,6 +63,50 @@ class TestVgg14:
 
     def test_flops_near_paper_total(self, vgg):
         assert 6.20e8 <= count_flops(vgg) <= 6.33e8
+
+
+class TestHeInit:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("build", [build_vgg14, build_toy_cnn], ids=["vgg14", "toy"])
+    def test_weights_are_rng_normal_draws(self, build, seed):
+        """Each parametric layer's weights, in layer order from one seeded
+        stream, are the bytes of rng.normal(0.0, sqrt(2 / fan_in), size),
+        signed zeros included, and the biases are zero: a rewrite of the
+        draws must keep every digest that starts from a built network."""
+        net = build(seed=seed)
+        rng = np.random.default_rng(seed)
+        for lay in net.layers:
+            if lay.parametric:
+                w, b = lay.arrays()
+                fan_in = w.shape[0] if lay.kind == "dense" else w[0].size
+                want = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+                assert w.tobytes() == want.tobytes()
+                assert b.tobytes() == np.zeros_like(b).tobytes()
+
+
+class TestTrainingCache:
+    def test_cache_holds_only_what_backward_reads(self):
+        """forward_cached on finetune-cifar's net at its training batch of 32
+        keeps each conv's and the dense layer's input (8 bytes an element), a
+        relu's mask (1 byte) and a maxpool's winners (1 byte an output), and
+        the logits: about 19 MB. Keeping every layer's input, the conv
+        outputs the relus read and the relu outputs the maxpools read among
+        them, held about 54 MB."""
+        net = build_cnn([32, 32, 64, 64], {2, 4}, (3, 32, 32), seed=1)
+        batch = np.random.default_rng(0).normal(size=(32, 3, 32, 32))
+        tracemalloc.start()
+        try:
+            cache = forward_cached(net, batch)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 2**16
+        for lay, shape in zip(net.layers, activation_shapes(net)):
+            elements = 32 * int(np.prod(shape))
+            bound += {"conv": 8, "dense": 8, "relu": 1}.get(lay.kind, 0) * elements
+            bound += elements // 4 if lay.kind == "maxpool" else 0
+        assert held < bound
+        assert cache[0].shape == (32, 10)
 
 
 class TestForwardCapture:

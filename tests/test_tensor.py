@@ -357,7 +357,7 @@ VGG14_CHANNELS = [64, 64, 128, 128, 256, 256, 256, 512, 512, 512, 512, 512, 512]
 # evolve-vgg calibration batch, the finetune-cifar net (32, 32, 64, 64) at
 # its training batch and at evaluate_accuracy's 100 test images, and pruned
 # widths and a 30x30 map that pin the balancing, the small-GEMM floor and
-# the column-tile rule of _forward_blocks (six of them differ from einsum
+# the column-tile rule of _image_blocks (six of them differ from einsum
 # under plain k-image blocks)
 TILED_CONV_SHAPES = {
     **cnn_conv_shapes("vgg14", VGG14_CHANNELS, {2, 4, 7, 10, 13}, 8),
@@ -502,7 +502,7 @@ class TestConvForwardTiling:
         x, p = conv_case(shape)
         n = x.shape[0]
         blocks = [min(k, n - start) for start in range(0, n, k)]
-        monkeypatch.setattr(T, "_forward_blocks", lambda *args: blocks)
+        monkeypatch.setattr(T, "_image_blocks", lambda *args: blocks)
         calls = count_side_by_side(monkeypatch)
         got = T.conv2d_forward(channel_major(x), p)
         # two or more blocks are split between the helper and this thread
@@ -523,7 +523,7 @@ class TestConvForwardTiling:
         finally:
             tracemalloc.stop()
         padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
-        assert peak < padded + 2 * out + T._forward_bound(p.weights) + 2**20
+        assert peak < padded + 2 * out + T._block_bound(p.weights) + 2**20
 
     def test_batch_innermost_peak_memory_is_bounded(self):
         """The toy net's conv 2 at a training batch, one block with its
@@ -538,6 +538,69 @@ class TestConvForwardTiling:
             tracemalloc.stop()
         padded, cols, out = 32 * 8 * 10 * 10 * 8, 72 * 32 * 8 * 8 * 8, 16 * 32 * 8 * 8 * 8
         assert peak < padded + cols + out + 2**16
+
+
+class TestConvInputGradTiling:
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("g_layout", [np.asarray, channel_major], ids=["g_nchw", "g_cnhw"])
+    def test_each_block_is_einsum_of_its_images(self, shape, k, g_layout, monkeypatch):
+        """Forced k-image input-gradient blocks, with the (n, oh, ow) column
+        order forced at every shape: each block's rows of the x gradient
+        equal the einsum form on that block's images alone, and the x
+        gradient has the einsum form's strides. The weight and bias
+        gradients equal the unblocked einsum form."""
+        x, p, g = backward_case(shape, channel_major, g_layout)
+        n = x.shape[0]
+        blocks = [min(k, n - start) for start in range(0, n, k)]
+        calls = []
+        monkeypatch.setattr(T, "_batch_innermost_grad", lambda *args: False)
+        monkeypatch.setattr(T, "_image_blocks", lambda *args: calls.append(1) or blocks)
+        got, want = T.conv2d_backward(x, p, g), einsum_conv2d_backward(x, p, g)
+        assert calls == [1]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        assert got[0].strides == want[0].strides
+        for start in range(0, n, k):
+            part = einsum_conv2d_backward(x[start : start + k], p, g[start : start + k])
+            assert np.array_equal(got[0][start : start + k], part[0])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_cifar_training_call_equals_einsum_form(self, cpus, monkeypatch):
+        """finetune-cifar's conv 2 backward at its training batch of 32
+        splits its input gradient into several blocks by default, and every
+        result equals the unblocked einsum form, with the backward's halves
+        run in turn (one CPU) and side by side (two)."""
+        x, p, g = backward_case(TILED_CONV_SHAPES["cifar_conv2_n32"], channel_major)
+        blocks = record_results(monkeypatch, "_image_blocks")
+        monkeypatch.setattr(T, "_cpu_count", lambda: cpus)
+        assert_backward_equals_einsum(x, p, g)
+        assert len(blocks) == 1 and len(blocks[0]) > 1
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        """finetune-cifar's conv 2 backward on one CPU, where the input
+        gradient runs after the weight gradient has freed its X: from the
+        moment it picks its blocks, it adds the padded x gradient and one
+        block's tap and acc (at most _block_bound) to what the call holds. A
+        full-batch tap and acc would add 17.9 MB instead of 3.9 MB."""
+        x, p, g = backward_case(TILED_CONV_SHAPES["cifar_conv2_n32"], channel_major)
+        monkeypatch.setattr(T, "_cpu_count", lambda: 1)
+        held, real = [], T._image_blocks
+
+        def blocks_from_here(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+            return real(*args)
+
+        monkeypatch.setattr(T, "_image_blocks", blocks_from_here)
+        tracemalloc.start()
+        try:
+            T.conv2d_backward(x, p, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grad_x_pad = 32 * 32 * 34 * 34 * 8
+        assert len(held) == 1
+        assert peak - held[0] < grad_x_pad + T._block_bound(p.weights) + 2**16
 
 
 class TestHelperThread:
@@ -667,7 +730,7 @@ class TestForwardBlocks:
     @pytest.mark.parametrize("case", CASES.values(), ids=CASES)
     def test_block_sizes(self, case):
         (n, span, w_shape), want = case
-        assert T._forward_blocks(n, span, np.zeros(w_shape)) == want
+        assert T._image_blocks(n, span, np.zeros(w_shape), 8 * w_shape[1] * span) == want
 
     @given(
         n=st.integers(1, 300),
@@ -683,10 +746,10 @@ class TestForwardBlocks:
         block."""
         rows, span = 9 * c, hw * hw
         w = np.zeros((o, rows))
-        blocks = T._forward_blocks(n, span, w)
+        blocks = T._image_blocks(n, span, w, 8 * rows * span)
         assert sum(blocks) == n and blocks == sorted(blocks, reverse=True)
         assert blocks[0] - blocks[-1] <= 1
-        k = max(1, T._forward_bound(w) // (8 * rows * span))
+        k = max(1, T._block_bound(w) // (8 * rows * span))
         k_min = T._SMALL_GEMM // (o * rows * span) + 1
         assert blocks[0] <= max(k, 2 * k_min - 1) or len(blocks) == 1
         assert len(blocks) == 1 or blocks[-1] >= k_min
@@ -716,6 +779,24 @@ class TestRelu:
         x = np.array([0.0, 1.0, -1.0])
         g = np.ones(3)
         np.testing.assert_array_equal(T.relu_backward(x, g), [0.0, 1.0, 0.0])
+
+    def test_mask_in_place_of_x_is_bitwise(self):
+        """relu_backward on the bool mask x > 0 that a relu layer keeps
+        equals it on x, bit for bit and stride for stride, with signed zeros,
+        NaNs and infinities in x and g, in the layouts of a training step: x
+        a channel-major conv output, g an NCHW view of the next conv's padded
+        x gradient."""
+        rng = np.random.default_rng(5)
+        special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+        x = rng.normal(size=(4, 3, 6, 6))
+        g_pad = rng.normal(size=(4, 3, 8, 8))
+        for a in (x, g_pad):
+            a.flat[rng.choice(a.size, 100, replace=False)] = np.resize(special, 100)
+        x, g = channel_major(x), g_pad[:, :, 1:-1, 1:-1]
+        with np.errstate(invalid="ignore"):  # an infinite g times 0
+            want, got = T.relu_backward(x, g), T.relu_backward(x > 0, g)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.strides == want.strides
 
 
 class TestMaxPool:
