@@ -420,12 +420,16 @@ def forward_cached(net: Network, batch: np.ndarray) -> tuple[np.ndarray, list]:
 def backward(net: Network, saved: list, grad_logits: np.ndarray):
     """Backprop through a cached forward pass.
 
+    Takes saved over from the caller: each layer's entry is popped off it
+    before that layer's backward reads it, so it is freed as soon as that
+    backward returns, and saved is empty when this returns.
+
     Returns {layer_index: (grad_weights, grad_bias)} for parametric layers.
     """
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     g = grad_logits
     for i in range(len(net.layers) - 1, -1, -1):
-        g, layer_grads = net.layers[i].backward(saved[i], g, input_grad=i > 0)
+        g, layer_grads = net.layers[i].backward(saved.pop(), g, input_grad=i > 0)
         if layer_grads is not None:
             grads[i] = layer_grads
     return grads

@@ -197,6 +197,7 @@ def finetune_with_history(
                     f"{cfg.epochs}, step {i // cfg.batch_size + 1} (lr {lr}); "
                     "lower finetune.lr"
                 )
+            # backward empties saved, freeing each layer's entry once read
             for pos, grads in N.backward(net, saved, grad).items():
                 if pos not in velocity:
                     velocity[pos] = [np.zeros_like(g) for g in grads]

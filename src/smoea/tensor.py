@@ -8,13 +8,18 @@ kernel flip), the universal deep-learning convention.
 The conv forward and backward are matmuls over the im2col operands that
 numpy 2.4 built when it lowered the contraction forms they replaced
 (tests/test_tensor.py keeps those forms as oracles), and their results are
-bit-identical to those forms. The forward builds its operand for one block
-of whole images at a time, so no full-batch copy of it exists, and the
-backward's input gradient forms its tap products and their sums one block
-of whole images at a time, so no full-batch tap or sum buffer exists
-either. Both take their blocks from one rule (_image_blocks): whole column
-tiles, none of them a small-matrix GEMM. A batch that fits in one block is
-the lowering's single GEMM, and the tests pin the tiled shapes.
+bit-identical to those forms, 1x1 kernels included (_kernel1_cols). The
+forward builds its operand for one block of whole images at a time, so no
+full-batch copy of it exists, and the backward's input gradient forms its
+tap products and their sums one block of whole images at a time, so no
+full-batch tap or sum buffer exists either. Both take their blocks from one
+rule (_image_blocks): whole column tiles, none of them a small-matrix GEMM.
+A batch that fits in one block is the lowering's single GEMM, and the tests
+pin the tiled shapes. The weight gradient sums each element over all
+columns in one GEMM. Where _per_tap_weight_grad holds, as at the CIFAR
+net's convs 2-4 and VGG-14's, it forms one kernel tap's columns of it at a
+time from that tap's slice of the operand, so no full operand exists there
+either.
 
 Both order the im2col columns (n, oh, ow) by default. On short output rows
 (ow < _SHORT_ROW), where that order makes every strided copy and addition
@@ -25,9 +30,9 @@ whole column tiles (_batch_innermost_grad, _batch_innermost_forward). Every
 toy-network call and VGG-14's conv 5-13 input gradients take that order;
 VGG-14's forwards and the CIFAR net's calls do not. Each GEMM column is then
 the same product at another position, so every value and output stride is
-unchanged. The weight gradient sums over all columns and keeps the
-(n, oh, ow) order. Each kernel has one body for both orders, which set only
-its buffers' layouts (_CHANNEL_MAJOR, _BATCH_INNERMOST).
+unchanged. The weight gradient keeps the (n, oh, ow) order. Each kernel
+has one body for both orders, which set only its buffers' layouts
+(_CHANNEL_MAJOR, _BATCH_INNERMOST).
 
 Independent halves of one conv run side by side on a helper thread (see
 _side_by_side): the backward's weight and input gradients, and the first and
@@ -154,13 +159,23 @@ def _windows(x_pad: np.ndarray, params: ConvParams) -> np.ndarray:
     return as_strided(x_pad, shape, (sn, sc, s * sh, s * sw, sh, sw), writeable=False)
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial dims into a new C-contiguous array (np.pad's
-    result, at a third of its cost for small inputs)."""
-    if padding == 0:
+# Memory layouts of a 4-D array as (order, inverse): order permutes the
+# NCHW axes into the order in which the memory runs.
+_NCHW = ((0, 1, 2, 3), (0, 1, 2, 3))
+_CHANNELS_LAST = ((0, 2, 3, 1), (0, 3, 1, 2))
+
+
+def _pad(x: np.ndarray, padding: int, layout=_NCHW) -> np.ndarray:
+    """x with its spatial dims zero-padded, as an NCHW view of a new array
+    laid out as `layout` (for NCHW, np.pad's result at a third of its cost
+    for small inputs). An unpadded x keeps its own layout and is returned
+    as it is where NCHW is asked for."""
+    if padding == 0 and layout is _NCHW:
         return x
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    shape = (n, c, h + 2 * padding, w + 2 * padding)
+    order, inverse = layout
+    out = np.zeros([shape[k] for k in order], dtype=x.dtype).transpose(inverse)
     out[:, :, padding : padding + h, padding : padding + w] = x
     return out
 
@@ -244,6 +259,36 @@ def _batch_innermost_forward(n: int, rows: int, oh: int, ow: int, blocks: list[i
     return len(blocks) == 1 and rows < n * oh * ow and _batch_innermost_grad(n, oh, ow)
 
 
+def _per_tap_weight_grad(n: int, c: int, o: int, span: int, taps: int) -> bool:
+    """Whether the conv weight gradient forms each tap's columns G @ X_ij
+    in turn, where X_ij is the tap's [n*span, c] slice of X, instead of
+    G @ X over the full X. Each element still sums over its whole K in one
+    GEMM, so the bits hold where both GEMMs take the same kernel: c is
+    whole column tiles (so X's c*taps columns are too), and each tap's GEMM
+    is above the small-matrix size. It is taken there only if X has more
+    than one tap and is larger than CHUNK_BYTES. At finetune-cifar's
+    conv 2 (a batch of 32; one BLAS thread on a 2-vCPU Xeon) it cut the
+    backward call's tracemalloc peak from 101 to 32 MB, and its time from
+    58 to 53 ms; the toy network's calls all keep the full X."""
+    return (
+        taps > 1
+        and c % _COLUMN_TILE == 0
+        and o * c * n * span > _SMALL_GEMM
+        and 8 * n * span * c * taps > CHUNK_BYTES
+    )
+
+
+def _kernel1_cols(win: np.ndarray, axes: tuple) -> np.ndarray:
+    """A 1x1 kernel's X as numpy's lowering forms it before its reshape:
+    the windows win (of _windows) with their NCHW axes permuted by `axes`,
+    copied in their own memory order, as the lowering's sum over the unit
+    kernel axes copies them. The reshape that follows is a view, not
+    C-contiguous, where that layout allows one (one image; a channels-last
+    x in the forward, a channel-major x in the weight gradient), and the
+    GEMM rounds differently there than on a C-contiguous X."""
+    return win[..., 0, 0].transpose(axes).copy(order="K")
+
+
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     """Cross-correlation plus bias, [n, c, h, w] -> [n, o, oh, ow].
 
@@ -258,8 +303,11 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
     The columns run (n, oh, ow), from the NCHW padded input, or (oh, ow, n)
     where _batch_innermost_forward holds, from an input padded into a
-    [c, h, w, n] buffer. Either way the bias is added into a fresh array
-    with the strides that the channel-major [o, n, oh, ow] form gives.
+    [c, h, w, n] buffer. A 1x1 kernel's X keeps the (n, oh, ow) order and is
+    the lowering's own (_kernel1_cols). The result has the strides that
+    empty_like gives the channel-major [o, n, oh, ow] form: in the
+    (n, oh, ow) order the bias is added into the GEMM result in place, which
+    has them unless an axis has length 1, and otherwise into a fresh array.
     """
     _check_input(x, params)
     n, c = x.shape[:2]
@@ -268,25 +316,25 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     rows, span = c * kh * kw, oh * ow
     w = params.weights.reshape(o, rows)
     blocks = _image_blocks(n, span, w, 8 * rows * span)  # X's bytes per image
-    if _batch_innermost_forward(n, rows, oh, ow, blocks):
-        order, nchw = _BATCH_INNERMOST
-        p, h, wd = params.padding, x.shape[2], x.shape[3]
-        x_pad = np.zeros((c, h + 2 * p, wd + 2 * p, n), x.dtype).transpose(nchw)
-        x_pad[:, :, p : p + h, p : p + wd] = x
+    if _batch_innermost_forward(n, rows, oh, ow, blocks) and kh * kw > 1:
+        layout, x_pad = _BATCH_INNERMOST, _pad(x, params.padding, _BATCH_INNERMOST)
     else:
-        order, nchw = _CHANNEL_MAJOR
-        x_pad = _pad(x, params.padding)
-    win = _windows(x_pad, params)
+        layout, x_pad = _CHANNEL_MAJOR, _pad(x, params.padding)
+    (order, nchw), win = layout, _windows(x_pad, params)
     out = np.empty((o, n * span))
 
     def fill(blocks, start):
         # the blocks' GEMMs, starting at image `start`, through one buffer
-        buf = np.empty(rows * blocks[0] * span)  # the first block is the largest
+        # the first block is the largest; a 1x1 kernel's X needs no buffer
+        buf = np.empty(rows * blocks[0] * span if kh * kw > 1 else 0)
         for m in blocks:
-            # X's rows run (c, kh, kw) and its columns in the order's layout
-            block = win[start : start + m].transpose(1, 4, 5, *order[1:])
-            cols = buf[: rows * m * span]
-            cols.reshape(block.shape)[...] = block
+            if kh * kw == 1:  # the lowering's own X
+                cols = _kernel1_cols(win[start : start + m], (1, 0, 2, 3))
+            else:
+                # X's rows run (c, kh, kw) and its columns in the order's layout
+                block = win[start : start + m].transpose(1, 4, 5, *order[1:])
+                cols = buf[: rows * m * span]
+                cols.reshape(block.shape)[...] = block
             cols = cols.reshape(rows, m * span)
             np.matmul(w, cols, out=out[:, start * span : (start + m) * span])
             start += m
@@ -299,9 +347,14 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     else:
         fill(blocks, 0)
     y = out.reshape([(n, o, oh, ow)[k] for k in order]).transpose(nchw)
-    # the strides of the lowering's channel-major product plus the bias:
-    # empty_like reads only the shape and strides of out viewed in that form
-    result = np.empty_like(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
+    # the lowering's result has the strides that empty_like gives the
+    # channel-major form of out. In the (n, oh, ow) order y has them where
+    # no axis has length 1 (empty_like sets such an axis's stride its own
+    # way), and there the bias goes into out in place
+    if layout is _CHANNEL_MAJOR and min(n, o, oh, ow) > 1:
+        result = y
+    else:  # empty_like reads only the shape and strides of out in that form
+        result = np.empty_like(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
     return np.add(y, params.bias[None, :, None, None], out=result)
 
 
@@ -315,7 +368,8 @@ def conv2d_backward(
     An im2col / col2im formulation with exactly the matmul operands that
     numpy's lowering of the per-tap contractions used, so every
     result is bit-identical to it. With G = grad_out as [o, n*oh*ow] and X
-    the windows as a C-contiguous [n*oh*ow, c*kh*kw]: grad_w = G @ X, and
+    the windows as a C-contiguous [n*oh*ow, c*kh*kw]: grad_w = G @ X (with a
+    1x1 kernel's X as the lowering forms it, _kernel1_cols), and
     each tap's input gradient W[:, :, i, j].T @ G is added, in row-major tap
     order, into a channel-major padded buffer acc. The input gradient runs
     over blocks of whole images (_image_blocks, sized by one image's tap and
@@ -329,10 +383,17 @@ def conv2d_backward(
     padded input's NCHW layout, so the reductions taken over it downstream
     sum in the same order too.
 
-    Where X is larger than CHUNK_BYTES, the helper thread gathers X and
-    computes grad_w while this thread computes the x gradient; X is freed as
-    soon as grad_w is done. Smaller calls run the two halves one after the
-    other on this thread.
+    Where _per_tap_weight_grad holds, X is never formed: the weight gradient
+    copies x once into a channel-last padded buffer and fills one reused
+    [n*oh*ow, c] buffer with each tap's slice X_ij of X from it, and
+    grad_w[:, :, i, j] = G @ X_ij. Each element of grad_w still sums over all
+    n*oh*ow columns in one GEMM, on the kernel that G @ X takes, so its bits
+    are unchanged.
+
+    Where X is larger than CHUNK_BYTES, the helper thread computes grad_w,
+    gathering what it needs, while this thread computes the x gradient; its
+    buffers are freed as soon as grad_w is done. Smaller calls run the two
+    halves one after the other on this thread.
     """
     _check_input(x, params)
     n, c = x.shape[:2]
@@ -342,15 +403,29 @@ def conv2d_backward(
         raise ShapeError(
             f"grad_out shape {tuple(grad_out.shape)}, expected {(n, o, oh, ow)}"
         )
-    x_pad = _pad(x, params.padding)
-    span = oh * ow
+    span, rows, p = oh * ow, c * kh * kw, params.padding
     g = grad_out.transpose(1, 0, 2, 3).reshape(o, n * span)
 
     def weight_grad():
-        index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
-        # explicit sizes: a -1 cannot be inferred for an empty batch
-        flat = x_pad.reshape(n, c * x_pad.shape[2] * x_pad.shape[3])
-        cols = np.take(flat, index, axis=1).reshape(n * oh * ow, c * kh * kw)
+        if _per_tap_weight_grad(n, c, o, span, kh * kw):
+            # each tap's X_ij filled from windows over a channel-last x_pad
+            win = _windows(_pad(x, p, _CHANNELS_LAST), params)
+            cols = np.empty((n, oh, ow, c))
+            tap, grad_w = np.empty((o, c)), np.empty(params.weights.shape)
+            for i in range(kh):
+                for j in range(kw):
+                    cols.transpose(_CHANNELS_LAST[1])[...] = win[..., i, j]
+                    np.matmul(g, cols.reshape(n * span, c), out=tap)
+                    grad_w[:, :, i, j] = tap
+            return grad_w
+        x_pad = _pad(x, p)
+        if kh * kw == 1:  # the lowering's own X
+            cols = _kernel1_cols(_windows(x_pad, params), (0, 2, 3, 1)).reshape(n * span, c)
+        else:
+            index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
+            # explicit sizes: a -1 cannot be inferred for an empty batch
+            flat = x_pad.reshape(n, c * x_pad.shape[2] * x_pad.shape[3])
+            cols = np.take(flat, index, axis=1).reshape(n * span, rows)
         return np.matmul(g, cols).reshape(params.weights.shape)
 
     def x_grad():
@@ -360,7 +435,7 @@ def conv2d_backward(
             w_taps = np.ascontiguousarray(w_taps)
         # each block's acc and tap are laid out channel first in the columns'
         # order, and added through [m, c, h, w] views
-        hp, wp = x_pad.shape[2:]
+        hp, wp = x.shape[2] + 2 * p, x.shape[3] + 2 * p
         if _batch_innermost_grad(n, oh, ow):
             order, nchw = _BATCH_INNERMOST
             g_x, blocks = grad_out.transpose(order).reshape(o, n * span), [n]
@@ -368,7 +443,7 @@ def conv2d_backward(
             (order, nchw), g_x = _CHANNEL_MAJOR, g
             # tap's and acc's bytes per image
             blocks = _image_blocks(n, span, w_taps[0, 0], 8 * c * (span + hp * wp))
-        grad_x_pad = np.empty_like(x_pad)
+        grad_x_pad = np.empty((n, c, hp, wp), x.dtype) if p else np.empty_like(x)
         # one buffer each for every block's tap and acc: the first block is
         # the largest
         tap_buf, acc_buf = np.empty(c * blocks[0] * span), np.empty(c * blocks[0] * hp * wp)
@@ -386,12 +461,11 @@ def conv2d_backward(
                     acc[:, :, i : i + s * oh : s, j : j + s * ow : s] += tap_nchw
             grad_x_pad[start : start + m] = acc
             start += m
-        p = params.padding
         return grad_x_pad[:, :, p:-p, p:-p] if p else grad_x_pad
 
     if not input_grad:
         grad_x, grad_w = None, weight_grad()
-    elif 8 * n * oh * ow * c * kh * kw > CHUNK_BYTES:  # X's bytes
+    elif 8 * n * span * rows > CHUNK_BYTES:  # X's bytes
         grad_w, grad_x = _side_by_side(weight_grad, x_grad)
     else:
         grad_w, grad_x = weight_grad(), x_grad()

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -107,6 +108,33 @@ class TestTrainingCache:
             bound += elements // 4 if lay.kind == "maxpool" else 0
         assert held < bound
         assert cache[0].shape == (32, 10)
+
+
+    def test_backward_frees_each_entry_once_read(self, monkeypatch):
+        """backward takes the cache over: when a layer's backward runs, the
+        entries of the layers after it have been freed, and the list is
+        empty when it returns. The gradients are those of a backward that
+        reads a copy of the cache."""
+        net = build_toy_cnn(seed=1)
+        batch = np.random.default_rng(0).normal(size=(8, 3, 8, 8))
+        grad = np.random.default_rng(1).normal(size=(8, 10))
+        want = N.backward(net, list(forward_cached(net, batch)[1]), grad)
+        _, saved = forward_cached(net, batch)
+        refs = {i: weakref.ref(e) for i, e in enumerate(saved) if isinstance(e, np.ndarray)}
+        live = {}
+        for i, lay in enumerate(net.layers):
+
+            def recorded(entry, g, input_grad=True, i=i, real=lay.backward):
+                live[i] = {j for j, ref in refs.items() if ref() is not None}
+                return real(entry, g, input_grad)
+
+            monkeypatch.setattr(lay, "backward", recorded)
+        got = N.backward(net, saved, grad)
+        assert saved == []
+        assert live == {i: {j for j in refs if j <= i} for i in range(len(net.layers))}
+        assert got.keys() == want.keys()
+        for pos in want:
+            assert all(np.array_equal(a, b) for a, b in zip(got[pos], want[pos]))
 
 
 class TestForwardCapture:

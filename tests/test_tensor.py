@@ -217,6 +217,10 @@ BITWISE_CONV_SHAPES = {
     "batch1": (1, 4, 6, 6, 5, 3, 1, 1),
     "batch1_one_position": (1, 2, 3, 3, 2, 3, 1, 0),
     "kernel1": (3, 4, 5, 5, 6, 1, 1, 0),
+    # 1x1 kernels whose lowering reshapes X as a view, not C-contiguous: a
+    # single image, and a channel-major x at stride 2 (after its copy)
+    "kernel1_batch1": (1, 6, 7, 9, 10, 1, 1, 0),
+    "kernel1_stride2": (3, 24, 7, 9, 40, 1, 2, 0),
     # desk-prune's calls on the toy net: the last training batch of 16
     # images, the 64-image calibration batch, the 100-image test pass, and
     # pruned widths
@@ -525,6 +529,23 @@ class TestConvForwardTiling:
         padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
         assert peak < padded + 2 * out + T._block_bound(p.weights) + 2**20
 
+    def test_channel_major_result_is_the_gemm_output(self):
+        """In the (n, oh, ow) order the bias goes into the GEMM result in
+        place: finetune-cifar's conv 2 at its training batch allocates one
+        output-sized array, not two. Its peak is the padded input, the
+        result and one block; a fresh bias-added copy would add 8.4 MB."""
+        x, p = conv_case(TILED_CONV_SHAPES["cifar_conv2_n32"])
+        tracemalloc.start()
+        try:
+            got = T.conv2d_forward(x, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
+        assert peak < padded + out + T._block_bound(p.weights) + 2**20
+        want = einsum_conv2d_forward(x, p)
+        assert np.array_equal(got, want) and got.strides == want.strides
+
     def test_batch_innermost_peak_memory_is_bounded(self):
         """The toy net's conv 2 at a training batch, one block with its
         columns batch innermost: the peak is the padded input, X and the
@@ -603,18 +624,134 @@ class TestConvInputGradTiling:
         assert peak - held[0] < grad_x_pad + T._block_bound(p.weights) + 2**16
 
 
+def rule_conditions(shape):
+    """Whether a shape's tap GEMMs take the kernel that its full-X GEMM
+    takes: c is whole column tiles and each tap's GEMM is above the
+    small-matrix size."""
+    n, c, h, w, o, k, stride, padding = shape
+    oh, ow = (h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1
+    return c % T._COLUMN_TILE == 0 and o * c * n * oh * ow > T._SMALL_GEMM
+
+
+# VGG-14's convs 2, 9 and 13 at the CLI's training batch of 32
+VGG14_N32_SHAPES = {
+    name: shape
+    for name, shape in cnn_conv_shapes("vgg14", VGG14_CHANNELS, {2, 4, 7, 10, 13}, 32).items()
+    if name.split("_")[1] in {"conv2", "conv9", "conv13"}
+}
+# the shapes whose two weight-gradient forms must agree bit for bit; the
+# others (toy shapes, pruned widths that are not whole column tiles) differ
+# in the last bit when the per-tap form is forced, and the rule keeps them
+# on the full X
+EXACT_TAP_SHAPES = {
+    name: shape
+    for name, shape in {**BITWISE_CONV_SHAPES, **TILED_CONV_SHAPES, **VGG14_N32_SHAPES}.items()
+    if rule_conditions(shape)
+}
+
+
+def forced_weight_grad(case, per_tap, monkeypatch):
+    monkeypatch.setattr(T, "_per_tap_weight_grad", lambda *args: per_tap)
+    return T.conv2d_backward(*case, input_grad=False)[1]
+
+
+class TestConvWeightGradTaps:
+    @pytest.mark.parametrize("shape", EXACT_TAP_SHAPES.values(), ids=EXACT_TAP_SHAPES)
+    def test_forced_forms_are_bitwise(self, shape, monkeypatch):
+        """The per-tap and the full-X weight gradient, each forced, agree in
+        bytes and strides wherever the tap GEMMs take the full GEMM's kernel."""
+        case = backward_case(shape, channel_major, channel_major)
+        per_tap = forced_weight_grad(case, True, monkeypatch)
+        full = forced_weight_grad(case, False, monkeypatch)
+        assert per_tap.tobytes() == full.tobytes() and per_tap.strides == full.strides
+
+    def test_exact_shapes_cover_the_networks(self):
+        assert {"cifar_32ch_32x32", "vgg14_conv2_n32", "vgg14_conv9_n32", "vgg14_conv13_n32",
+                "cifar_conv2_n32", "cifar_conv4_n100"} <= EXACT_TAP_SHAPES.keys()
+
+    @pytest.mark.parametrize(
+        "shapes", [BITWISE_CONV_SHAPES, TILED_CONV_SHAPES, VGG14_N32_SHAPES],
+        ids=["bitwise", "tiled", "vgg14_n32"],
+    )
+    def test_rule_takes_taps_only_where_they_are_exact(self, shapes, monkeypatch):
+        picks = record_results(monkeypatch, "_per_tap_weight_grad")
+        for name, shape in shapes.items():
+            x, p = conv_case(shape)
+            n, c, h, w, o, k, stride, padding = shape
+            oh, ow = T.conv_output_hw(p, h, w)
+            picks.clear()
+            T.conv2d_backward(x, p, np.zeros((n, o, oh, ow)), input_grad=False)
+            assert len(picks) == 1
+            assert not picks[0] or name in EXACT_TAP_SHAPES, name
+
+    @pytest.mark.parametrize("batch", [32, 16, 100])
+    def test_rule_at_the_network_convs(self, batch):
+        """The CIFAR net's conv 1 (3 channels) keeps the full X and its
+        convs 2-4 take the taps; every toy-network conv keeps the full X."""
+        cifar = cnn_conv_shapes("cifar", [32, 32, 64, 64], {2, 4}, batch)
+        toy = {
+            f"toy_conv{l}": (batch, c, hw, hw, o, 3, 1, 1)
+            for l, (c, o, hw) in enumerate([(3, 8, 8), (8, 16, 8), (16, 16, 4), (16, 16, 4)], 1)
+        }
+        for shapes, want in ((cifar, [False, True, True, True]), (toy, [False] * 4)):
+            # 3x3 kernels at stride 1 and padding 1 keep the map's size
+            picks = [
+                T._per_tap_weight_grad(n, c, o, h * w, 9) for n, c, h, w, o, *_ in shapes.values()
+            ]
+            assert picks == want
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        """finetune-cifar's conv 2 at its training batch: from the moment it
+        picks its form, the weight gradient adds the channel-last padded x,
+        one tap's columns and grad_w to what the call holds (18 MB). The
+        NCHW padded x and the full X, which the same call took before, add
+        90 MB and break the bound."""
+        case = backward_case(TILED_CONV_SHAPES["cifar_conv2_n32"], channel_major)
+        n, c, h, w, o, k, stride, padding = TILED_CONV_SHAPES["cifar_conv2_n32"]
+        held, real = [], T._per_tap_weight_grad
+
+        def picked_from_here(per_tap):
+            def rule(*args):
+                held.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+                return real(*args) if per_tap is None else per_tap
+            return rule
+
+        peaks = {}
+        for form, per_tap in (("default", None), ("full_x", False)):
+            monkeypatch.setattr(T, "_per_tap_weight_grad", picked_from_here(per_tap))
+            held.clear()
+            tracemalloc.start()
+            try:
+                T.conv2d_backward(*case, input_grad=False)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(held) == 1
+            peaks[form] = peak - held[0]
+        bound = 8 * n * c * ((h + 2) * (w + 2) + h * w) + 8 * o * c * k * k + 2**16
+        assert peaks["default"] < bound < peaks["full_x"]
+
+
 class TestHelperThread:
-    def test_helper_error_is_raised_and_the_next_call_works(self, monkeypatch):
+    # each weight-gradient form, with a function that only it calls here
+    @pytest.mark.parametrize(
+        "per_tap, inject", [(True, "_windows"), (False, "_im2col_index")], ids=["per_tap", "full_x"]
+    )
+    def test_helper_error_is_raised_and_the_next_call_works(self, per_tap, inject, monkeypatch):
+        """A fault inside the helper half, in either form of the weight
+        gradient, is raised to the caller, and the next call is exact."""
         x, p, g = backward_case(BITWISE_CONV_SHAPES["cifar_32ch_32x32"])
         threads = []
 
-        def broken_index(*args):
+        def broken(*args):
             threads.append(threading.current_thread())
-            raise RuntimeError("im2col index failed")
+            raise RuntimeError("weight gradient failed")
 
         with monkeypatch.context() as m:
-            m.setattr(T, "_im2col_index", broken_index)
-            with pytest.raises(RuntimeError, match="im2col index failed"):
+            m.setattr(T, "_per_tap_weight_grad", lambda *args: per_tap)
+            m.setattr(T, inject, broken)
+            with pytest.raises(RuntimeError, match="weight gradient failed"):
                 T.conv2d_backward(x, p, g)
         assert threads and threads[0] is not threading.main_thread()
         assert_backward_equals_einsum(x, p, g)
