@@ -247,8 +247,11 @@ def open_run(args, command: str, settings: Settings) -> Path:
     else:
         root = Path(os.environ.get("SMOEA_RUNS", "runs"))
         run_dir = root / f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.echo").write_text(json.dumps(settings.config, indent=2))
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "config.echo").write_text(json.dumps(settings.config, indent=2))
+    except OSError as e:
+        raise ArgumentError(f"cannot write the run directory {run_dir}: {e}") from e
     for old in list(log.handlers):
         log.removeHandler(old)
         old.close()

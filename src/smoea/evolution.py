@@ -1,11 +1,11 @@
 """Constrained NSGA-II over binary filter masks.
 
-Population members carry a binary genome (1 = filter retained) and the two
-objective values; selection ranks and crowds the pool from its [N, 2]
-objective array. Retention is kept inside [tau1, tau2] by stochastic repair.
-All randomness is drawn from per-individual streams keyed by (seed,
-generation, index), so results do not depend on how evaluations are
-scheduled.
+The pool is one [N, C] bool genome matrix (1 = filter retained) and one
+[N, 2] array of (filter_pct, error) rows; sorting and selection return pool
+indices into both. `Individual`s are built only for the returned result.
+Retention is kept inside [tau1, tau2] by stochastic repair. All randomness
+is drawn from per-genome streams keyed by (seed, generation, index), so
+results do not depend on how evaluations are scheduled.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class EvolutionConfig:
                 raise ArgumentError(f"{name} must lie in [0, 1]")
         _check_alpha_mode(self.alpha_mode)
         if self.elite_size > self.population_size:
-            raise EvolutionError("elite_size must be <= population_size")
+            raise ArgumentError("elite_size must be <= population_size")
         if not 0 < self.tau1 < self.tau2 < 1:
-            raise EvolutionError("need 0 < tau1 < tau2 < 1")
+            raise ArgumentError("need 0 < tau1 < tau2 < 1")
 
 
 @dataclass
@@ -94,19 +94,19 @@ def count_bounds(num_filters: int, tau1: float, tau2: float) -> tuple[int, int]:
     return lo, hi
 
 
-def init_population(num_filters: int, cfg: EvolutionConfig) -> list[Individual]:
+def init_population(num_filters: int, cfg: EvolutionConfig) -> np.ndarray:
+    """[P, C] genomes, each keeping round(r * C) filters, r uniform in
+    [tau1, tau2], clamped to the feasible counts."""
     if num_filters < 2:
         raise EvolutionError("need at least 2 filters to evolve")
     lo, hi = count_bounds(num_filters, cfg.tau1, cfg.tau2)
-    pop = []
-    for i in range(cfg.population_size):
+    genes = np.zeros((cfg.population_size, num_filters), dtype=bool)
+    for i, row in enumerate(genes):
         rng = _rng(cfg.seed, 0, i)
         r = rng.uniform(cfg.tau1, cfg.tau2)
         k = int(np.clip(round(r * num_filters), lo, hi))
-        genes = np.zeros(num_filters, dtype=bool)
-        genes[rng.choice(num_filters, size=k, replace=False)] = True
-        pop.append(Individual(genes))
-    return pop
+        row[rng.choice(num_filters, size=k, replace=False)] = True
+    return genes
 
 
 def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -118,20 +118,14 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     )
 
 
-def _points(pop: list[Individual]) -> np.ndarray:
-    """[N, 2] array of (filter_pct, error) rows."""
-    rows = [(ind.objectives.filter_pct, ind.objectives.error) for ind in pop]
-    return np.array(rows, dtype=np.float64).reshape(-1, 2)
-
-
-def fast_nondominated_sort(pop: list[Individual]) -> list[list[int]]:
-    """Fronts as ascending index lists, best first, peeled from one
-    dominance matrix: beats[i, j] when pop[i] dominates pop[j]."""
-    points = _points(pop)
+def fast_nondominated_sort(points: np.ndarray) -> list[list[int]]:
+    """Fronts of an [N, 2] objective array as ascending index lists, best
+    first, peeled from one dominance matrix: beats[i, j] when row i
+    dominates row j."""
     weakly = (points[:, None] <= points[None]).all(2)
     beats = weakly & ~weakly.T
     count = beats.sum(0)
-    left = np.ones(len(pop), dtype=bool)
+    left = np.ones(len(points), dtype=bool)
     fronts: list[list[int]] = []
     while left.any():
         front = left & (count == 0)
@@ -158,21 +152,21 @@ def crowding_distance(points: np.ndarray) -> np.ndarray:
     return dist
 
 
-def select_elites(pop: list[Individual], k: int) -> list[Individual]:
-    """Fill by ascending front; truncate the straddling front by descending
-    crowding, ties by lower filter_pct, then stable input order."""
-    if len(pop) < k:
-        raise EvolutionError(f"cannot select {k} elites from {len(pop)} individuals")
-    elites: list[Individual] = []
-    for front in fast_nondominated_sort(pop):
+def select_elites(points: np.ndarray, k: int) -> list[int]:
+    """Indices of k rows of an [N, 2] objective array: fill by ascending
+    front; truncate the straddling front by descending crowding, ties by
+    lower filter_pct, then stable input order."""
+    if len(points) < k:
+        raise EvolutionError(f"cannot select {k} elites from {len(points)} individuals")
+    elites: list[int] = []
+    for front in fast_nondominated_sort(points):
         room = k - len(elites)
         if len(front) > room:
-            points = _points([pop[i] for i in front])
-            crowding = crowding_distance(points).tolist()
-            pct = points[:, 0].tolist()
+            crowding = crowding_distance(points[front]).tolist()
+            pct = points[front, 0].tolist()
             order = sorted(range(len(front)), key=lambda j: (-crowding[j], pct[j], j))
             front = [front[j] for j in order[:room]]
-        elites.extend(pop[i] for i in front)
+        elites.extend(front)
         if len(elites) == k:
             break
     return elites
@@ -197,41 +191,39 @@ def repair(
 
 
 def make_children(
-    elites: list[Individual], cfg: EvolutionConfig, generation: int
-) -> list[Individual]:
-    """N unevaluated children from two random distinct elite parents each:
-    uniform crossover, per-gene mutation, then repair."""
-    if len(elites) < 2:
+    parents: np.ndarray, cfg: EvolutionConfig, generation: int
+) -> np.ndarray:
+    """[P, C] children of an [E, C] parent matrix, each from two random
+    distinct parents: uniform crossover, per-gene mutation, then repair."""
+    if len(parents) < 2:
         raise EvolutionError("need at least 2 elites to breed")
-    n = elites[0].genes.shape[0]
-    children = []
+    n = parents.shape[1]
+    children = np.empty((cfg.population_size, n), dtype=bool)
     for i in range(cfg.population_size):
         rng = _rng(cfg.seed, generation, i)
-        pa, pb = rng.choice(len(elites), size=2, replace=False)
-        p1, p2 = elites[pa].genes, elites[pb].genes
+        p1, p2 = parents[rng.choice(len(parents), size=2, replace=False)]
         if rng.random() < cfg.crossover_prob:
-            pick = rng.random(n) < 0.5
-            genes = np.where(pick, p1, p2)
+            genes = np.where(rng.random(n) < 0.5, p1, p2)
         else:
-            genes = p1.copy()
+            genes = p1
         flips = rng.random(n) < cfg.mutation_prob
-        genes = genes ^ flips
-        genes = repair(genes, cfg.tau1, cfg.tau2, rng)
-        children.append(Individual(genes))
+        children[i] = repair(genes ^ flips, cfg.tau1, cfg.tau2, rng)
     return children
 
 
-def pareto_front(elites: list[Individual]) -> list[Individual]:
-    """Rank-1 members deduplicated by genome, sorted by ascending filter_pct."""
-    fronts = fast_nondominated_sort(elites)
-    seen = set()
-    members = []
-    for i in fronts[0]:
-        key = elites[i].genes.tobytes()
-        if key not in seen:
-            seen.add(key)
-            members.append(elites[i])
-    members.sort(key=lambda ind: (ind.objectives.filter_pct, ind.objectives.error))
+def _members(genes: np.ndarray, points: np.ndarray) -> list[Individual]:
+    return [Individual(g, ObjectiveVector(*p)) for g, p in zip(genes, points)]
+
+
+def pareto_front(genes: np.ndarray, points: np.ndarray) -> list[Individual]:
+    """Rank-1 members deduplicated by genome (first occurrence kept), sorted
+    by ascending filter_pct."""
+    unique: dict[bytes, int] = {}
+    for i in fast_nondominated_sort(points)[0]:
+        unique.setdefault(genes[i].tobytes(), i)
+    keep = list(unique.values())
+    members = _members(genes[keep], points[keep])
+    members.sort(key=lambda ind: ind.objectives.as_tuple())
     return members
 
 
@@ -241,26 +233,27 @@ def evolve(
     """Initialize, sort, then T rounds of child generation and elite
     selection over the union of children and previous elites."""
     lo, hi = count_bounds(num_filters, cfg.tau1, cfg.tau2)
-    pop = init_population(num_filters, cfg)
-    for ind in pop:
-        ind.objectives = evaluate(ind.genes)
-    elites = select_elites(pop, cfg.elite_size)
+
+    def score(genes: np.ndarray) -> np.ndarray:
+        return np.array([evaluate(g).as_tuple() for g in genes])
+
+    genes = init_population(num_filters, cfg)
+    points = score(genes)
     history: dict[str, list[float]] = {"best_error": [], "median_error": []}
-    _record(history, elites)
-    for t in range(1, cfg.generations + 1):
-        children = make_children(elites, cfg, t)
-        for ind in children:
-            assert lo <= ind.retained <= hi  # repair keeps the pool feasible
-            ind.objectives = evaluate(ind.genes)
-        elites = select_elites(children + elites, cfg.elite_size)
-        _record(history, elites)
-    return EvolutionResult(elites, pareto_front(elites), history)
-
-
-def _record(history: dict[str, list[float]], elites: list[Individual]) -> None:
-    errors = [ind.objectives.error for ind in elites]
-    history["best_error"].append(min(errors))
-    history["median_error"].append(float(np.median(errors)))
+    for t in range(cfg.generations + 1):
+        if t > 0:
+            children = make_children(genes, cfg, t)
+            retained = children.sum(1)
+            # repair keeps the pool feasible
+            assert ((lo <= retained) & (retained <= hi)).all()
+            genes = np.concatenate([children, genes])
+            points = np.concatenate([score(children), points])
+        keep = select_elites(points, cfg.elite_size)
+        genes, points = genes[keep], points[keep]
+        errors = points[:, 1].tolist()
+        history["best_error"].append(min(errors))
+        history["median_error"].append(float(np.median(errors)))
+    return EvolutionResult(_members(genes, points), pareto_front(genes, points), history)
 
 
 def evolve_subnetwork(ctx: EvaluationContext, cfg: EvolutionConfig) -> EvolutionResult:

@@ -480,6 +480,17 @@ def not_utf8_model(tmp_path):
     return str(model)
 
 
+def taken_out(sub):
+    """An argv entry: --out set to `sub` under a regular file."""
+
+    def write(tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        return str(path / sub)
+
+    return write
+
+
 def prune_report_text(widths, command="prune"):
     """A report of `command` whose layers keep half of each conv's filters:
     `widths` maps ordinal to num_filters."""
@@ -491,8 +502,9 @@ def prune_report_text(widths, command="prune"):
 TOY_WIDTHS = {1: 8, 2: 16, 3: 16, 4: 16}
 RETAIN_REPORT = ["baseline", "--criterion", "random", "--retain"]
 
-# id: (argv, whose entries may be functions of tmp_path that return one,
-# config overrides, raw config text or a function of tmp_path that writes a
+# id: (argv, whose entries may be functions of tmp_path that return one and
+# which gets `--out tmp_path/r` unless it has an --out of its own, config
+# overrides, raw config text or a function of tmp_path that writes a
 # config file, manifest edit of a saved model passed with --model, exit code,
 # error type)
 ERROR_CASES = {
@@ -560,6 +572,10 @@ ERROR_CASES = {
     "manifest_channel_mismatch": (
         ["report"], {}, four_channel_input, 4, "ModelFormatError",
     ),
+    "out_is_a_file": (["report", "--out", taken_out("")], {}, None, 2, "ArgumentError"),
+    "out_under_a_file": (
+        ["report", "--out", taken_out("sub")], {}, None, 2, "ArgumentError",
+    ),
 }
 
 # evolution config values that must be rejected when the config is read
@@ -576,6 +592,8 @@ BAD_EVOLUTION_VALUES = {
     "nan_tau1": {"tau1": math.nan},
     "infinite_tau2": {"tau2": math.inf},
     "unknown_alpha_mode": {"alpha_mode": "nonsense"},
+    "tau1_above_tau2": {"tau1": 0.9, "tau2": 0.1},
+    "elite_size_above_population_size": {"population_size": 4, "elite_size": 5},
 }
 for _name, _values in BAD_EVOLUTION_VALUES.items():
     ERROR_CASES[_name] = (
@@ -1034,7 +1052,9 @@ class TestErrors:
         else:
             cfg = write_config(tmp_path, config)
         argv = [a(tmp_path) if callable(a) else a for a in argv]
-        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]
+        argv = [*argv, "--config", str(cfg)]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "r")]
         if edit_manifest is not None:
             argv += ["--model", str(saved_toy_model(tmp_path, edit_manifest))]
         assert run(argv) == code
@@ -1065,6 +1085,20 @@ class TestErrors:
         assert errors[0].startswith("ERROR code=2 type=ArgumentError msg=")
         assert "140. TiB" in errors[0]
         assert not out.exists()
+
+    def test_runs_root_is_a_file(self, tmp_path, capsys, monkeypatch, no_work):
+        """Without --out, a SMOEA_RUNS that names a regular file exits 2 with
+        one error line, like an --out under a file."""
+        root = tmp_path / "runs"
+        root.write_text("")
+        monkeypatch.setenv("SMOEA_RUNS", str(root))
+        assert run(["report", "--config", write_config(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        assert len(errors) == 1
+        assert errors[0].startswith("ERROR code=2 type=ArgumentError msg=")
+        assert root.read_text() == ""
 
     @settings(max_examples=120, deadline=None)
     @given(case=invalid_config(), argv=st.sampled_from(list(COMMANDS.values())))
