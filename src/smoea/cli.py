@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from . import network as N
@@ -29,7 +30,6 @@ from .exceptions import (
     SmoeaError,
     UnknownLayerError,
     check_fields,
-    check_fraction,
     read_json_object,
 )
 from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
@@ -135,55 +135,39 @@ def check_fit(dataset: Dataset, net: Network) -> None:
         )
 
 
-def _section(cfg: dict, name: str) -> dict:
-    """Config section `name`, which must be an object whose keys are all
-    keys of DEFAULT_CONFIG[name]."""
-    section = cfg[name]
-    if not isinstance(section, dict):
-        raise ArgumentError(f"config section {name!r} must be an object")
-    unknown = set(section) - set(DEFAULT_CONFIG[name])
+def _section(cfg: dict, name: str, error: type[SmoeaError] = ArgumentError) -> dict:
+    """Config section `name`, which must be an object (else `error`) whose
+    keys are all keys of DEFAULT_CONFIG[name]."""
+    check_fields(cfg, "an object", (name,), error=error)
+    unknown = set(cfg[name]) - set(DEFAULT_CONFIG[name])
     if unknown:
         raise ArgumentError(f"unknown {name} config keys {sorted(unknown)}")
-    return dict(section)
-
-
-def _check_choice(fields: dict, name: str, choices: tuple[str, ...], section: str) -> None:
-    if fields[name] not in choices:
-        raise ArgumentError(
-            f"{section}.{name} must be one of {list(choices)}, got {fields[name]!r}"
-        )
+    return dict(cfg[name])
 
 
 def _model_section(cfg: dict) -> dict:
     m = _section(cfg, "model")
-    _check_choice(m, "builtin", ("toy-cnn", "vgg14"), "model")
-    check_fields(m, "a string or null", ("path",), section="model")
-    check_fields(m, "an integer", ("seed",), low=0, section="model")
-    check_fields(m, "an integer", ("classes",), low=1, section="model")
-    check_fields(
-        m, "a list of integers", ("conv_channels", "input_shape"), low=1, section="model"
-    )
-    if len(m["input_shape"]) != 3:
-        raise ArgumentError(
-            f"model.input_shape must be [channels, height, width], "
-            f"got {m['input_shape']!r}"
-        )
+    check = partial(check_fields, m, section="model")
+    check(("toy-cnn", "vgg14"), ("builtin",))
+    check("a string or null", ("path",))
+    check("an integer", ("seed",), low=0)
+    check("an integer", ("classes",), low=1)
+    check("a list of integers", ("conv_channels",), low=1)
+    check("a list of 3 integers", ("input_shape",), low=1)
     return m
 
 
 def _dataset_section(cfg: dict) -> dict:
     d = _section(cfg, "dataset")
-    _check_choice(d, "kind", ("synthetic", "cifar10-binary"), "dataset")
-    check_fields(d, "a string or null", ("path",), section="dataset")
-    if d["kind"] == "cifar10-binary" and not d["path"]:
-        raise ArgumentError("dataset.path required for cifar10-binary")
+    check = partial(check_fields, d, section="dataset")
+    check(("synthetic", "cifar10-binary"), ("kind",))
+    check("a string or null", ("path",))
+    if d["kind"] == "cifar10-binary":
+        check("a non-empty string", ("path",))
     # fewer than 2 classes is a data error (exit 3), raised by the generator
-    check_fields(d, "an integer", ("classes",), section="dataset")
-    check_fields(
-        d, "an integer",
-        ("train_per_class", "test_per_class", "seed"), low=0, section="dataset",
-    )
-    check_fields(d, "a number", ("noise",), section="dataset")
+    check("an integer", ("classes",))
+    check("an integer", ("train_per_class", "test_per_class", "seed"), low=0)
+    check("a number", ("noise",))
     return d
 
 
@@ -204,9 +188,7 @@ def read_settings(cfg: dict) -> Settings:
     """Check every section of a merged config, whichever a command reads,
     and return the checked values."""
     model, dataset = _model_section(cfg), _dataset_section(cfg)
-    if not isinstance(cfg["groups"], dict):
-        raise PlanError("config section 'groups' must be an object")
-    plan = GroupPlan(**_section(cfg, "groups"))
+    plan = GroupPlan(**_section(cfg, "groups", PlanError))
     check_fields(cfg, "an integer", ("calibration_size",), low=1)
     return Settings(
         config=cfg,
@@ -271,7 +253,7 @@ def read_retain(text: str) -> float | dict[int, dict]:
     except ValueError:
         pass
     else:
-        check_fraction("--retain", fraction)
+        check_fields({"--retain": fraction}, "a number in (0, 1]", ("--retain",))
         return fraction
     report = read_json_object(text, ArgumentError, "--retain report")
     layers = report.get("layers")
@@ -280,10 +262,10 @@ def read_retain(text: str) -> float | dict[int, dict]:
         for row in layers
     ):
         raise ArgumentError(f"--retain {text} is not the report.json of a prune run")
-    for row in layers:
-        check_fields(row, "an integer", ("ordinal", "num_filters"), section="layers")
-        check_fields(row, "a number", ("retained_rate",), section="layers")
-        check_fraction("layers.retained_rate", row["retained_rate"])
+    for i, row in enumerate(layers):
+        check = partial(check_fields, row, section=f"layers[{i}]")
+        check("an integer", ("ordinal", "num_filters"))
+        check("a number in (0, 1]", ("retained_rate",))
     return {row["ordinal"]: row for row in layers}
 
 
@@ -409,7 +391,7 @@ def cmd_sweep(args) -> int:
     except ValueError as e:
         raise ArgumentError(f"bad --fractions {args.fractions!r}: {e}") from e
     for f in fractions:
-        check_fraction("--fractions entry", f)
+        check_fields({"--fractions entry": f}, "a number in (0, 1]", ("--fractions entry",))
     s, net, dataset = read_run(args)
     dataset.require_nonempty()
     dataset.require_test_split()

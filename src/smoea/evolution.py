@@ -11,17 +11,18 @@ results do not depend on how evaluations are scheduled.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from math import ceil, floor
 from typing import Callable
 
 import numpy as np
 
-from .exceptions import ArgumentError, EvolutionError, check_fields
+from .exceptions import EvolutionError, check_fields
 from .network import FilterMask
 from .objectives import (
+    ALPHA_MODES,
     EvaluationContext,
     ObjectiveVector,
-    _check_alpha_mode,
     evaluate_individual,
 )
 
@@ -49,23 +50,14 @@ class EvolutionConfig:
     alpha_mode: str = "optimized"
 
     def __post_init__(self):
-        fields = vars(self)
-        check_fields(
-            fields, "an integer", ("population_size", "elite_size", "generations", "seed")
-        )
-        check_fields(fields, "a number", ("crossover_prob", "mutation_prob", "tau1", "tau2"))
-        if self.population_size < 2 or self.elite_size < 2:
-            raise ArgumentError("population_size and elite_size must be >= 2")
-        if self.generations < 0 or self.seed < 0:
-            raise ArgumentError("generations and seed must be >= 0")
-        for name in ("crossover_prob", "mutation_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ArgumentError(f"{name} must lie in [0, 1]")
-        _check_alpha_mode(self.alpha_mode)
-        if self.elite_size > self.population_size:
-            raise ArgumentError("elite_size must be <= population_size")
-        if not 0 < self.tau1 < self.tau2 < 1:
-            raise ArgumentError("need 0 < tau1 < tau2 < 1")
+        check = partial(check_fields, vars(self), section="evolution")
+        check("an integer", ("population_size", "elite_size"), low=2)
+        check("an integer", ("generations", "seed"), low=0)
+        check("a number in [0, 1]", ("crossover_prob", "mutation_prob"))
+        check("a number in (0, 1)", ("tau1", "tau2"))
+        check(ALPHA_MODES, ("alpha_mode",))
+        check("an integer", ("population_size",), low="elite_size")
+        check("a number", ("tau1",), below="tau2")
 
 
 @dataclass

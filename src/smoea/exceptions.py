@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the checks of config
-fields, retained fractions and JSON files that raise it.
+and manifest fields and of JSON files that raise it.
 
 Every error carries an ``exit_code`` so the CLI can map failures to stable
 process exit statuses.
@@ -80,47 +80,72 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # NaN, +-inf and integers beyond the float range are not numbers
+    # (math.isfinite raises on such an integer)
+    return (_is_int(value) and abs(value) <= sys.float_info.max) or (
+        isinstance(value, float) and math.isfinite(value)
+    )
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is_int(x) for x in value)
+
+
 # what a field must be, as the message says it -> test of one value;
-# booleans never count as numbers, and NaN, +-inf and integers beyond the
-# float range are not numbers (math.isfinite raises on such an integer)
+# booleans never count as numbers
 FIELD_KINDS = {
     "an integer": _is_int,
-    "a number": lambda v: (_is_int(v) and abs(v) <= sys.float_info.max)
-    or (isinstance(v, float) and math.isfinite(v)),
-    "a list of integers": lambda v: isinstance(v, (list, tuple))
-    and all(_is_int(x) for x in v),
+    "a number": _is_number,
+    "a number > 0": lambda v: _is_number(v) and v > 0,
+    "a number in [0, 1]": lambda v: _is_number(v) and 0 <= v <= 1,
+    "a number in [0, 1)": lambda v: _is_number(v) and 0 <= v < 1,
+    "a number in (0, 1)": lambda v: _is_number(v) and 0 < v < 1,
+    "a number in (0, 1]": lambda v: _is_number(v) and 0 < v <= 1,
+    "a list of integers": _is_int_list,
+    "a list of 3 integers": lambda v: _is_int_list(v) and len(v) == 3,
+    "a strictly increasing list of integers": lambda v: _is_int_list(v)
+    and all(a < b for a, b in zip(v, v[1:])),
+    "a list": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
     "a string or null": lambda v: v is None or isinstance(v, str),
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
 }
 
 
 def check_fields(
     fields: dict,
-    kind: str,
+    kind,
     names,
     low=None,
+    below=None,
     error: type[SmoeaError] = ArgumentError,
     section: str = "",
 ) -> None:
-    """Raise `error` for the first of `names` whose value in `fields` is not
-    `kind` (a key of FIELD_KINDS) or, where `low` is given, is below `low`
-    (for a list, holds an entry below it). The message names the field as
-    `section.name` where a config section is given."""
+    """Raise `error` for the first of `names` whose value in `fields` (None
+    where it is missing) is not `kind`, a key of FIELD_KINDS or a tuple of
+    the allowed values, or whose number, or any list entry, is below `low`
+    or not below `below`. A bound is a number or the name of another field
+    of `fields`, whose value it takes. This is the one place that words a
+    rejected field: `<section>.<name> must be <rule>, got <value!r>`."""
+    where = f"{section}." if section else ""
+    rule = kind if isinstance(kind, str) else " or ".join(map(repr, kind))
+    tests = []
+    for op, bound in ((">=", low), ("<", below)):
+        if isinstance(bound, str):  # another field: the rule names it and its value
+            rule += f" {op} {where}{bound} ({fields[bound]!r})"
+            tests.append((op, fields[bound]))
+        elif bound is not None:
+            rule += f" {op} {bound}"
+            tests.append((op, bound))
     for name in names:
-        value = fields[name]
-        ok = FIELD_KINDS[kind](value)
-        if ok and low is not None:
-            entries = value if isinstance(value, (list, tuple)) else [value]
-            ok = all(v >= low for v in entries)
-        if not ok:
-            bound = "" if low is None else f" >= {low}"
-            where = f"{section}.{name}" if section else name
-            raise error(f"{where} must be {kind}{bound}, got {value!r}")
-
-
-def check_fraction(name: str, value: float) -> None:
-    """A retained fraction must lie in (0, 1]."""
-    if not 0 < value <= 1:
-        raise ArgumentError(f"{name} must be in (0, 1], got {value}")
+        value = fields.get(name)
+        ok = value in kind if isinstance(kind, tuple) else FIELD_KINDS[kind](value)
+        entries = value if isinstance(value, (list, tuple)) else [value]
+        if not ok or not all(
+            v >= b if op == ">=" else v < b for op, b in tests for v in entries
+        ):
+            raise error(f"{where}{name} must be {rule}, got {value!r}")
 
 
 def read_json_object(path: str | Path, error: type[SmoeaError], what: str) -> dict:

@@ -23,7 +23,9 @@ functions below that walk a network are plain loops over its layers:
 - ``input_error(shape)``: why the layer cannot take a per-sample input of
   that shape, or None if it can;
 - ``fields()`` and the classmethod ``from_entry(entry, path)``: the layer's
-  fields in the model manifest, and the validated read of one entry.
+  fields in the model manifest, and the read of one entry whose integer
+  fields, named with their smallest valid values in ``int_fields``,
+  ``load_model`` has checked.
 
 Conv and dense layers are parametric: ``arrays()`` gives their weights and
 bias, which are saved as one blob, and ``compacted`` drops pruned
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,7 @@ from .exceptions import (
     MaskError,
     ModelFormatError,
     UnknownLayerError,
+    check_fields,
     read_json_object,
 )
 from .tensor import ConvParams
@@ -59,6 +63,7 @@ class Layer:
 
     kind = ""
     parametric = False
+    int_fields: dict[str, int] = {}
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         return shape
@@ -93,20 +98,17 @@ class ParametricLayer(Layer):
         return data.astype("<f8").tobytes()
 
 
-# manifest fields of a conv entry, each with its smallest valid value
-_CONV_FIELDS = {
-    "out_channels": 1,
-    "in_channels": 1,
-    "kernel_h": 1,
-    "kernel_w": 1,
-    "stride": 1,
-    "padding": 0,
-}
-
-
 @dataclass
 class ConvLayer(ParametricLayer):
     kind = "conv"
+    int_fields = {
+        "out_channels": 1,
+        "in_channels": 1,
+        "kernel_h": 1,
+        "kernel_w": 1,
+        "stride": 1,
+        "padding": 0,
+    }
     params: ConvParams
 
     def arrays(self) -> list[np.ndarray]:
@@ -148,11 +150,11 @@ class ConvLayer(ParametricLayer):
         )
 
     def fields(self):
-        return {name: getattr(self.params, name) for name in _CONV_FIELDS}
+        return {name: getattr(self.params, name) for name in self.int_fields}
 
     @classmethod
     def from_entry(cls, entry, path):
-        oc, ic, kh, kw, stride, padding = _ints(entry, _CONV_FIELDS)
+        oc, ic, kh, kw, stride, padding = (entry[name] for name in cls.int_fields)
         n_w = oc * ic * kh * kw
         data = _read_blob(path, entry, n_w + oc)
         weights = data[:n_w].reshape(oc, ic, kh, kw)
@@ -207,6 +209,7 @@ class FlattenLayer(Layer):
 @dataclass
 class DenseLayer(ParametricLayer):
     kind = "dense"
+    int_fields = {"in_features": 1, "out_features": 1}
     weights: np.ndarray  # [D, O]
     bias: np.ndarray  # [O]
 
@@ -248,7 +251,7 @@ class DenseLayer(ParametricLayer):
 
     @classmethod
     def from_entry(cls, entry, path):
-        d, o = _ints(entry, {"in_features": 1, "out_features": 1})
+        d, o = entry["in_features"], entry["out_features"]
         data = _read_blob(path, entry, d * o + o)
         return cls(data[: d * o].reshape(d, o), data[d * o :])
 
@@ -560,53 +563,32 @@ def save_model(net: Network, path: str | Path) -> None:
 def load_model(path: str | Path) -> Network:
     path = Path(path)
     manifest = read_json_object(path / MODEL_MANIFEST, ModelFormatError, "model manifest")
-    for key in ("format", "input_shape", "layers", "num_layers"):
-        if key not in manifest:
-            raise ModelFormatError(f"manifest missing field {key!r}")
-    if manifest["format"] != "smoea-model":
-        raise ModelFormatError(f"unknown model format {manifest['format']!r}")
-    if manifest.get("endianness", "little") != "little":
-        raise ModelFormatError("unsupported endianness")
-    if manifest.get("dtype", "float64") != "float64":
-        raise ModelFormatError("unsupported dtype")
-    shape = manifest["input_shape"]
-    valid = isinstance(shape, list) and len(shape) == 3
-    if not valid or not all(type(v) is int and v >= 1 for v in shape):
-        raise ModelFormatError(f"input_shape must be 3 positive ints, got {shape!r}")
-    entries, count = manifest["layers"], manifest["num_layers"]
-    if not isinstance(entries, list) or type(count) is not int or count != len(entries):
-        raise ModelFormatError(
-            f"manifest num_layers {count!r} does not match "
-            "its list of layer entries"
-        )
+    # endianness and dtype may be left out
+    fields = {"endianness": "little", "dtype": "float64", **manifest}
+    check = partial(check_fields, error=ModelFormatError)
+    check(fields, ("smoea-model",), ("format",))
+    check(fields, ("little",), ("endianness",))
+    check(fields, ("float64",), ("dtype",))
+    check(fields, "a list of 3 integers", ("input_shape",), low=1)
+    check(fields, "a list", ("layers",))
+    check(fields, "an integer", ("num_layers",))
+    check(fields, (len(fields["layers"]),), ("num_layers",))
     layers: list[Layer] = []
-    in_shape = tuple(shape)  # per-sample input of the next layer
-    for i, entry in enumerate(entries):
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        if not isinstance(kind, str) or kind not in LAYER_CLASSES:
-            raise ModelFormatError(f"unknown layer kind {kind!r}")
-        lay = LAYER_CLASSES[kind].from_entry(entry, path)
+    in_shape = tuple(fields["input_shape"])  # per-sample input of the next layer
+    for i, entry in enumerate(fields["layers"]):
+        where = f"layers[{i}]"
+        check({where: entry}, "an object", (where,))
+        check(entry, tuple(LAYER_CLASSES), ("kind",), section=where)
+        cls = LAYER_CLASSES[entry["kind"]]
+        for name, low in cls.int_fields.items():
+            check(entry, "an integer", (name,), low=low, section=where)
+        lay = cls.from_entry(entry, path)
         problem = lay.input_error(in_shape)
         if problem is not None:
-            raise ModelFormatError(f"layer {i} ({kind}): {problem}")
+            raise ModelFormatError(f"{where} ({cls.kind}): {problem}")
         layers.append(lay)
         in_shape = lay.out_shape(in_shape)
-    return Network(layers, tuple(shape))
-
-
-def _ints(entry: dict, minimums: dict[str, int]) -> list[int]:
-    """The named integer fields of a manifest entry, each checked against
-    its smallest valid value."""
-    values = []
-    for name, low in minimums.items():
-        value = entry.get(name)
-        if type(value) is not int or value < low:
-            raise ModelFormatError(
-                f"{entry.get('kind')} entry field {name!r} must be an integer "
-                f">= {low}, got {value!r}"
-            )
-        values.append(value)
-    return values
+    return Network(layers, tuple(fields["input_shape"]))
 
 
 def _read_blob(path: Path, entry: dict, expected: int) -> np.ndarray:

@@ -9,6 +9,7 @@ import copy
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -22,12 +23,10 @@ from .evolution import (
     knee_point,
 )
 from .exceptions import (
-    ArgumentError,
     DataError,
     NonFiniteError,
     PlanError,
     check_fields,
-    check_fraction,
 )
 from .network import FilterMask, Network
 from .objectives import EvaluationContext
@@ -42,12 +41,8 @@ class GroupPlan:
     block_counts: list[int]
 
     def __post_init__(self):
-        check_fields(vars(self), "an integer", ("l0",), error=PlanError)
-        check_fields(vars(self), "a list of integers", ("block_counts",), error=PlanError)
-        if self.l0 < 1:
-            raise PlanError("l0 must be >= 1")
-        if any(b < 1 for b in self.block_counts):
-            raise PlanError("block counts must be positive")
+        for kind, name in (("an integer", "l0"), ("a list of integers", "block_counts")):
+            check_fields(vars(self), kind, (name,), low=1, error=PlanError, section="groups")
 
 
 @dataclass
@@ -65,24 +60,15 @@ class FineTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        fields = vars(self)
-        check_fields(fields, "an integer", ("epochs", "batch_size", "seed"))
-        check_fields(fields, "a number", ("lr", "momentum"))
-        check_fields(fields, "a list of integers", ("milestones",))
-        if self.epochs < 0 or self.seed < 0:
-            raise ArgumentError("epochs and seed must be >= 0")
-        if self.batch_size < 1:
-            raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 <= self.momentum < 1:
-            raise ArgumentError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not self.lr > 0:
-            raise ArgumentError(f"lr must be > 0, got {self.lr}")
-        ms = tuple(self.milestones)
-        if list(ms) != sorted(set(ms)):
-            raise ArgumentError("milestones must be strictly increasing")
-        if self.epochs > 0 and any(m >= self.epochs for m in ms):
-            raise ArgumentError("milestones must be < epochs")
-        self.milestones = ms
+        check = partial(check_fields, vars(self), section="finetune")
+        check("a number > 0", ("lr",))
+        check("an integer", ("epochs", "seed"), low=0)
+        check("an integer", ("batch_size",), low=1)
+        check("a number in [0, 1)", ("momentum",))
+        check("a strictly increasing list of integers", ("milestones",))
+        if self.epochs > 0:
+            check("a list of integers", ("milestones",), below="epochs")
+        self.milestones = tuple(self.milestones)
 
 
 def lr_at(cfg: FineTuneConfig, epoch: int) -> float:
@@ -216,7 +202,7 @@ def finetune(net: Network, dataset: Dataset, cfg: FineTuneConfig) -> Network:
 def calibration_batch(dataset: Dataset, size: int, seed: int) -> np.ndarray:
     """Fixed seeded subset of the training images used for feature-map
     reconstruction; makes the evolution deterministic."""
-    check_fields({"calibration size": size}, "an integer", ("calibration size",), low=1)
+    check_fields({"calibration_size": size}, "an integer", ("calibration_size",), low=1)
     dataset.require_nonempty()
     n = dataset.train_images.shape[0]
     rng = np.random.default_rng(seed)
@@ -344,7 +330,10 @@ def baseline_mask(
     the filters with the smallest summed distance to all others (the most
     replaceable ones). Ties prune the lower filter index first.
     """
-    check_fraction("retain_fraction", retain_fraction)
+    check_fields(
+        {"retain_fraction": retain_fraction}, "a number in (0, 1]", ("retain_fraction",)
+    )
+    check_fields({"criterion": criterion}, ("random", "l2", "fpgm"), ("criterion",))
     n = weights.shape[0]
     keep = max(1, round(retain_fraction * n))
     bits = np.zeros(n, dtype=np.uint8)
@@ -354,11 +343,9 @@ def baseline_mask(
         norms = np.sqrt((weights.reshape(n, -1) ** 2).sum(axis=1))
         order = np.argsort(norms, kind="stable")  # ascending: prune front
         bits[order[n - keep :]] = 1
-    elif criterion == "fpgm":
+    else:  # fpgm
         order = np.argsort(_fpgm_distance_sums(weights), kind="stable")
         bits[order[n - keep :]] = 1
-    else:
-        raise ArgumentError(f"unknown criterion {criterion!r}")
     return bits
 
 
@@ -401,7 +388,7 @@ def sweep_uniform_retention(
     member with the closest retention (ties toward lower error), prune all
     convs as one group, fine-tune and record accuracy."""
     for f in fractions:
-        check_fraction("fraction", f)
+        check_fields({"fraction": f}, "a number in (0, 1]", ("fraction",))
     calib = calibration_batch(dataset, calibration_size, evo.seed)
     # measured before any evolution or fine-tuning, so that a dataset
     # without a test split fails first

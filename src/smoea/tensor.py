@@ -8,7 +8,15 @@ kernel flip), the universal deep-learning convention.
 The conv forward and backward are matmuls over the im2col operands that
 numpy 2.4 built when it lowered the contraction forms they replaced
 (tests/test_tensor.py keeps those forms as oracles), and their results are
-bit-identical to those forms, 1x1 kernels included (_kernel1_cols). The
+bit-identical to those forms, 1x1 kernels included (_kernel1_cols), with
+two limits. A padded x is always copied into a C-order buffer, so F- and
+C-contiguous inputs give equal values and strides, while the forms' np.pad
+keeps an F-contiguous x's layout: for such an x (one image, one row) a
+padded 1x1 weight gradient can differ from the form's in the last bit, and
+a padded input gradient's strides differ. An unpadded x is read in its own
+layout, as the forms read it. And the strides of length-1 output axes,
+which address no memory, can differ from the forms' (a 1x1 kernel with
+c = 1, a 1x1 output map of a channel-major x); their values do not. The
 forward builds its operand for one block of whole images at a time, so no
 full-batch copy of it exists, and the backward's input gradient forms its
 tap products and their sums one block of whole images at a time, so no
@@ -572,8 +580,6 @@ def sgd_update(
     velocity: list[np.ndarray],
 ) -> None:
     """v <- momentum*v + g; p <- p - lr*v, both in place."""
-    if not (lr > 0):
-        raise ShapeError("lr must be > 0")
     for p, g, v in zip(params, grads, velocity):
         v *= momentum
         v += g

@@ -631,6 +631,7 @@ BAD_FINETUNE_VALUES = {
     "momentum_one": {"momentum": 1.0},
     "string_momentum": {"momentum": "0.9"},
     "lr_beyond_float": {"lr": 10**400},
+    "milestones_beyond_epochs": {"milestones": [1, 2]},
 }
 for _name, _values in BAD_FINETUNE_VALUES.items():
     ERROR_CASES[_name] = (
@@ -762,6 +763,13 @@ for _name, _argv in {
 # a fine-tune whose loss turns non-finite fails at that step, before any
 # model is saved; these rows run their fine-tune
 RUNS_FINETUNE = {"diverging_finetune"}
+
+# rows whose error breaks a rule between two fields: the message names both
+CROSS_FIELD = {
+    "tau1_above_tau2": ("evolution.tau1", "evolution.tau2"),
+    "elite_size_above_population_size": ("evolution.elite_size", "evolution.population_size"),
+    "milestones_beyond_epochs": ("finetune.milestones", "finetune.epochs"),
+}
 ERROR_CASES.update({
     "diverging_finetune": (
         ["train"], {"finetune": {"lr": 1e6, "epochs": 2, "milestones": []}}, None,
@@ -897,13 +905,14 @@ BAD_SECTION_VALUES = {
 
 @st.composite
 def invalid_config(draw):
+    """(config, config path, exit code) with one invalid field."""
     path = draw(st.sampled_from(sorted(INVALID_FIELDS)))
     values, code = INVALID_FIELDS[path]
     value = draw(values)
     config = value
     for key in reversed(path):
         config = {key: config}
-    return config, code
+    return config, path, code
 
 
 def cifar_records(n, seed=0):
@@ -1063,6 +1072,8 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
+        for name in CROSS_FIELD.get(request.node.callspec.id, ()):
+            assert name in errors[0]
         assert not (tmp_path / "r" / "model").exists()
         if request.node.callspec.id not in RUNS_FINETUNE:
             # refused before the run directory, so before any output
@@ -1103,7 +1114,7 @@ class TestErrors:
     @settings(max_examples=120, deadline=None)
     @given(case=invalid_config(), argv=st.sampled_from(list(COMMANDS.values())))
     def test_invalid_field_property(self, tmp_path_factory, case, argv):
-        config, code = case
+        config, path, code = case
         tmp_path = tmp_path_factory.mktemp("fuzz")
         cfg = write_config(tmp_path, config)
         out = tmp_path / "r"
@@ -1115,6 +1126,13 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} ")
+        # the message names the field by its dotted path and quotes its value
+        value = config
+        for key in path:
+            value = value[key]
+        msg = errors[0].split(" msg=", 1)[1]
+        assert msg.startswith(".".join(path) + " must be ")
+        assert msg.endswith(f", got {value!r}")
         # refused before the run directory and config.echo, so before any work
         assert not out.exists()
 

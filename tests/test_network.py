@@ -389,6 +389,42 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "m")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m["layers"][0].pop("out_channels"),
+             "layers[0].out_channels must be an integer >= 1, got None"),
+            (lambda m: m["layers"][0].update(padding=-1),
+             "layers[0].padding must be an integer >= 0, got -1"),
+            (lambda m: m["layers"][-1].update(in_features="10"),
+             "layers[11].in_features must be an integer >= 1, got '10'"),
+            (lambda m: m["layers"][1].update(kind="lstm"),
+             "layers[1].kind must be 'conv' or 'relu' or 'maxpool' or 'flatten' or "
+             "'dense', got 'lstm'"),
+            (lambda m: m["layers"].__setitem__(1, 5), "layers[1] must be an object, got 5"),
+            (lambda m: m.pop("format"), "format must be 'smoea-model', got None"),
+            (lambda m: m.update(dtype="float32"), "dtype must be 'float64', got 'float32'"),
+            (lambda m: m.update(input_shape=[3, 8]),
+             "input_shape must be a list of 3 integers >= 1, got [3, 8]"),
+            (lambda m: m.update(layers={}), "layers must be a list, got {}"),
+            (lambda m: m.update(num_layers=True), "num_layers must be an integer, got True"),
+            (lambda m: m.update(num_layers=3), "num_layers must be 12, got 3"),
+        ],
+        ids=["missing", "below_minimum", "string", "kind", "entry", "format", "dtype",
+             "input_shape", "layers", "bool_count", "count"],
+    )
+    def test_field_message(self, tmp_path, toy, edit, message):
+        """A rejected manifest field's message names its dotted path and
+        quotes its value."""
+        save_model(toy, tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError) as e:
+            load_model(tmp_path / "m")
+        assert str(e.value) == message
+
     @pytest.mark.parametrize("kind", ["conv", "dense"])
     def test_layer_takes_wrong_width(self, tmp_path, toy, kind):
         """A parametric layer whose input width differs from what the layers

@@ -420,6 +420,33 @@ class TestConvForwardBitwise:
         assert np.array_equal(got, want) and got.strides == want.strides
 
 
+# padded shapes whose F-contiguous x the einsum forms read in F layout: one
+# image and one row with a 1x1 kernel, where a padded weight gradient of
+# that layout differs from the C-order one in the last bit
+F_LAYOUT_SHAPES = {
+    **{name: shape for name, shape in BITWISE_CONV_SHAPES.items() if shape[-1] > 0},
+    "kernel1_padded_33_to_7": (1, 33, 1, 15, 7, 1, 1, 1),
+    "kernel1_padded_17_to_12": (1, 17, 1, 11, 12, 1, 1, 1),
+}
+
+
+class TestInputLayout:
+    """A padded x is copied into C order, so an F-contiguous x gives the
+    C-contiguous one's bits and strides, forward and backward."""
+
+    @pytest.mark.parametrize("shape", F_LAYOUT_SHAPES.values(), ids=F_LAYOUT_SHAPES)
+    def test_f_contiguous_equals_c_contiguous(self, shape):
+        x, p, g = backward_case(shape)
+        f = np.asfortranarray(x)
+        assert f.flags.f_contiguous and not f.flags.c_contiguous
+        got, want = T.conv2d_forward(f, p), T.conv2d_forward(x, p)
+        assert np.array_equal(got, want) and got.strides == want.strides
+        got, want = T.conv2d_backward(f, p, g), T.conv2d_backward(x, p, g)
+        for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+            assert np.array_equal(a, b), name
+            assert a.strides == b.strides, name
+
+
 def record_results(monkeypatch, name):
     """Record the result of every call of tensor.<name> from now on;
     returns the list of results."""
