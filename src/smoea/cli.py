@@ -87,10 +87,16 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return dict(DEFAULT_CONFIG)
     user = read_json_object(path, ArgumentError, "config")
-    unknown = set(user) - set(DEFAULT_CONFIG)
-    if unknown:
-        raise ArgumentError(f"unknown top-level config keys {sorted(unknown)}")
+    _check_keys(user, DEFAULT_CONFIG)
     return _merge(DEFAULT_CONFIG, user)
+
+
+def _check_keys(given: dict, known: dict, section: str = "") -> None:
+    """Reject each key of `given` that `known` lacks, by its dotted path."""
+    where = f"{section}." if section else ""
+    unknown = sorted(set(given) - set(known))
+    if unknown:
+        raise ArgumentError("; ".join(f"{where}{key} is not a config key" for key in unknown))
 
 
 def build_dataset(d: dict, input_shape: tuple[int, int, int]) -> Dataset:
@@ -139,9 +145,7 @@ def _section(cfg: dict, name: str, error: type[SmoeaError] = ArgumentError) -> d
     """Config section `name`, which must be an object (else `error`) whose
     keys are all keys of DEFAULT_CONFIG[name]."""
     check_fields(cfg, "an object", (name,), error=error)
-    unknown = set(cfg[name]) - set(DEFAULT_CONFIG[name])
-    if unknown:
-        raise ArgumentError(f"unknown {name} config keys {sorted(unknown)}")
+    _check_keys(cfg[name], DEFAULT_CONFIG[name], name)
     return dict(cfg[name])
 
 
@@ -163,7 +167,7 @@ def _dataset_section(cfg: dict) -> dict:
     check(("synthetic", "cifar10-binary"), ("kind",))
     check("a string or null", ("path",))
     if d["kind"] == "cifar10-binary":
-        check("a non-empty string", ("path",))
+        check("a non-empty string", ("path",), when="dataset.kind is 'cifar10-binary'")
     # fewer than 2 classes is a data error (exit 3), raised by the generator
     check("an integer", ("classes",))
     check("an integer", ("train_per_class", "test_per_class", "seed"), low=0)

@@ -121,13 +121,15 @@ def check_fields(
     below=None,
     error: type[SmoeaError] = ArgumentError,
     section: str = "",
+    when: str = "",
 ) -> None:
     """Raise `error` for the first of `names` whose value in `fields` (None
     where it is missing) is not `kind`, a key of FIELD_KINDS or a tuple of
     the allowed values, or whose number, or any list entry, is below `low`
     or not below `below`. A bound is a number or the name of another field
-    of `fields`, whose value it takes. This is the one place that words a
-    rejected field: `<section>.<name> must be <rule>, got <value!r>`."""
+    of `fields`, whose value it takes; `when` names another field's value
+    that sets the rule. This is the one place that words a rejected field:
+    `<section>.<name> must be <rule>, got <value!r>`."""
     where = f"{section}." if section else ""
     rule = kind if isinstance(kind, str) else " or ".join(map(repr, kind))
     tests = []
@@ -138,6 +140,8 @@ def check_fields(
         elif bound is not None:
             rule += f" {op} {bound}"
             tests.append((op, bound))
+    if when:
+        rule += f" when {when}"
     for name in names:
         value = fields.get(name)
         ok = value in kind if isinstance(kind, tuple) else FIELD_KINDS[kind](value)

@@ -18,25 +18,27 @@ functions below that walk a network are plain loops over its layers:
   input, and ``(grad_weights, grad_bias)`` for a parametric layer, else
   None; a layer may return None for ``g_in`` when ``input_grad`` is False
   (the network's first layer, whose input gradient nobody reads);
-- ``out_shape(shape)`` and ``flops(shape)``: the per-sample output shape
-  (channel-first, no batch dim) and the forward FLOPs for an input shape;
-- ``input_error(shape)``: why the layer cannot take a per-sample input of
-  that shape, or None if it can;
-- ``fields()`` and the classmethod ``from_entry(entry, path)``: the layer's
-  fields in the model manifest, and the read of one entry whose integer
-  fields, named with their smallest valid values in ``int_fields``,
-  ``load_model`` has checked.
+- ``out_shape(shape)``: the per-sample output shape (channel-first, no
+  batch dim) for an input shape, or a GeometryError that says why the layer
+  cannot take it. This one rule builds networks, checks loaded models and
+  gives ``count_flops`` its positions;
+- ``fields()`` and the classmethod ``from_entry(entry, path, where)``: the
+  layer's fields in the model manifest, and the read of entry ``where``
+  (``layers[i]``), whose integer fields, named with their smallest valid
+  values in ``int_fields``, ``load_model`` has checked.
 
 Conv and dense layers are parametric: ``arrays()`` gives their weights and
-bias, which are saved as one blob, and ``compacted`` drops pruned
-channels. Layer methods look tensor ops up on the ``tensor`` module
-at call time, so a wrapper installed on a module attribute (for timing,
-say) sees every call.
+bias, which are saved as one blob, ``compacted`` drops pruned channels,
+and ``channel_operands(x, channels)`` splits the layer's linear map by
+input channel for the Gram build of ``objectives``. Layer methods look
+tensor ops up on the ``tensor`` module at call time, so a wrapper installed
+on a module attribute (for timing, say) sees every call.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -68,17 +70,11 @@ class Layer:
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
         return shape
 
-    def flops(self, shape: tuple[int, ...]) -> int:
-        return 0
-
-    def input_error(self, shape: tuple[int, ...]) -> str | None:
-        return None
-
     def fields(self) -> dict:
         return {}
 
     @classmethod
-    def from_entry(cls, entry: dict, path: Path) -> "Layer":
+    def from_entry(cls, entry: dict, path: Path, where: str) -> "Layer":
         return cls()
 
 
@@ -87,11 +83,6 @@ class ParametricLayer(Layer):
     float64 blob."""
 
     parametric = True
-
-    def flops(self, shape):
-        # every weight does one multiply-accumulate per output position
-        positions = int(np.prod(self.out_shape(shape)[1:]))
-        return 2 * self.arrays()[0].size * positions
 
     def blob(self) -> bytes:
         data = np.concatenate([a.ravel() for a in self.arrays()])
@@ -122,17 +113,19 @@ class ConvLayer(ParametricLayer):
         return g_in, (gw, gb)
 
     def out_shape(self, shape):
-        oh, ow = T.conv_output_hw(self.params, shape[1], shape[2])
-        return (self.params.out_channels, oh, ow)
-
-    def input_error(self, shape):
         if len(shape) != 3 or shape[0] != self.params.in_channels:
-            return f"conv with {self.params.in_channels} input channels gets {shape}"
-        try:
-            T.conv_output_hw(self.params, shape[1], shape[2])
-        except GeometryError as e:
-            return str(e)
-        return None
+            raise GeometryError(
+                f"conv with {self.params.in_channels} input channels gets {shape}"
+            )
+        return (self.params.out_channels, *T.conv_output_hw(self.params, *shape[1:]))
+
+    def channel_operands(self, x, channels):
+        """The [N, C, Ho, Wo, kh, kw] windows of the input x under each
+        output position, and the weights as [C, kh*kw, O]: the response of
+        input channel c is windows[:, c] @ weights[c]."""
+        p = self.params
+        windows = T._windows(T._pad(x, p.padding), p)
+        return windows, p.weights.transpose(1, 2, 3, 0).reshape(channels, -1, p.out_channels)
 
     def compacted(self, in_bits: np.ndarray | None, out_bits: np.ndarray | None):
         """Copy keeping the flagged input and output channels (None keeps all)."""
@@ -153,10 +146,10 @@ class ConvLayer(ParametricLayer):
         return {name: getattr(self.params, name) for name in self.int_fields}
 
     @classmethod
-    def from_entry(cls, entry, path):
+    def from_entry(cls, entry, path, where):
         oc, ic, kh, kw, stride, padding = (entry[name] for name in cls.int_fields)
         n_w = oc * ic * kh * kw
-        data = _read_blob(path, entry, n_w + oc)
+        data = _read_blob(path, entry, n_w + oc, where)
         weights = data[:n_w].reshape(oc, ic, kh, kw)
         return cls(ConvParams(oc, ic, kh, kw, stride, padding, weights, data[n_w:]))
 
@@ -184,12 +177,9 @@ class PoolLayer(Layer):
         return T.maxpool2x2_backward(winner, g), None
 
     def out_shape(self, shape):
-        return (shape[0], shape[1] // 2, shape[2] // 2)
-
-    def input_error(self, shape):
         if len(shape) != 3 or shape[1] % 2 or shape[2] % 2:
-            return f"2x2 maxpool needs even spatial dims, gets {shape}"
-        return None
+            raise GeometryError(f"2x2 maxpool needs even spatial dims, gets {shape}")
+        return (shape[0], shape[1] // 2, shape[2] // 2)
 
 
 @dataclass
@@ -203,7 +193,7 @@ class FlattenLayer(Layer):
         return g.reshape(shape), None
 
     def out_shape(self, shape):
-        return (int(np.prod(shape)),)
+        return (math.prod(shape),)
 
 
 @dataclass
@@ -224,24 +214,28 @@ class DenseLayer(ParametricLayer):
         return g_in, (gw, gb)
 
     def out_shape(self, shape):
+        if shape != (self.weights.shape[0],):
+            raise GeometryError(
+                f"dense with {self.weights.shape[0]} input features gets {shape}"
+            )
         return (self.weights.shape[1],)
 
-    def input_error(self, shape):
-        if shape != (self.weights.shape[0],):
-            return f"dense with {self.weights.shape[0]} input features gets {shape}"
-        return None
+    def channel_operands(self, x, channels):
+        """The input x, the row-major flatten of [C, H, W], as one output
+        position whose window is the whole of each channel, [N, C, 1, 1, H*W],
+        and the weights as [C, H*W, O]."""
+        return x.reshape(x.shape[0], channels, 1, 1, -1), self._channel_rows(channels)
+
+    def _channel_rows(self, channels: int) -> np.ndarray:
+        # the [C, H*W, O] view of the weights: rows follow the flatten
+        return self.weights.reshape(channels, -1, self.weights.shape[1])
 
     def compacted(self, in_bits: np.ndarray | None, out_bits: None = None):
         """Copy keeping the rows fed by the flagged channels of the preceding
-        conv (None keeps all); outputs are never pruned. Rows follow the
-        row-major flatten of [C, H, W]."""
-        d = self.weights.shape[0]
-        rows = (
-            np.arange(d)
-            if in_bits is None
-            else np.flatnonzero(np.repeat(in_bits, d // in_bits.shape[0]))
-        )
-        return DenseLayer(self.weights[rows], self.bias.copy())
+        conv (None keeps all); outputs are never pruned."""
+        bits = np.ones(1) if in_bits is None else in_bits
+        rows = self._channel_rows(bits.shape[0])[np.flatnonzero(bits)]
+        return DenseLayer(rows.reshape(-1, self.weights.shape[1]), self.bias.copy())
 
     def fields(self):
         return {
@@ -250,9 +244,9 @@ class DenseLayer(ParametricLayer):
         }
 
     @classmethod
-    def from_entry(cls, entry, path):
+    def from_entry(cls, entry, path, where):
         d, o = entry["in_features"], entry["out_features"]
-        data = _read_blob(path, entry, d * o + o)
+        data = _read_blob(path, entry, d * o + o, where)
         return cls(data[: d * o].reshape(d, o), data[d * o :])
 
 
@@ -316,19 +310,10 @@ class SubNetwork:
 # construction
 
 
-def _he_conv(rng, out_c, in_c) -> ConvParams:
-    k = 3
-    std = np.sqrt(2.0 / (in_c * k * k))
-    return ConvParams(
-        out_channels=out_c,
-        in_channels=in_c,
-        kernel_h=k,
-        kernel_w=k,
-        stride=1,
-        padding=k // 2,
-        weights=rng.normal(0.0, std, size=(out_c, in_c, k, k)),
-        bias=np.zeros(out_c),
-    )
+def _he_conv(rng, out_c, in_c, k=3) -> ConvParams:
+    """A k x k conv, stride 1, same padding: He-normal weights, zero bias."""
+    weights = rng.normal(0.0, np.sqrt(2.0 / (in_c * k * k)), size=(out_c, in_c, k, k))
+    return ConvParams(out_c, in_c, k, k, 1, k // 2, weights, np.zeros(out_c))
 
 
 def build_cnn(
@@ -341,30 +326,22 @@ def build_cnn(
     """3x3 conv-relu stacks with 2x2 maxpools after the listed conv ordinals,
     then flatten and a single classifier dense layer. He-style init."""
     rng = np.random.default_rng(seed)
-    c, h, w = input_shape
     layers: list[Layer] = []
-    in_c = c
+    shape = input_shape  # per-sample input of the next layer
     for l, out_c in enumerate(conv_channels, start=1):
-        layers.append(ConvLayer(_he_conv(rng, out_c, in_c)))
-        layers.append(ReluLayer())
+        block = [ConvLayer(_he_conv(rng, out_c, shape[0])), ReluLayer()]
         if l in pool_after:
-            layers.append(PoolLayer())
-            problem = layers[-1].input_error((out_c, h, w))
-            if problem is not None:
-                raise GeometryError(f"after conv {l}: {problem}")
-            h //= 2
-            w //= 2
-        in_c = out_c
-    layers.append(FlattenLayer())
-    flat = in_c * h * w
-    std = np.sqrt(2.0 / flat)
-    layers.append(
-        DenseLayer(
-            weights=rng.normal(0.0, std, size=(flat, num_classes)),
-            bias=np.zeros(num_classes),
-        )
-    )
-    return Network(layers, input_shape)
+            block.append(PoolLayer())
+        try:
+            for lay in block:
+                shape = lay.out_shape(shape)
+        except GeometryError as e:
+            raise GeometryError(f"after conv {l}: {e}") from None
+        layers += block
+    flatten = FlattenLayer()
+    (flat,) = flatten.out_shape(shape)
+    weights = rng.normal(0.0, np.sqrt(2.0 / flat), size=(flat, num_classes))
+    return Network([*layers, flatten, DenseLayer(weights, np.zeros(num_classes))], input_shape)
 
 
 def build_vgg14(seed: int = 0) -> Network:
@@ -528,9 +505,11 @@ def count_params(net: Network) -> int:
 
 
 def count_flops(net: Network) -> int:
-    """Forward FLOPs, one multiply-accumulate counted as 2 operations."""
-    shapes = activation_shapes(net)
-    return int(sum(lay.flops(shape) for lay, shape in zip(net.layers, shapes)))
+    """Forward FLOPs, one multiply-accumulate counted as 2 operations: every
+    weight of a conv or dense layer does one per output position."""
+    outs = activation_shapes(net)[1:]
+    parametric = [(lay, out) for lay, out in zip(net.layers, outs) if lay.parametric]
+    return int(sum(2 * lay.arrays()[0].size * math.prod(out[1:]) for lay, out in parametric))
 
 
 # ---------------------------------------------------------------------------
@@ -582,25 +561,24 @@ def load_model(path: str | Path) -> Network:
         cls = LAYER_CLASSES[entry["kind"]]
         for name, low in cls.int_fields.items():
             check(entry, "an integer", (name,), low=low, section=where)
-        lay = cls.from_entry(entry, path)
-        problem = lay.input_error(in_shape)
-        if problem is not None:
-            raise ModelFormatError(f"{where} ({cls.kind}): {problem}")
+        lay = cls.from_entry(entry, path, where)
+        try:
+            in_shape = lay.out_shape(in_shape)
+        except GeometryError as e:
+            raise ModelFormatError(f"{where} ({cls.kind}): {e}") from None
         layers.append(lay)
-        in_shape = lay.out_shape(in_shape)
     return Network(layers, tuple(fields["input_shape"]))
 
 
-def _read_blob(path: Path, entry: dict, expected: int) -> np.ndarray:
+def _read_blob(path: Path, entry: dict, expected: int, where: str) -> np.ndarray:
+    """The `expected` values of the blob that manifest entry `where` names."""
     name = entry.get("blob")
     if not isinstance(name, str) or Path(name).name != name or not (path / name).is_file():
-        raise ModelFormatError(f"missing blob {name!r}")
-    raw = (path / name).read_bytes()
-    if len(raw) != expected * 8:
-        raise ModelFormatError(
-            f"blob {name} has {len(raw)} bytes, expected {expected * 8}"
-        )
+        raise ModelFormatError(f"{where}.blob must be a file of the model, got {name!r}")
+    raw, size = (path / name).read_bytes(), expected * 8
+    if len(raw) != size:
+        raise ModelFormatError(f"{where}.blob {name!r} must hold {size} bytes, got {len(raw)}")
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     if not np.isfinite(values).all():
-        raise ModelFormatError(f"blob {name} holds a NaN or infinite value")
+        raise ModelFormatError(f"{where}.blob {name!r} must hold no NaN or infinite value")
     return values

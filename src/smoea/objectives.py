@@ -78,9 +78,9 @@ class EvaluationContext:
 
 def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """(G, h, beta) of the second layer's per-channel responses to its input
-    x, accumulated in chunks of images, output positions and output channels
-    (unchunked, VGG-14 conv 9's responses alone take about 268 MB at a batch
-    of 8 images).
+    x, from its channel_operands, accumulated in chunks of images, output
+    positions and output channels (unchunked, VGG-14 conv 9's responses
+    alone take about 268 MB at a batch of 8 images).
 
     A chunk of k positions and o outputs holds a [C, k, taps] block and its
     [C, k*o] response y. The rule keeps both within T.CHUNK_BYTES, except
@@ -96,18 +96,9 @@ def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     Each product is the same numpy call on the same operand as it would be
     alone, so G does not depend on the thread that formed its terms."""
     n, c = x.shape[0], sub.first.params.out_channels
-    weights, bias = sub.second.arrays()
-    if sub.second.kind == "conv":
-        params = sub.second.params
-        # [N, C, Ho, Wo, kh, kw] view of the input patch under each output
-        patches = T._windows(T._pad(x, params.padding), params)
-        w = weights.transpose(1, 2, 3, 0).reshape(c, -1, params.out_channels)
-    else:
-        # the dense layer reads the row-major flatten of [C, H, W]: a single
-        # output position whose patch is the whole of each channel
-        patches = x.reshape(n, c, 1, 1, -1)
-        w = weights.reshape(c, -1, weights.shape[1])
+    patches, w = sub.second.channel_operands(x, c)  # [N, C, Ho, Wo, taps...]
     w = np.ascontiguousarray(w)  # [C, taps, outs]
+    bias = sub.second.arrays()[1]
     out_h, out_w = patches.shape[2:4]
     gram = np.zeros((c, c))
     patch_sums = np.zeros(w.shape[:2])

@@ -8,20 +8,21 @@ kernel flip), the universal deep-learning convention.
 The conv forward and backward are matmuls over the im2col operands that
 numpy 2.4 built when it lowered the contraction forms they replaced
 (tests/test_tensor.py keeps those forms as oracles), and their results are
-bit-identical to those forms, 1x1 kernels included (_kernel1_cols), with
-two limits. A padded x is always copied into a C-order buffer, so F- and
-C-contiguous inputs give equal values and strides, while the forms' np.pad
-keeps an F-contiguous x's layout: for such an x (one image, one row) a
-padded 1x1 weight gradient can differ from the form's in the last bit, and
-a padded input gradient's strides differ. An unpadded x is read in its own
-layout, as the forms read it. And the strides of length-1 output axes,
-which address no memory, can differ from the forms' (a 1x1 kernel with
-c = 1, a 1x1 output map of a channel-major x); their values do not. The
-forward builds its operand for one block of whole images at a time, so no
-full-batch copy of it exists, and the backward's input gradient forms its
-tap products and their sums one block of whole images at a time, so no
-full-batch tap or sum buffer exists either. Both take their blocks from one
-rule (_image_blocks): whole column tiles, none of them a small-matrix GEMM.
+bit-identical to those forms, signed zeros and unit axes included
+(_unit_axis_cols, _contract), with two limits. A padded x is always copied
+into a C-order buffer, so F- and C-contiguous inputs give equal values and
+strides, while the forms' np.pad keeps an F-contiguous x's layout: for
+such an x (one image and one row, a channel-major x of 1x1 maps) a result
+can differ from the form's in the last bit, and a padded input gradient's
+strides differ. An unpadded x is read in its own layout, as the forms read
+it. And the strides of length-1 axes, which address no memory, can differ
+from the forms' (a 1x1 output map, a 1x1 kernel's weight gradient); their
+values do not. The forward builds its operand for one block of whole
+images at a time, so no full-batch copy of it exists, and the backward's
+input gradient forms its tap products and their sums one block of whole
+images at a time, so no full-batch tap or sum buffer exists either. Both
+take their blocks from one rule (_image_blocks): whole column tiles, none
+of them a small-matrix GEMM.
 A batch that fits in one block is the lowering's single GEMM, and the tests
 pin the tiled shapes. The weight gradient sums each element over all
 columns in one GEMM. Where _per_tap_weight_grad holds, as at the CIFAR
@@ -286,15 +287,23 @@ def _per_tap_weight_grad(n: int, c: int, o: int, span: int, taps: int) -> bool:
     )
 
 
-def _kernel1_cols(win: np.ndarray, axes: tuple) -> np.ndarray:
-    """A 1x1 kernel's X as numpy's lowering forms it before its reshape:
-    the windows win (of _windows) with their NCHW axes permuted by `axes`,
-    copied in their own memory order, as the lowering's sum over the unit
-    kernel axes copies them. The reshape that follows is a view, not
-    C-contiguous, where that layout allows one (one image; a channels-last
-    x in the forward, a channel-major x in the weight gradient), and the
-    GEMM rounds differently there than on a C-contiguous X."""
-    return win[..., 0, 0].transpose(axes).copy(order="K")
+def _unit_axis_cols(win: np.ndarray) -> np.ndarray:
+    """X as numpy's lowering forms it before its reshape where the windows
+    win (of _windows, axes in X's order) have an axis of length 1 (one
+    image or channel, a 1x1 kernel or map row): win without its unit axes,
+    copied in its own memory order, as the lowering's sum over them copies
+    it. The reshape that follows is then a view where that layout allows
+    one, not C-contiguous, and the GEMM rounds differently on it."""
+    return np.squeeze(win).copy(order="K")
+
+
+def _contract(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b, or, where they share an axis of length 1, the lowering's
+    product (a + 0.0) * (b + 0.0): its sums over unit axes turn -0.0 into
+    +0.0, and a GEMM would add each product to +0.0."""
+    if a.shape[1] != 1:
+        return np.matmul(a, b, out=out)
+    return np.multiply(a + 0.0, b + 0.0, out=out)
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -311,11 +320,13 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
     The columns run (n, oh, ow), from the NCHW padded input, or (oh, ow, n)
     where _batch_innermost_forward holds, from an input padded into a
-    [c, h, w, n] buffer. A 1x1 kernel's X keeps the (n, oh, ow) order and is
-    the lowering's own (_kernel1_cols). The result has the strides that
-    empty_like gives the channel-major [o, n, oh, ow] form: in the
-    (n, oh, ow) order the bias is added into the GEMM result in place, which
-    has them unless an axis has length 1, and otherwise into a fresh array.
+    [c, h, w, n] buffer. Where the windows have a unit axis and the columns
+    run (n, oh, ow), as for every 1x1 kernel, X is the lowering's own
+    (_unit_axis_cols); a one-row X it multiplies (_contract). The result
+    has the strides that empty_like gives the channel-major [o, n, oh, ow]
+    form: in the (n, oh, ow) order the bias is added into the GEMM result
+    in place, which has them unless an axis has length 1, and otherwise
+    into a fresh array, NCHW-contiguous for a one-row X, as the lowering's.
     """
     _check_input(x, params)
     n, c = x.shape[:2]
@@ -329,22 +340,23 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     else:
         layout, x_pad = _CHANNEL_MAJOR, _pad(x, params.padding)
     (order, nchw), win = layout, _windows(x_pad, params)
+    unit = layout is _CHANNEL_MAJOR and 1 in (n, c, kh, kw, oh, ow)
     out = np.empty((o, n * span))
 
     def fill(blocks, start):
         # the blocks' GEMMs, starting at image `start`, through one buffer
-        # the first block is the largest; a 1x1 kernel's X needs no buffer
-        buf = np.empty(rows * blocks[0] * span if kh * kw > 1 else 0)
+        # the first block is the largest; the lowering's own X needs none
+        buf = np.empty(0 if unit else rows * blocks[0] * span)
         for m in blocks:
-            if kh * kw == 1:  # the lowering's own X
-                cols = _kernel1_cols(win[start : start + m], (1, 0, 2, 3))
+            # X's rows run (c, kh, kw) and its columns in the order's layout
+            block = win[start : start + m].transpose(1, 4, 5, *order[1:])
+            if unit:  # the lowering's own X
+                cols = _unit_axis_cols(block)
             else:
-                # X's rows run (c, kh, kw) and its columns in the order's layout
-                block = win[start : start + m].transpose(1, 4, 5, *order[1:])
                 cols = buf[: rows * m * span]
                 cols.reshape(block.shape)[...] = block
             cols = cols.reshape(rows, m * span)
-            np.matmul(w, cols, out=out[:, start * span : (start + m) * span])
+            _contract(w, cols, out=out[:, start * span : (start + m) * span])
             start += m
 
     half = len(blocks) // 2
@@ -359,7 +371,9 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     # channel-major form of out. In the (n, oh, ow) order y has them where
     # no axis has length 1 (empty_like sets such an axis's stride its own
     # way), and there the bias goes into out in place
-    if layout is _CHANNEL_MAJOR and min(n, o, oh, ow) > 1:
+    if rows == 1:  # the lowering's product is NCHW-contiguous
+        result = np.empty((n, o, oh, ow))
+    elif layout is _CHANNEL_MAJOR and min(n, o, oh, ow) > 1:
         result = y
     else:  # empty_like reads only the shape and strides of out in that form
         result = np.empty_like(out.reshape(o, n, oh, ow).transpose(1, 0, 2, 3))
@@ -377,7 +391,7 @@ def conv2d_backward(
     numpy's lowering of the per-tap contractions used, so every
     result is bit-identical to it. With G = grad_out as [o, n*oh*ow] and X
     the windows as a C-contiguous [n*oh*ow, c*kh*kw]: grad_w = G @ X (with a
-    1x1 kernel's X as the lowering forms it, _kernel1_cols), and
+    1x1 kernel's X and a one-column G as the lowering forms them), and
     each tap's input gradient W[:, :, i, j].T @ G is added, in row-major tap
     order, into a channel-major padded buffer acc. The input gradient runs
     over blocks of whole images (_image_blocks, sized by one image's tap and
@@ -428,13 +442,14 @@ def conv2d_backward(
             return grad_w
         x_pad = _pad(x, p)
         if kh * kw == 1:  # the lowering's own X
-            cols = _kernel1_cols(_windows(x_pad, params), (0, 2, 3, 1)).reshape(n * span, c)
+            win = _windows(x_pad, params).transpose(0, 2, 3, 1, 4, 5)
+            cols = _unit_axis_cols(win).reshape(n * span, c)
         else:
             index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
             # explicit sizes: a -1 cannot be inferred for an empty batch
             flat = x_pad.reshape(n, c * x_pad.shape[2] * x_pad.shape[3])
             cols = np.take(flat, index, axis=1).reshape(n * span, rows)
-        return np.matmul(g, cols).reshape(params.weights.shape)
+        return _contract(g, cols).reshape(params.weights.shape)
 
     def x_grad():
         w_taps = params.weights.transpose(2, 3, 1, 0)  # [kh, kw, c, o] view

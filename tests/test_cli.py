@@ -765,6 +765,21 @@ for _name, _argv in {
 RUNS_FINETUNE = {"diverging_finetune"}
 
 # rows whose error breaks a rule between two fields: the message names both
+# id -> how the message begins: the dotted path of the rejected key or field
+MESSAGE_PREFIX = {
+    "unknown_evolution_key": "evolution.bogus is not a config key",
+    "unknown_groups_key": "groups.block_count is not a config key",
+    "unknown_model_key": "model.chanels is not a config key",
+    "unknown_dataset_key": "dataset.heigth is not a config key",
+    "misspelt_top_level_key": "calibraton_size is not a config key",
+    "removed_top_level_keys": (
+        "deterministic is not a config key; output_dir is not a config key"
+    ),
+    "missing_dataset_path": (
+        "dataset.path must be a non-empty string when dataset.kind is "
+        "'cifar10-binary', got None"
+    ),
+}
 CROSS_FIELD = {
     "tau1_above_tau2": ("evolution.tau1", "evolution.tau2"),
     "elite_size_above_population_size": ("evolution.elite_size", "evolution.population_size"),
@@ -1074,6 +1089,8 @@ class TestErrors:
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
         for name in CROSS_FIELD.get(request.node.callspec.id, ()):
             assert name in errors[0]
+        msg = errors[0].split(" msg=", 1)[1]
+        assert msg.startswith(MESSAGE_PREFIX.get(request.node.callspec.id, ""))
         assert not (tmp_path / "r" / "model").exists()
         if request.node.callspec.id not in RUNS_FINETUNE:
             # refused before the run directory, so before any output
@@ -1242,4 +1259,8 @@ class TestErrors:
         errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
         assert len(errors) == 1
         assert errors[0].startswith("ERROR code=4 type=ModelFormatError ")
+        kind, where, _ = case
+        if kind in ("blob_size", "blob_value") or kind == "layer_field" and where[1] == "blob":
+            i = where if kind == "blob_size" else where[0]
+            assert errors[0].split(" msg=", 1)[1].startswith(f"layers[{i}].blob ")
         assert not out.exists()

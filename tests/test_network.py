@@ -7,7 +7,7 @@ import pytest
 
 from smoea import network as N
 from smoea import tensor as T
-from smoea.exceptions import MaskError, ModelFormatError, UnknownLayerError
+from smoea.exceptions import GeometryError, MaskError, ModelFormatError, UnknownLayerError
 from smoea.network import (
     FilterMask,
     activation_shapes,
@@ -83,6 +83,18 @@ class TestHeInit:
                 want = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
                 assert w.tobytes() == want.tobytes()
                 assert b.tobytes() == np.zeros_like(b).tobytes()
+
+
+class TestBuildGeometry:
+    def test_odd_map_before_pool(self):
+        """build_cnn walks its layers' out_shape, so a maxpool that gets odd
+        spatial dims is named after the conv it follows."""
+        with pytest.raises(GeometryError) as e:
+            build_cnn([8, 16], {1, 2}, (3, 6, 6))
+        assert str(e.value) == (
+            "after conv 2: 2x2 maxpool needs even spatial dims, gets (16, 3, 3)"
+        )
+        assert e.value.exit_code == 7
 
 
 class TestTrainingCache:
@@ -424,6 +436,34 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as e:
             load_model(tmp_path / "m")
         assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: m.update(input_shape=[4, 8, 8]),
+             "layers[0] (conv): conv with 3 input channels gets (4, 8, 8)"),
+            (lambda m: m.update(input_shape=[3, 6, 6]),
+             "layers[9] (maxpool): 2x2 maxpool needs even spatial dims, gets (16, 3, 3)"),
+            (lambda m: m.update(input_shape=[3, 16, 16]),
+             "layers[11] (dense): dense with 64 input features gets (256,)"),
+            (lambda m: m["layers"][0].update(stride=2, padding=0),
+             "layers[0] (conv): conv geometry does not fit: input 8x8, kernel 3x3, "
+             "stride 2, padding 0"),
+        ],
+        ids=["conv_channels", "maxpool_odd", "dense_features", "conv_geometry"],
+    )
+    def test_geometry_message(self, tmp_path, toy, edit, message):
+        """A layer that cannot take the shape the layers before it give is
+        named by its index and kind, with its own out_shape's reason."""
+        save_model(toy, tmp_path / "m")
+        path = tmp_path / "m" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ModelFormatError) as e:
+            load_model(tmp_path / "m")
+        assert str(e.value) == message
+        assert e.value.exit_code == 4
 
     @pytest.mark.parametrize("kind", ["conv", "dense"])
     def test_layer_takes_wrong_width(self, tmp_path, toy, kind):

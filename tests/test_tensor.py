@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
@@ -445,6 +445,126 @@ class TestInputLayout:
         for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
             assert np.array_equal(a, b), name
             assert a.strides == b.strides, name
+
+
+@st.composite
+def conv_geometry(draw):
+    """(n, c, h, w, o, k, stride, padding) with maps of at most 12x12 that
+    the kernel fits: each output size is drawn from those whose input size
+    lies in 1..12."""
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride, padding = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    sizes = []
+    for _ in range(2):
+        low = max(1, -((k - 1 - 2 * padding) // stride) + 1)
+        out = draw(st.integers(low, (12 - k + 2 * padding) // stride + 1))
+        sizes.append((out - 1) * stride + k - 2 * padding)
+    n, c, o = draw(st.integers(1, 8)), draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    return n, c, *sizes, o, k, stride, padding
+
+
+def long_axis_strides(a):
+    """The strides of a's axes longer than 1, the only ones that address
+    memory."""
+    return [step for step, size in zip(a.strides, a.shape) if size > 1]
+
+
+def either_layout(major):
+    return channel_major if major else np.asarray
+
+
+def signed_zero_case(shape, rng, x_layout=np.asarray, g_layout=np.asarray):
+    """x, conv parameters and grad_out for a BITWISE_CONV_SHAPES-style shape,
+    drawn from rng: a quarter of x's and grad_out's entries are signed zeros,
+    and so, every other time, is the whole bias."""
+    n, c, h, w, o, k, stride, padding = shape
+    x = x_layout(with_signed_zeros(rng.normal(size=(n, c, h, w)), rng))
+    bias = rng.normal(size=o) if rng.random() < 0.5 else np.where(rng.random(o) < 0.5, 0.0, -0.0)
+    p = ConvParams(o, c, k, k, stride, padding, rng.normal(size=(o, c, k, k)), bias)
+    g = g_layout(with_signed_zeros(rng.normal(size=T.conv2d_forward(x, p).shape), rng))
+    return x, p, g
+
+
+def assert_equals_einsum_forms(x, p, g):
+    """The forward, grad_x, grad_w and grad_b equal the einsum forms byte
+    for byte, and the forward's and grad_x's strides equal theirs on every
+    axis longer than 1."""
+    got, want = T.conv2d_forward(x, p), einsum_conv2d_forward(x, p)
+    assert got.tobytes() == want.tobytes()
+    assert long_axis_strides(got) == long_axis_strides(want)
+    got, want = T.conv2d_backward(x, p, g), einsum_conv2d_backward(x, p, g)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+        assert a.tobytes() == b.tobytes(), name
+    assert long_axis_strides(got[0]) == long_axis_strides(want[0])
+
+
+# shapes on which a fuzz of the conv kernels against the einsum forms found
+# them apart: windows with a unit axis whose lowering reshapes X as a view
+# that is not C-contiguous, a one-row X (c = 1, 1x1 kernel) that it
+# multiplies into an NCHW result, and a one-column X (one image, one output
+# position) whose signed zeros it multiplies as +0.0
+UNIT_AXIS_SHAPES = {
+    "one_column_stride2": (6, 1, 7, 5, 8, 5, 2, 0),
+    "one_position": (3, 1, 5, 5, 4, 5, 1, 0),
+    "one_position_padded": (8, 13, 1, 1, 22, 3, 2, 1),
+    "one_row": (4, 1, 9, 5, 17, 1, 2, 0),
+    "one_column": (1, 9, 3, 3, 12, 3, 2, 0),
+}
+
+
+class TestConvFuzz:
+    """The conv kernels against the einsum forms on drawn geometries, with x
+    and grad_out NCHW or channel-major. The one input the module docstring
+    excepts, a padded x that is F-contiguous only (a channel-major x of 1x1
+    maps), is left out."""
+
+    @given(
+        shape=conv_geometry(),
+        x_major=st.booleans(),
+        g_major=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_einsum_forms(self, shape, x_major, g_major, seed):
+        rng = np.random.default_rng(seed)
+        x, p, g = signed_zero_case(shape, rng, either_layout(x_major), either_layout(g_major))
+        assume(not (p.padding and x.flags.f_contiguous and not x.flags.c_contiguous))
+        assert_equals_einsum_forms(x, p, g)
+
+    @pytest.mark.parametrize("shape", UNIT_AXIS_SHAPES.values(), ids=UNIT_AXIS_SHAPES)
+    def test_unit_axis_shapes(self, shape):
+        for seed in range(10):
+            assert_equals_einsum_forms(*signed_zero_case(shape, np.random.default_rng(seed)))
+
+
+@st.composite
+def pool_case(draw):
+    """An x with many tied windows, drawn from five values with both signed
+    zeros, in either layout, and a grad_out for its output."""
+    shape = (draw(st.integers(1, 8)), draw(st.integers(1, 24)),
+             2 * draw(st.integers(1, 6)), 2 * draw(st.integers(1, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0])
+    x = either_layout(draw(st.booleans()))(values[rng.integers(0, 5, size=shape)])
+    out_shape = (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+    g = either_layout(draw(st.booleans()))(rng.normal(size=out_shape))
+    g[rng.random(out_shape) < 0.2] = -0.0
+    return x, g
+
+
+class TestMaxPoolFuzz:
+    @given(case=pool_case())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_argmax_forms(self, case):
+        """maxpool2x2 and its backward equal the argmax forms byte for byte,
+        ties and signed zeros included, into a C-contiguous output."""
+        x, g = case
+        out, winner = T.maxpool2x2(x)
+        want, idx = argmax_maxpool2x2(x)
+        assert out.tobytes() == want.tobytes() and out.flags.c_contiguous
+        assert np.array_equal(winner, idx)
+        got_g = T.maxpool2x2_backward(winner, g)
+        assert got_g.tobytes() == argmax_maxpool2x2_backward(idx, g).tobytes()
 
 
 def record_results(monkeypatch, name):
