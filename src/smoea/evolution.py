@@ -3,9 +3,10 @@
 The pool is one [N, C] bool genome matrix (1 = filter retained) and one
 [N, 2] array of (filter_pct, error) rows; sorting and selection return pool
 indices into both. `Individual`s are built only for the returned result.
-Retention is kept inside [tau1, tau2] by stochastic repair. All randomness
-is drawn from per-genome streams keyed by (seed, generation, index), so
-results do not depend on how evaluations are scheduled.
+A generation is scored in one call, a mask's score is its row of that
+call, and a rerun reproduces every bit. Retention is kept inside
+[tau1, tau2] by stochastic repair. All randomness is drawn from per-genome
+streams keyed by (seed, generation, index).
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import EvolutionError, check_fields
-from .network import FilterMask
-from .objectives import (
-    ALPHA_MODES,
-    EvaluationContext,
-    ObjectiveVector,
-    evaluate_individual,
-)
+from .objectives import ALPHA_MODES, EvaluationContext, ObjectiveVector, score_genomes
 
 
 @dataclass(eq=False)
@@ -65,9 +60,6 @@ class EvolutionResult:
     elites: list[Individual]
     front: list[Individual]  # rank-1 members of the final elites, deduplicated
     history: dict[str, list[float]]
-
-
-EvaluateFn = Callable[[np.ndarray], ObjectiveVector]
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
@@ -213,22 +205,17 @@ def pareto_front(genes: np.ndarray, points: np.ndarray) -> list[Individual]:
     unique: dict[bytes, int] = {}
     for i in fast_nondominated_sort(points)[0]:
         unique.setdefault(genes[i].tobytes(), i)
-    keep = list(unique.values())
-    members = _members(genes[keep], points[keep])
-    members.sort(key=lambda ind: ind.objectives.as_tuple())
-    return members
+    keep = sorted(unique.values(), key=lambda i: points[i].tolist())
+    return _members(genes[keep], points[keep])
 
 
 def evolve(
-    evaluate: EvaluateFn, num_filters: int, cfg: EvolutionConfig
+    score: Callable[[np.ndarray], np.ndarray], num_filters: int, cfg: EvolutionConfig
 ) -> EvolutionResult:
     """Initialize, sort, then T rounds of child generation and elite
-    selection over the union of children and previous elites."""
+    selection over the union of children and previous elites; `score` maps
+    each generation's [P, C] genomes to their [P, 2] objectives."""
     lo, hi = count_bounds(num_filters, cfg.tau1, cfg.tau2)
-
-    def score(genes: np.ndarray) -> np.ndarray:
-        return np.array([evaluate(g).as_tuple() for g in genes])
-
     genes = init_population(num_filters, cfg)
     points = score(genes)
     history: dict[str, list[float]] = {"best_error": [], "median_error": []}
@@ -251,12 +238,7 @@ def evolve(
 def evolve_subnetwork(ctx: EvaluationContext, cfg: EvolutionConfig) -> EvolutionResult:
     """Run the evolution loop against a sub-network evaluation context, in
     cfg's alpha mode."""
-
-    def evaluate(genes: np.ndarray) -> ObjectiveVector:
-        mask = FilterMask(genes.astype(np.uint8), 0)
-        return evaluate_individual(ctx, mask, alpha_mode=cfg.alpha_mode)
-
-    return evolve(evaluate, ctx.num_filters, cfg)
+    return evolve(partial(score_genomes, ctx, alpha_mode=cfg.alpha_mode), ctx.num_filters, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +257,7 @@ def knee_point(front: list[Individual]) -> Individual:
     small_key = lambda ind: (ind.objectives.filter_pct, ind.objectives.error)
     if len(front) <= 2:
         return min(front, key=small_key)
-    pts = np.array([[ind.objectives.filter_pct, ind.objectives.error] for ind in front])
+    pts = np.array([small_key(ind) for ind in front])
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
     norm = np.zeros_like(pts)
@@ -292,11 +274,7 @@ def knee_point(front: list[Individual]) -> Individual:
         dist = np.abs(ab[0] * (norm[:, 1] - a[1]) - ab[1] * (norm[:, 0] - a[0])) / length
     # everything within float noise of the maximum counts as a tie
     tied = np.flatnonzero(dist >= dist.max() - 1e-12)
-    best = min(
-        tied,
-        key=lambda i: (front[i].objectives.filter_pct, front[i].objectives.error),
-    )
-    return front[int(best)]
+    return min((front[i] for i in tied), key=small_key)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ ThiNet). The evaluation context holds only what scoring reads, built once
 per layer from one forward pass to the second layer's input: the Gram terms
 ``G = <Y_c, Y_c'>``, ``h_c = <Y_c, B>`` and ``beta = ||B||^2``, and the
 unmasked output's norm ``||r||``; the error of a mask is then a quadratic
-form in its bits. ``network.subnetwork_forward`` followed by the
+form in its bits, which ``score_genomes`` forms for a whole genome matrix in
+one product. ``network.subnetwork_forward`` followed by the
 array-taking ``reconstruction_error`` is the slow, direct path the tests
 compare against.
 """
@@ -46,7 +47,7 @@ class ObjectiveVector:
 @dataclass(frozen=True, eq=False)
 class EvaluationContext:
     """What a mask's score reads on one layer's sub-network, in either
-    alpha mode: evaluate_individual takes the mode."""
+    alpha mode: score_genomes takes the mode."""
 
     gram: np.ndarray = field(repr=False)  # <Y_c, Y_c'>, [C, C]
     bias_cross: np.ndarray = field(repr=False)  # <Y_c, B>, [C]
@@ -184,7 +185,7 @@ def reconstruction_error(
 ) -> float:
     """||reference - alpha*approx||_2, with alpha from optimal_alpha or, in
     the "fixed_one" mode, 1: the direct form of the error that
-    evaluate_individual takes from the Gram terms."""
+    score_genomes takes from the Gram terms."""
     check_fields({"alpha_mode": alpha_mode}, ALPHA_MODES, ("alpha_mode",))
     if tuple(approx.shape) != tuple(reference.shape):
         raise ShapeError(
@@ -194,29 +195,41 @@ def reconstruction_error(
     return T.frobenius_norm(reference - a * approx)
 
 
-def evaluate_individual(
-    ctx: EvaluationContext, mask: FilterMask, *, alpha_mode: str = "optimized"
-) -> ObjectiveVector:
-    """Objective vector (filter_pct, error) for one mask, from the context's
-    Gram terms, with alpha from optimal_alpha or, in the "fixed_one" mode, 1.
+def score_genomes(
+    ctx: EvaluationContext, genes: np.ndarray, *, alpha_mode: str = "optimized"
+) -> np.ndarray:
+    """[P, 2] rows of (filter_pct, error) for a [P, C] genome matrix, from
+    the context's Gram terms, with alpha from optimal_alpha or, in the
+    "fixed_one" mode, 1. One product with G serves every row, and a
+    genome's score is its row of that call: another batch size may take
+    another BLAS kernel and move the last bit.
 
-    With q = 1 - m, the part the mask removes is d = r - a = sum_c q_c Y_c.
+    With q = 1 - m, the part a mask removes is d = r - a = sum_c q_c Y_c.
     The squared error is ||d||^2 at alpha = 1 and ||d||^2 - <a, d>^2 / ||a||^2
     at the best alpha. Forming it from d rather than from
     ||r||^2 - <r, a>^2 / ||a||^2 keeps rounding at the scale of the error
     instead of the scale of ||r||.
     """
-    if alpha_mode not in ALPHA_MODES:  # a passing mode costs one membership test
-        check_fields({"alpha_mode": alpha_mode}, ALPHA_MODES, ("alpha_mode",))
-    mask.check_width(ctx.num_filters)
-    m = mask.bits.astype(np.float64)
+    check_fields({"alpha_mode": alpha_mode}, ALPHA_MODES, ("alpha_mode",))
+    m = genes.astype(np.float64)
     q = 1.0 - m
-    g_q, g_m = (ctx.gram @ np.column_stack((q, m))).T
-    err_sq = q @ g_q  # ||d||^2
+    g_q, g_m = np.split(np.concatenate((q, m)) @ ctx.gram, 2)
+    err_sq = (q * g_q).sum(axis=1)  # ||d||^2
     if alpha_mode == "optimized":
-        a_sq = ctx.bias_sq + 2.0 * (m @ ctx.bias_cross) + m @ g_m
-        if a_sq <= 0.0:  # alpha = 0, as optimal_alpha takes it
-            return ObjectiveVector(filter_pct(mask), ctx.ref_norm)
-        a_d = q @ ctx.bias_cross + q @ g_m
-        err_sq -= a_d * a_d / a_sq
-    return ObjectiveVector(filter_pct(mask), np.sqrt(max(err_sq, 0.0)))
+        a_sq = ctx.bias_sq + 2.0 * (m * ctx.bias_cross).sum(axis=1) + (m * g_m).sum(axis=1)
+        a_d = (q * ctx.bias_cross).sum(axis=1) + (q * g_m).sum(axis=1)
+        live = a_sq > 0.0  # else alpha = 0, as optimal_alpha takes it
+        err_sq[live] -= a_d[live] * a_d[live] / a_sq[live]
+    error = np.sqrt(np.maximum(err_sq, 0.0))
+    if alpha_mode == "optimized":
+        error[~live] = ctx.ref_norm
+    return np.column_stack((genes.sum(axis=1) / genes.shape[1], error))
+
+
+def evaluate_individual(
+    ctx: EvaluationContext, mask: FilterMask, *, alpha_mode: str = "optimized"
+) -> ObjectiveVector:
+    """Objective vector (filter_pct, error) for one mask: its row of
+    score_genomes."""
+    mask.check_width(ctx.num_filters)
+    return ObjectiveVector(*score_genomes(ctx, mask.bits[None], alpha_mode=alpha_mode)[0])

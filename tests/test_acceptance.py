@@ -91,8 +91,8 @@ def test_criterion_02_bruteforce_front():
     n = 10
     imp = np.linspace(0.5, 5.0, n)
 
-    def evaluate(genes):
-        return ObjectiveVector(genes.sum() / n, float(imp[~genes].sum()))
+    def score(genes):
+        return np.array([(g.sum() / n, imp[~g].sum()) for g in genes])
 
     # exhaustive feasible enumeration, counts 2..8 under tau = [0.2, 0.8]
     pts = []
@@ -110,7 +110,7 @@ def test_criterion_02_bruteforce_front():
         )
     }
 
-    res = evolve(evaluate, n, EvolutionConfig(seed=42))  # N=100 K=30 T=100
+    res = evolve(score, n, EvolutionConfig(seed=42))  # N=100 K=30 T=100
     got = {(ind.retained, round(ind.objectives.error, 9)) for ind in res.front}
     assert got == exhaustive
 

@@ -232,8 +232,8 @@ class TestMakeChildren:
 def separable_problem(n=10, seed=0):
     imp = np.linspace(0.5, 5.0, n)
 
-    def evaluate(genes):
-        return ObjectiveVector(genes.sum() / n, float(imp[~genes].sum()))
+    def score(genes):
+        return np.array([(g.sum() / n, imp[~g].sum()) for g in genes])
 
     def exhaustive_front():
         pts = []
@@ -251,48 +251,48 @@ def separable_problem(n=10, seed=0):
                 front.add((p[2], round(p[1], 9)))
         return front
 
-    return evaluate, exhaustive_front
+    return score, exhaustive_front
 
 
 class TestEvolve:
     def test_zero_generations_selects_from_init(self):
-        evaluate, _ = separable_problem()
+        score, _ = separable_problem()
         cfg = EvolutionConfig(population_size=40, elite_size=10, generations=0, seed=5)
-        res = evolve(evaluate, 10, cfg)
+        res = evolve(score, 10, cfg)
         genes = init_population(10, cfg)
-        points = np.array([evaluate(g).as_tuple() for g in genes])
+        points = score(genes)
         expect = genes[select_elites(points, 10)]
         got = sorted(mask_hex(e.genes) for e in res.elites)
         assert got == sorted(mask_hex(g) for g in expect)
 
     def test_matches_exhaustive_front(self):
-        evaluate, exhaustive = separable_problem()
+        score, exhaustive = separable_problem()
         cfg = EvolutionConfig(
             population_size=60, elite_size=20, generations=40, seed=6
         )
-        res = evolve(evaluate, 10, cfg)
+        res = evolve(score, 10, cfg)
         got = {(i.retained, round(i.objectives.error, 9)) for i in res.front}
         assert got == exhaustive()
 
     def test_same_seed_bit_identical(self):
-        evaluate, _ = separable_problem()
+        score, _ = separable_problem()
         cfg = EvolutionConfig(population_size=30, elite_size=10, generations=10, seed=7)
-        a = evolve(evaluate, 10, cfg)
-        b = evolve(evaluate, 10, cfg)
+        a = evolve(score, 10, cfg)
+        b = evolve(score, 10, cfg)
         for x, y in zip(a.elites, b.elites):
             np.testing.assert_array_equal(x.genes, y.genes)
         assert a.history == b.history
 
     def test_best_error_non_increasing(self):
-        evaluate, _ = separable_problem()
+        score, _ = separable_problem()
         cfg = EvolutionConfig(population_size=30, elite_size=10, generations=30, seed=8)
-        best = evolve(evaluate, 10, cfg).history["best_error"]
+        best = evolve(score, 10, cfg).history["best_error"]
         assert all(a >= b for a, b in zip(best, best[1:]))
 
     def test_front_mutually_nondominated(self):
-        evaluate, _ = separable_problem()
+        score, _ = separable_problem()
         res = evolve(
-            evaluate, 10, EvolutionConfig(population_size=30, elite_size=10,
+            score, 10, EvolutionConfig(population_size=30, elite_size=10,
                                           generations=10, seed=9)
         )
         for a in res.front:
@@ -340,9 +340,9 @@ class TestPinnedDraws:
 
     @pytest.mark.parametrize("seed", sorted(PINNED_EVOLVE))
     def test_evolve(self, seed):
-        evaluate, _ = separable_problem()
+        score, _ = separable_problem()
         cfg = EvolutionConfig(population_size=30, elite_size=10, generations=5, seed=seed)
-        res = evolve(evaluate, 10, cfg)
+        res = evolve(score, 10, cfg)
         front, history, elites = PINNED_EVOLVE[seed]
         assert [(m.retained, m.objectives.error) for m in res.front] == front
         assert res.history == history
@@ -380,9 +380,9 @@ class TestExport:
         np.testing.assert_array_equal(mask_from_hex(mask_hex(genes), len(bits)), genes)
 
     def test_run_summary_schema(self):
-        evaluate, _ = separable_problem()
+        score, _ = separable_problem()
         cfg = EvolutionConfig(population_size=30, elite_size=10, generations=5, seed=2)
-        res = evolve(evaluate, 10, cfg)
+        res = evolve(score, 10, cfg)
         doc = run_summary(cfg, res)
         assert doc["config"]["seed"] == 2
         assert len(doc["best_error"]) == 6  # init + 5 generations

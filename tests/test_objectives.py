@@ -249,13 +249,29 @@ def conv9_context():
     return sub, map_l, EvaluationContext.build(sub, map_l)
 
 
-def assert_matches_slow_path(sub, map_l, ctx, bits, mode="optimized"):
+def assert_matches_slow_path(sub, map_l, ctx, bits, mode="optimized", fast=None):
+    """`fast`, by default evaluate_individual's error, is within the bound
+    of the direct forward's error."""
     mask = FilterMask(np.asarray(bits, dtype=np.uint8), 0)
-    fast = evaluate_individual(ctx, mask, alpha_mode=mode).error
+    if fast is None:
+        fast = evaluate_individual(ctx, mask, alpha_mode=mode).error
     reference = subnetwork_forward(sub, map_l)
     slow = reconstruction_error(reference, subnetwork_forward(sub, map_l, mask), mode)
     bound = RTOL * slow + ATOL * T.frobenius_norm(reference)
     assert abs(fast - slow) <= bound, (fast, slow)
+
+
+def silent_kept_channels():
+    """(sub, map_l, ctx, bits) of toy conv 2 whose second layer reads
+    channels 0-2 with zero weight and has a zero bias, and the mask that
+    keeps only those channels."""
+    sub = extract_subnetwork(build_toy_cnn(seed=4), 2)
+    sub.second.params.weights[:, :3] = 0.0
+    sub.second.params.bias[:] = 0.0
+    map_l = np.random.default_rng(4).normal(size=(3, 8, 8, 8))
+    bits = np.zeros(16, dtype=np.uint8)
+    bits[:3] = 1
+    return sub, map_l, EvaluationContext.build(sub, map_l), bits
 
 
 def random_masks(c, count, seed):
@@ -359,17 +375,30 @@ class TestGramForm:
     def test_silent_kept_channels_give_reference_norm(self):
         """A mask whose kept channels reach the output with zero weight and a
         zero bias leaves a = 0, where optimal_alpha takes alpha = 0."""
-        sub = extract_subnetwork(build_toy_cnn(seed=4), 2)
-        sub.second.params.weights[:, :3] = 0.0
-        sub.second.params.bias[:] = 0.0
-        map_l = np.random.default_rng(4).normal(size=(3, 8, 8, 8))
-        ctx = EvaluationContext.build(sub, map_l)
-        bits = np.zeros(16, dtype=np.uint8)
-        bits[:3] = 1
+        sub, map_l, ctx, bits = silent_kept_channels()
         assert evaluate_individual(ctx, mask_of(bits)).error == T.frobenius_norm(
             subnetwork_forward(sub, map_l)
         )
         assert_matches_slow_path(sub, map_l, ctx, bits)
+
+    @pytest.mark.parametrize("mode", ALPHA_MODES)
+    def test_score_genomes_mixed_batch(self, mode):
+        """One call scores a batch of a silent mask, the full mask, every
+        one-filter mask and random masks: each row within the slow path's
+        bound, the silent row at ||r|| exactly where alpha is fitted."""
+        sub, map_l, ctx, silent = silent_kept_channels()
+        c = ctx.num_filters
+        genes = np.vstack(
+            [silent, np.ones(c, dtype=np.uint8), np.eye(c, dtype=np.uint8),
+             *random_masks(c, 12, seed=5)]
+        ).astype(bool)
+        points = O.score_genomes(ctx, genes, alpha_mode=mode)
+        assert points.shape == (len(genes), 2)
+        assert points[:, 0].tolist() == [k / c for k in genes.sum(axis=1).tolist()]
+        if mode == "optimized":
+            assert points[0, 1] == ctx.ref_norm
+        for bits, error in zip(genes, points[:, 1]):
+            assert_matches_slow_path(sub, map_l, ctx, bits, mode, fast=error)
 
     def test_one_context_serves_both_modes(self, toy_contexts, monkeypatch):
         """evolve_subnetwork scores in its config's alpha mode on the one
