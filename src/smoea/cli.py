@@ -21,6 +21,8 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import network as N
 from .data import Dataset, SyntheticParams, generate_synthetic, load_cifar10
 from .evolution import EvolutionConfig, run_summary
@@ -36,11 +38,11 @@ from .network import Network, build_toy_cnn, build_vgg14, load_model, save_model
 from .pipeline import (
     FineTuneConfig,
     GroupPlan,
-    _test_accuracy,
     baseline_prune,
     calibration_batch,
     evaluate_accuracy,
     evolve_layer,
+    final_accuracy,
     finetune,
     group_layers,
     smoea_prune,
@@ -209,7 +211,8 @@ def read_run(args, with_data: bool = True) -> tuple[Settings, Network, Dataset |
     """Everything a run reads, checked and built while nothing is written:
     the config with --model folded in as model.path, the model and, with
     `with_data`, the dataset checked to fit the model. A size field too
-    large for numpy to make its arrays raises ArgumentError."""
+    large for numpy to make its arrays, the search's population among them,
+    raises ArgumentError."""
     cfg = load_config(args.config)
     if args.model:
         # a new section: the defaults' own model dict must stay as it is
@@ -218,9 +221,14 @@ def read_run(args, with_data: bool = True) -> tuple[Settings, Network, Dataset |
     try:
         net = build_model(settings.model)
         dataset = build_dataset(settings.dataset, net.input_shape) if with_data else None
+        # the search's pool of children and elites at the widest conv, made
+        # and dropped untouched
+        evo = settings.evolution
+        widths = [net.conv(l).params.out_channels for l in range(1, net.num_convs + 1)]
+        np.empty((evo.population_size + evo.elite_size, max(widths, default=0)), dtype=bool)
     except (ValueError, OverflowError, MemoryError) as e:
         # numpy's refusals of a size field too large for an array
-        raise ArgumentError(f"a model or dataset size is too large: {e}") from e
+        raise ArgumentError(f"a model, dataset or population size is too large: {e}") from e
     if dataset is not None:
         check_fit(dataset, net)
     return settings, net, dataset
@@ -373,7 +381,7 @@ def cmd_baseline(args) -> int:
         net, dataset, s.plan, rates, args.criterion, s.finetune, seed=s.evolution.seed
     )
     save_model(pruned, run_dir / "model")
-    final = accuracies[-1] if accuracies else _test_accuracy(pruned, dataset)
+    final = final_accuracy(pruned, dataset, accuracies)
     payload = {
         "command": "baseline",
         "criterion": args.criterion,

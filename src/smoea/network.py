@@ -162,8 +162,8 @@ class ReluLayer(Layer):
         return T.relu(x), x > 0
 
     def backward(self, mask, g, input_grad=True):
-        # relu_backward's predicate on the mask is the one it takes on x
-        return T.relu_backward(mask, g), None
+        # tensor.relu_backward on x, bit for bit: g times the saved x > 0
+        return g * mask, None
 
 
 @dataclass

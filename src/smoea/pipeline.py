@@ -149,6 +149,13 @@ def _test_accuracy(net: Network, dataset: Dataset) -> float:
     return evaluate_accuracy(net, dataset.test_images, dataset.test_labels)
 
 
+def final_accuracy(pruned: Network, dataset: Dataset, accuracies: list[float]) -> float:
+    """A pruning run's final accuracy: its last stage's, which has measured
+    the returned network already, or a test pass where the plan had no
+    stage."""
+    return accuracies[-1] if accuracies else _test_accuracy(pruned, dataset)
+
+
 def _clone(net: Network) -> Network:
     return Network(copy.deepcopy(net.layers), net.input_shape)
 
@@ -299,10 +306,7 @@ def smoea_prune(
     report.layers.sort(key=lambda row: row["ordinal"])
     report.params_after = N.count_params(pruned)
     report.flops_after = N.count_flops(pruned)
-    # the last stage has measured the returned network already
-    report.final_accuracy = (
-        accuracies[-1] if accuracies else _test_accuracy(pruned, dataset)
-    )
+    report.final_accuracy = final_accuracy(pruned, dataset, accuracies)
     return pruned, report
 
 

@@ -63,10 +63,10 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from .exceptions import GeometryError, LabelError, ShapeError
 
 
-# Bound, in bytes, on the scratch that one chunk of work allocates: the conv
-# forward's im2col block and the input gradient's buffers for one block (see
-# _block_bound), and each buffer of one chunk of the Gram build in
-# objectives.
+# The one bound, in bytes, on the scratch that one chunk of work allocates:
+# the conv forward's im2col block and the input gradient's buffers for one
+# block of images (see _image_blocks), and each buffer of one chunk of the
+# Gram build in objectives.
 CHUNK_BYTES = 4 * 2**20
 
 
@@ -210,24 +210,17 @@ _COLUMN_TILE = 16
 _SMALL_GEMM = 100**3
 
 
-def _block_bound(weights: np.ndarray) -> int:
-    """Bytes of scratch a conv kernel aims to fill per block of images:
-    CHUNK_BYTES, or twice the weights where those are larger, so that a wide
-    layer does not re-stream its weights for every few images."""
-    return max(CHUNK_BYTES, 2 * weights.nbytes)
-
-
 def _image_blocks(n: int, span: int, w: np.ndarray, image_bytes: int) -> list[int]:
     """Image counts of the blocks of a conv kernel whose GEMMs multiply
     weights w as [o, rows] by [rows, m*span] columns, for n images of span
     output positions and image_bytes of scratch each: ceil(n / k) blocks of
-    near-equal size, k = max(1, _block_bound(w) // image_bytes). Fewer
-    blocks where a block's GEMM would drop to the small-matrix size, and one
-    block where span is not a whole number of column tiles."""
+    near-equal size, k = max(1, CHUNK_BYTES // image_bytes), the one bound.
+    Fewer blocks where a block's GEMM would drop to the small-matrix size,
+    and one block where span is not a whole number of column tiles."""
     if span % _COLUMN_TILE:
         return [n]
     o, rows = w.shape
-    k = max(1, _block_bound(w) // image_bytes)
+    k = max(1, CHUNK_BYTES // image_bytes)
     k_min = _SMALL_GEMM // (o * rows * span or 1) + 1
     count = max(1, min(-(-n // k), n // k_min))
     return [n // count + (i < n % count) for i in range(count)]

@@ -2,7 +2,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smoea import objectives as O
@@ -10,7 +10,10 @@ from smoea import tensor as T
 from smoea.exceptions import ArgumentError, MaskError, NonFiniteError, ShapeError
 from smoea.network import (
     ConvLayer,
+    DenseLayer,
     FilterMask,
+    FlattenLayer,
+    PoolLayer,
     ReluLayer,
     SubNetwork,
     build_toy_cnn,
@@ -314,6 +317,80 @@ class TestGramForm:
             )
         )
         assert_matches_slow_path(sub, map_l, ctx, bits, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_drawn_subnetworks_property(self, data):
+        """On a drawn sub-network, a conv with a relu-conv, relu-pool-conv
+        or relu-pool-flatten-dense tail, every score_genomes row is within
+        the slow path's bound in both alpha modes, and filter_pct is
+        retained / C exactly. In half the draws a shrunk CHUNK_BYTES makes
+        the Gram build run in chunks, paired on the helper thread. An output
+        of one number is test_one_number_output's case."""
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tail = draw(st.sampled_from(sorted(TOY_TAILS)))
+        pooled = "pool" in tail
+        c_in, c = draw(st.integers(1, 4)), draw(st.integers(2, 12))
+        n, k = draw(st.integers(1, 4)), draw(st.sampled_from([1, 3]))
+        padding = draw(st.integers(0, k // 2))
+        # the first conv's output map, even where a pool follows
+        out_h, out_w = (2 * draw(st.integers(1, 4)) if pooled else draw(st.integers(1, 8))
+                        for _ in range(2))
+
+        def conv(o, i, k, padding):
+            weights = rng.normal(0.0, np.sqrt(2.0 / (i * k * k)), (o, i, k, k))
+            return ConvLayer(T.ConvParams(o, i, k, k, 1, padding, weights,
+                                          rng.normal(0.0, 0.5, o)))
+
+        first = conv(c, c_in, k, padding)
+        interstitial = [ReluLayer(), PoolLayer()] if pooled else [ReluLayer()]
+        h, w = (out_h // 2, out_w // 2) if pooled else (out_h, out_w)
+        outs = draw(st.integers(1, 6))
+        if tail.endswith("dense"):
+            interstitial.append(FlattenLayer())
+            weights = rng.normal(0.0, 0.5, (c * h * w, outs))
+            second = DenseLayer(weights, rng.normal(0.0, 0.5, outs))
+        else:
+            k2 = draw(st.sampled_from([1, 3]))
+            padding2 = draw(st.integers(0 if min(h, w) >= k2 else k2 // 2, k2 // 2))
+            second = conv(outs, c, k2, padding2)
+        sub = SubNetwork(first, interstitial, second)
+        shrink = k - 1 - 2 * padding  # of the map, by the first conv
+        map_l = rng.normal(size=(n, c_in, out_h + shrink, out_w + shrink))
+        assume(subnetwork_forward(sub, map_l).size > 1)
+        mask = st.lists(st.booleans(), min_size=c, max_size=c).filter(any)
+        genes = np.array(draw(st.lists(mask, min_size=1, max_size=6)))
+        chunked = draw(st.booleans())
+        chunk_bytes = draw(st.sampled_from([64, 1024]))
+        with pytest.MonkeyPatch.context() as mp:
+            if chunked:
+                mp.setattr(T, "CHUNK_BYTES", chunk_bytes)
+                mp.setattr(T, "_cpu_count", lambda: 2)
+            ctx = EvaluationContext.build(sub, map_l)
+        for mode in ALPHA_MODES:
+            points = O.score_genomes(ctx, genes, alpha_mode=mode)
+            assert points[:, 0].tolist() == [r / c for r in genes.sum(axis=1).tolist()]
+            for bits, error in zip(genes, points[:, 1]):
+                assert_matches_slow_path(sub, map_l, ctx, bits, mode, fast=error)
+
+    @pytest.mark.xfail(strict=True, reason="the Gram form's error of an exact fit")
+    def test_one_number_output(self):
+        """A sub-network whose output is one number: the fitted alpha
+        reconstructs it exactly under every mask that leaves a != 0, so the
+        slow path's error is 0. The Gram form takes ||d||^2 - <a, d>^2 /
+        ||a||^2, two terms of the size of ||d||^2, and keeps up to about
+        sqrt(eps) * ||d|| of their rounding, beyond the bound."""
+        rng = np.random.default_rng(0)
+        first = ConvLayer(T.ConvParams(8, 2, 1, 1, 1, 0, rng.normal(size=(8, 2, 1, 1)),
+                                       rng.normal(0.0, 0.5, 8)))
+        dense = DenseLayer(rng.normal(0.0, 0.5, (8, 1)), rng.normal(0.0, 0.5, 1))
+        sub = SubNetwork(first, [ReluLayer(), PoolLayer(), FlattenLayer()], dense)
+        map_l = rng.normal(size=(1, 2, 2, 2))
+        ctx = EvaluationContext.build(sub, map_l)
+        genes = (np.arange(1, 255)[:, None] >> np.arange(8) & 1).astype(bool)
+        for bits, error in zip(genes, O.score_genomes(ctx, genes)[:, 1]):
+            assert_matches_slow_path(sub, map_l, ctx, bits, fast=error)
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_terms_equal_per_channel_responses(self, toy_contexts, kind):

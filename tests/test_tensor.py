@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import naive_conv2d, numerical_grad, rel_err
 from smoea import tensor as T
 from smoea.exceptions import GeometryError, LabelError, ShapeError
-from smoea.network import build_toy_cnn
+from smoea.network import ReluLayer, build_toy_cnn
 from smoea.pipeline import FineTuneConfig, finetune
 from smoea.tensor import ConvParams
 
@@ -674,7 +674,7 @@ class TestConvForwardTiling:
         finally:
             tracemalloc.stop()
         padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
-        assert peak < padded + 2 * out + T._block_bound(p.weights) + 2**20
+        assert peak < padded + 2 * out + T.CHUNK_BYTES + 2**20
 
     def test_channel_major_result_is_the_gemm_output(self):
         """In the (n, oh, ow) order the bias goes into the GEMM result in
@@ -689,7 +689,7 @@ class TestConvForwardTiling:
         finally:
             tracemalloc.stop()
         padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
-        assert peak < padded + out + T._block_bound(p.weights) + 2**20
+        assert peak < padded + out + T.CHUNK_BYTES + 2**20
         want = einsum_conv2d_forward(x, p)
         assert np.array_equal(got, want) and got.strides == want.strides
 
@@ -748,7 +748,7 @@ class TestConvInputGradTiling:
         """finetune-cifar's conv 2 backward on one CPU, where the input
         gradient runs after the weight gradient has freed its X: from the
         moment it picks its blocks, it adds the padded x gradient and one
-        block's tap and acc (at most _block_bound) to what the call holds. A
+        block's tap and acc (at most CHUNK_BYTES) to what the call holds. A
         full-batch tap and acc would add 17.9 MB instead of 3.9 MB."""
         x, p, g = backward_case(TILED_CONV_SHAPES["cifar_conv2_n32"], channel_major)
         monkeypatch.setattr(T, "_cpu_count", lambda: 1)
@@ -768,7 +768,7 @@ class TestConvInputGradTiling:
             tracemalloc.stop()
         grad_x_pad = 32 * 32 * 34 * 34 * 8
         assert len(held) == 1
-        assert peak - held[0] < grad_x_pad + T._block_bound(p.weights) + 2**16
+        assert peak - held[0] < grad_x_pad + T.CHUNK_BYTES + 2**16
 
 
 def rule_conditions(shape):
@@ -998,8 +998,9 @@ class TestHelperThread:
 class TestForwardBlocks:
     # (n, span, weights as [o, c*kh*kw]) -> block sizes
     CASES = {
-        # VGG-14 conv 9 at batch 32: twice the weights (37.7 MB) holds it all
-        "wide_layer_one_block": ((32, 16, (512, 4608)), [32]),
+        # VGG-14 conv 9 at batch 32: 0.6 MB per image, k = 7 images, however
+        # large the weights
+        "wide_layer_one_block": ((32, 16, (512, 4608)), [7, 7, 6, 6, 6]),
         # 2.4 MB per image against the 4 MiB chunk: one image per block
         "cifar_32ch_32x32": ((32, 1024, (32, 288)), [1] * 32),
         # k = 7 images: five near-equal blocks, not 4 x 7 + 4
@@ -1033,7 +1034,7 @@ class TestForwardBlocks:
         blocks = T._image_blocks(n, span, w, 8 * rows * span)
         assert sum(blocks) == n and blocks == sorted(blocks, reverse=True)
         assert blocks[0] - blocks[-1] <= 1
-        k = max(1, T._block_bound(w) // (8 * rows * span))
+        k = max(1, T.CHUNK_BYTES // (8 * rows * span))
         k_min = T._SMALL_GEMM // (o * rows * span) + 1
         assert blocks[0] <= max(k, 2 * k_min - 1) or len(blocks) == 1
         assert len(blocks) == 1 or blocks[-1] >= k_min
@@ -1065,11 +1066,11 @@ class TestRelu:
         np.testing.assert_array_equal(T.relu_backward(x, g), [0.0, 1.0, 0.0])
 
     def test_mask_in_place_of_x_is_bitwise(self):
-        """relu_backward on the bool mask x > 0 that a relu layer keeps
-        equals it on x, bit for bit and stride for stride, with signed zeros,
-        NaNs and infinities in x and g, in the layouts of a training step: x
-        a channel-major conv output, g an NCHW view of the next conv's padded
-        x gradient."""
+        """A relu layer's backward on the bool mask x > 0 that its forward
+        keeps equals relu_backward on x, bit for bit and stride for stride,
+        with signed zeros, NaNs and infinities in x and g, in the layouts of
+        a training step: x a channel-major conv output, g an NCHW view of the
+        next conv's padded x gradient."""
         rng = np.random.default_rng(5)
         special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
         x = rng.normal(size=(4, 3, 6, 6))
@@ -1078,7 +1079,7 @@ class TestRelu:
             a.flat[rng.choice(a.size, 100, replace=False)] = np.resize(special, 100)
         x, g = channel_major(x), g_pad[:, :, 1:-1, 1:-1]
         with np.errstate(invalid="ignore"):  # an infinite g times 0
-            want, got = T.relu_backward(x, g), T.relu_backward(x > 0, g)
+            want, (got, _) = T.relu_backward(x, g), ReluLayer().backward(x > 0, g)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert got.strides == want.strides
 
