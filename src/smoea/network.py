@@ -372,7 +372,8 @@ def forward(
     net: Network, batch: np.ndarray, capture: set[int] | frozenset[int] = frozenset()
 ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
     """Full forward pass; records the tensor flowing INTO each requested
-    conv ordinal."""
+    conv ordinal. Each layer's saved entry is dropped as that layer
+    returns, so a layer's input, unless captured, is freed then."""
     capture = set(capture)
     bad = capture - set(range(1, net.num_convs + 1))
     if bad:
@@ -383,7 +384,7 @@ def forward(
     for i, lay in enumerate(net.layers):
         if i in at:
             captured[at[i]] = x
-        x, _ = lay.forward(x)
+        x = lay.forward(x)[0]
     return x, captured
 
 
@@ -448,7 +449,7 @@ def subnetwork_tail_forward(sub: SubNetwork, first_out: np.ndarray) -> np.ndarra
     """Forward from the first layer's output through interstitial + second."""
     x = first_out
     for lay in sub.interstitial:
-        x, _ = lay.forward(x)
+        x = lay.forward(x)[0]
     return sub.second.forward(x)[0]
 
 

@@ -62,7 +62,7 @@ class EvaluationContext:
         infinite, since no mask could then be ranked."""
         x = T.conv2d_forward(map_l, sub.first.params)
         for lay in sub.interstitial:
-            x, _ = lay.forward(x)
+            x = lay.forward(x)[0]
         ref_norm = T.frobenius_norm(sub.second.forward(x)[0])
         terms = (*_gram_terms(sub, x), ref_norm)
         if not all(np.isfinite(term).all() for term in terms):

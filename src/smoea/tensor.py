@@ -17,12 +17,12 @@ can differ from the form's in the last bit, and a padded input gradient's
 strides differ. An unpadded x is read in its own layout, as the forms read
 it. And the strides of length-1 axes, which address no memory, can differ
 from the forms' (a 1x1 output map, a 1x1 kernel's weight gradient); their
-values do not. The forward builds its operand for one block of whole
-images at a time, so no full-batch copy of it exists, and the backward's
-input gradient forms its tap products and their sums one block of whole
-images at a time, so no full-batch tap or sum buffer exists either. Both
-take their blocks from one rule (_image_blocks): whole column tiles, none
-of them a small-matrix GEMM.
+values do not. The forward pads its input and builds its operand for one
+block of whole images at a time, so no full-batch copy of either exists,
+and the backward's input gradient forms its tap products and their sums
+one block of whole images at a time, so no full-batch tap or sum buffer
+exists either. Both take their blocks from one rule (_image_blocks): whole
+column tiles, none of them a small-matrix GEMM.
 A batch that fits in one block is the lowering's single GEMM, and the tests
 pin the tiled shapes. The weight gradient sums each element over all
 columns in one GEMM. Where _per_tap_weight_grad holds, as at the CIFAR
@@ -304,22 +304,24 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
 
     The matmul that numpy lowered the contraction "nchwij,ocij->nohw" to,
     split over blocks of whole images (_image_blocks): with W as
-    [o, c*kh*kw], each block's windows are copied into a C-contiguous
+    [o, c*kh*kw], each block's images are padded on their own (no padded
+    copy of the batch exists), their windows are copied into a C-contiguous
     [c*kh*kw, k*oh*ow] operand X, the lowering's own layout, and W @ X fills
     that block's columns of one [o, n*oh*ow] result. A batch that fits in
     one block is the lowering's single GEMM. With two or more blocks, the
     helper thread fills the first half of them while this thread fills the
     rest, each through its own buffer.
 
-    The columns run (n, oh, ow), from the NCHW padded input, or (oh, ow, n)
-    where _batch_innermost_forward holds, from an input padded into a
-    [c, h, w, n] buffer. Where the windows have a unit axis and the columns
-    run (n, oh, ow), as for every 1x1 kernel, X is the lowering's own
-    (_unit_axis_cols); a one-row X it multiplies (_contract). The result
-    has the strides that empty_like gives the channel-major [o, n, oh, ow]
-    form: in the (n, oh, ow) order the bias is added into the GEMM result
-    in place, which has them unless an axis has length 1, and otherwise
-    into a fresh array, NCHW-contiguous for a one-row X, as the lowering's.
+    The columns run (n, oh, ow), from the block's images padded as NCHW, or
+    (oh, ow, n) where _batch_innermost_forward holds, from the batch, one
+    block, padded into a [c, h, w, n] buffer. Where the windows have a unit
+    axis and the columns run (n, oh, ow), as for every 1x1 kernel, X is the
+    lowering's own (_unit_axis_cols); a one-row X it multiplies (_contract).
+    The result has the strides that empty_like gives the channel-major
+    [o, n, oh, ow] form: in the (n, oh, ow) order the bias is added into
+    the GEMM result in place, which has them unless an axis has length 1,
+    and otherwise into a fresh array, NCHW-contiguous for a one-row X, as
+    the lowering's.
     """
     _check_input(x, params)
     n, c = x.shape[:2]
@@ -329,10 +331,10 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     w = params.weights.reshape(o, rows)
     blocks = _image_blocks(n, span, w, 8 * rows * span)  # X's bytes per image
     if _batch_innermost_forward(n, rows, oh, ow, blocks) and kh * kw > 1:
-        layout, x_pad = _BATCH_INNERMOST, _pad(x, params.padding, _BATCH_INNERMOST)
+        layout = pad_layout = _BATCH_INNERMOST
     else:
-        layout, x_pad = _CHANNEL_MAJOR, _pad(x, params.padding)
-    (order, nchw), win = layout, _windows(x_pad, params)
+        layout, pad_layout = _CHANNEL_MAJOR, _NCHW
+    order, nchw = layout
     unit = layout is _CHANNEL_MAJOR and 1 in (n, c, kh, kw, oh, ow)
     out = np.empty((o, n * span))
 
@@ -341,8 +343,10 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
         # the first block is the largest; the lowering's own X needs none
         buf = np.empty(0 if unit else rows * blocks[0] * span)
         for m in blocks:
-            # X's rows run (c, kh, kw) and its columns in the order's layout
-            block = win[start : start + m].transpose(1, 4, 5, *order[1:])
+            # X's rows run (c, kh, kw) and its columns in the order's layout,
+            # from this block's images alone, padded
+            x_pad = _pad(x[start : start + m], params.padding, pad_layout)
+            block = _windows(x_pad, params).transpose(1, 4, 5, *order[1:])
             if unit:  # the lowering's own X
                 cols = _unit_axis_cols(block)
             else:

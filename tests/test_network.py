@@ -149,6 +149,33 @@ class TestTrainingCache:
             assert all(np.array_equal(a, b) for a, b in zip(got[pos], want[pos]))
 
 
+class TestInferenceForward:
+    def test_peak_memory_is_bounded(self):
+        """forward on finetune-cifar's net over its 100 test images drops
+        each layer's saved entry as the layer returns and pads each conv's
+        images one block at a time: it peaks below the input, two of the
+        largest activation (a layer's input and output), one block's
+        scratch on each of the conv's two threads, and slack, about 64 MB.
+        Keeping each conv's input through the next layer and padding the
+        whole batch peaked at about 90 MB. The logits are those of a
+        hand-chained Layer.forward that keeps every saved entry."""
+        net = build_cnn([32, 32, 64, 64], {2, 4}, (3, 32, 32), seed=1)
+        batch = np.random.default_rng(0).normal(size=(100, 3, 32, 32))
+        tracemalloc.start()
+        try:
+            logits, _ = forward(net, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        largest = 100 * 8 * max(int(np.prod(shape)) for shape in activation_shapes(net))
+        assert peak < batch.nbytes + 2 * largest + 2 * T.CHUNK_BYTES + 2**20
+        want, saved = batch, []
+        for lay in net.layers:
+            want, keep = lay.forward(want)
+            saved.append(keep)
+        assert logits.tobytes() == want.tobytes()
+
+
 class TestForwardCapture:
     def test_first_capture_is_raw_input(self, toy):
         x = np.random.default_rng(1).normal(size=(2, 3, 8, 8))

@@ -663,9 +663,11 @@ class TestConvForwardTiling:
             assert np.array_equal(got[start : start + k], want)
 
     def test_peak_memory_is_bounded(self):
-        """No full-batch im2col operand: the peak is the padded input, the
-        channel-major result and its bias-added copy, one block, and slack.
-        The einsum form peaks at about 89 MiB here, this at about 27 MiB."""
+        """No full-batch im2col operand and no padded copy of the batch: the
+        peak is the result, and on each of the two threads one block's X
+        and padded images, and slack. The einsum form peaks at about
+        89 MiB here, this at about 13 MiB; a padded copy of the whole batch
+        is 9.5 MB."""
         x, p = conv_case((32, 32, 32, 32, 32, 3, 1, 1))
         tracemalloc.start()
         try:
@@ -673,14 +675,16 @@ class TestConvForwardTiling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
-        assert peak < padded + 2 * out + T.CHUNK_BYTES + 2**20
+        # one padded image (the blocks are one image each) and the result
+        padded, out = 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
+        assert peak < out + 2 * (T.CHUNK_BYTES + padded) + 2**20
 
     def test_channel_major_result_is_the_gemm_output(self):
         """In the (n, oh, ow) order the bias goes into the GEMM result in
         place: finetune-cifar's conv 2 at its training batch allocates one
-        output-sized array, not two. Its peak is the padded input, the
-        result and one block; a fresh bias-added copy would add 8.4 MB."""
+        output-sized array, not two. Its peak is the result and, on each of
+        the two threads, one block's X and padded image (a block is one
+        image here); a fresh bias-added copy would add 8.4 MB."""
         x, p = conv_case(TILED_CONV_SHAPES["cifar_conv2_n32"])
         tracemalloc.start()
         try:
@@ -688,15 +692,16 @@ class TestConvForwardTiling:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        padded, out = 32 * 32 * 34 * 34 * 8, 32 * 32 * 32 * 32 * 8
-        assert peak < padded + out + T.CHUNK_BYTES + 2**20
+        padded, cols, out = 32 * 34 * 34 * 8, 288 * 32 * 32 * 8, 32 * 32 * 32 * 32 * 8
+        assert peak < out + 2 * (cols + padded) + 2**20
         want = einsum_conv2d_forward(x, p)
         assert np.array_equal(got, want) and got.strides == want.strides
 
     def test_batch_innermost_peak_memory_is_bounded(self):
         """The toy net's conv 2 at a training batch, one block with its
-        columns batch innermost: the peak is the padded input, X and the
-        GEMM result; the bias-added result is made after X is freed."""
+        columns batch innermost: the peak is that block's padded images
+        (the whole batch), X and the GEMM result; the bias-added result is
+        made after X is freed."""
         x, p = conv_case(BITWISE_CONV_SHAPES["toy_conv2"])
         tracemalloc.start()
         try:
