@@ -88,8 +88,9 @@ def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     that a chunk never holds less than one output row: at VGG-14 conv 9
     (4x4 output, 512 channels in and out) the rule allows 2 positions but a
     chunk takes a row of 4, so each y is 512 x 2048 doubles, 8 MiB, twice
-    CHUNK_BYTES. Two chunks are in flight at once, so the build holds up to
-    two such y and their C x C products.
+    CHUNK_BYTES. Two chunks are in flight at once, so a build of two or more
+    chunks makes two buffers for y and two for its C x C product, sized by
+    that rule, and reuses them for every pair.
 
     The chunk products y @ y.T run two at a time on tensor._side_by_side,
     chunk i on the helper thread beside chunk i + 1 on this one, and are
@@ -101,44 +102,54 @@ def _gram_terms(sub: SubNetwork, x: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     w = np.ascontiguousarray(w)  # [C, taps, outs]
     bias = sub.second.arrays()[1]
     out_h, out_w = patches.shape[2:4]
+    _, taps, outs = w.shape
+    budget = T.CHUNK_BYTES // 8
+    out_step = min(outs, max(1, budget // c))
+    rows = max(1, budget // (c * max(out_step, taps)))
+    blocks = _position_blocks(n, out_h, out_w, rows)
+    # a chunk's positions: at most rows, or one output row where it is longer
+    positions = min(max(rows, out_w), n * out_h * out_w)
+    in_flight = min(2, len(blocks) * -(-outs // out_step))
+    buffers = [(np.empty(c * positions * out_step), np.empty((c, c))) for _ in range(in_flight)]
     gram = np.zeros((c, c))
-    patch_sums = np.zeros(w.shape[:2])
-    products = _chunk_products(patches, w, patch_sums)
-    for first in products:
-        second = next(products, None)
+    patch_sums = np.zeros((c, taps))
+    chunks = _chunks(patches, w, blocks, out_step, patch_sums)
+    for first in chunks:
+        second = next(chunks, None)
         if second is None:
-            gram += first()
-        else:
-            for product in T._side_by_side(first, second):
-                gram += product
-            # a product kept alive through the next pair's work held about
-            # 8 MB more resident memory on evolve-vgg
-            del product
+            gram += _chunk_product(*first, *buffers[0])
+            continue
+        halves = (
+            lambda: partial(_chunk_product, *first, *buffers[0]),
+            lambda: partial(_chunk_product, *second, *buffers[1]),
+        )
+        for product in T._side_by_side(*halves):
+            gram += product
     # <Y_c, B> = sum over positions and taps of patch * (w_c @ bias)
     cross = (patch_sums * (w @ bias)).sum(axis=1)
     return gram, cross, n * out_h * out_w * float(bias @ bias)
 
 
-def _chunk_products(patches: np.ndarray, w: np.ndarray, patch_sums: np.ndarray):
-    """The Gram build's chunk products, in chunk order, as calls that have
-    yet to run. Cutting each block of patches adds its per-channel patch
-    sums into patch_sums, in block order."""
-    n, c, out_h, out_w = patches.shape[:4]
+def _chunks(patches: np.ndarray, w: np.ndarray, blocks, out_step: int, patch_sums: np.ndarray):
+    """The Gram build's chunks, in chunk order, as (block, w) operands of
+    _chunk_product: each of the position blocks (_position_blocks) by
+    out_step outputs. Cutting each block of patches adds its per-channel
+    patch sums into patch_sums, in block order."""
+    c = patches.shape[1]
     _, taps, outs = w.shape
-    budget = T.CHUNK_BYTES // 8
-    out_step = min(outs, max(1, budget // c))
-    rows = max(1, budget // (c * max(out_step, taps)))
-    for images, out_rows in _position_blocks(n, out_h, out_w, rows):
+    for images, out_rows in blocks:
         block = patches[images, :, out_rows].swapaxes(0, 1).reshape(c, -1, taps)
         patch_sums += block.sum(axis=1)
         for o in range(0, outs, out_step):
-            yield partial(_chunk_product, block, w[:, :, o : o + out_step])
+            yield block, w[:, :, o : o + out_step]
 
 
-def _chunk_product(block: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """y @ y.T of the responses y = block @ w, flattened per channel."""
-    y = np.matmul(block, w).reshape(w.shape[0], -1)
-    return y @ y.T  # one buffer: numpy takes its symmetric kernel
+def _chunk_product(block: np.ndarray, w: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y @ y.T of the responses y = block @ w, flattened per channel, into
+    out, through the buffer y (a prefix of it holds them)."""
+    c, k, outs = *block.shape[:2], w.shape[2]
+    y = np.matmul(block, w, out=y[: c * k * outs].reshape(c, k, outs)).reshape(c, -1)
+    return np.matmul(y, y.T, out=out)  # one operand: numpy takes its symmetric kernel
 
 
 def _position_blocks(

@@ -9,7 +9,7 @@ The conv forward and backward are matmuls over the im2col operands that
 numpy 2.4 built when it lowered the contraction forms they replaced
 (tests/test_tensor.py keeps those forms as oracles), and their results are
 bit-identical to those forms, signed zeros and unit axes included
-(_unit_axis_cols, _contract), with two limits. A padded x is always copied
+(_unit_axis_cols, _contraction), with two limits. A padded x is always copied
 into a C-order buffer, so F- and C-contiguous inputs give equal values and
 strides, while the forms' np.pad keeps an F-contiguous x's layout: for
 such an x (one image and one row, a channel-major x of 1x1 maps) a result
@@ -45,9 +45,11 @@ has one body for both orders, which set only its buffers' layouts
 
 Independent halves of one conv run side by side on a helper thread (see
 _side_by_side): the backward's weight and input gradients, and the first and
-second halves of the forward's blocks. Each half makes the same numpy calls
-on the same operands as it would alone, so no result depends on the thread
-that computed it.
+second halves of the forward's blocks. This thread makes every buffer that
+a helper half writes, so the helper allocates no array and every buffer
+lives in this thread's malloc arena. Each half makes the same numpy calls
+on the same operands as it would alone, into those buffers, so no result
+depends on the thread that computed it.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -121,8 +123,12 @@ def _check_input(x: np.ndarray, params: ConvParams) -> None:
 
 
 def _new_helper() -> None:
-    """Make the one helper thread of the conv kernels, which starts on the
-    first submit and runs only numpy and private functions of this module."""
+    """Make the one helper thread of the conv kernels and the Gram build,
+    which starts on the first submit. It runs only numpy and private
+    functions of this module and of objectives, on buffers that its caller
+    made, and allocates no array: glibc gives each thread its own malloc
+    arena, and memory freed in the helper's stays resident but out of reach
+    of the other threads' allocations."""
     global _HELPER
     _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="smoea-conv")
 
@@ -142,17 +148,22 @@ def _cpu_count() -> int:
 
 
 def _side_by_side(first, second):
-    """(first(), second()), with first run on the helper thread while second
-    runs on this one. Returns or raises only after first has finished, so no
-    work of this call outlives it; first's exception is raised when second
-    succeeded, second's otherwise. A process held to one CPU runs first, then
-    second, on this thread: two threads would only take turns on that CPU,
-    which made fine-tuning slower than one thread does."""
+    """(first()(), second()()): each half is a call that makes the buffers
+    its work writes and returns that work, a call that runs on them. Both
+    halves make their buffers on this thread, then first's work runs on the
+    helper thread while second's runs on this one. Returns or raises only
+    after first's work has finished, so no work of this call outlives it;
+    its exception is raised when second succeeded, second's otherwise. A
+    process held to one CPU makes, runs and drops each half in turn on this
+    thread, so its peak holds one half's buffers: two threads would only
+    take turns on that CPU, which made fine-tuning slower than one thread
+    does."""
     if _cpu_count() < 2:
-        return first(), second()
-    future = _HELPER.submit(first)
+        return first()(), second()()
+    first_work, second_work = first(), second()
+    future = _HELPER.submit(first_work)
     try:
-        second_result = second()
+        second_result = second_work()
     finally:
         wait([future])
     return future.result(), second_result
@@ -174,17 +185,30 @@ _NCHW = ((0, 1, 2, 3), (0, 1, 2, 3))
 _CHANNELS_LAST = ((0, 2, 3, 1), (0, 3, 1, 2))
 
 
+def _padded(shape, padding: int, layout, dtype) -> np.ndarray:
+    """A new array for images of NCHW shape `shape` zero-padded by `padding`,
+    as an NCHW view of memory laid out as `layout`. Only its pad frame is
+    zeroed: its interior, which the caller fills, is left as it is."""
+    n, c, h, w = shape
+    p = padding
+    padded = (n, c, h + 2 * p, w + 2 * p)
+    order, inverse = layout
+    out = np.empty([padded[k] for k in order], dtype).transpose(inverse)
+    if p:
+        rows = out[:, :, p : p + h]
+        for frame in (out[:, :, :p], out[:, :, p + h :], rows[..., :p], rows[..., p + w :]):
+            frame[...] = 0
+    return out
+
+
 def _pad(x: np.ndarray, padding: int, layout=_NCHW) -> np.ndarray:
     """x with its spatial dims zero-padded, as an NCHW view of a new array
-    laid out as `layout` (for NCHW, np.pad's result at a third of its cost
-    for small inputs). An unpadded x keeps its own layout and is returned
-    as it is where NCHW is asked for."""
+    laid out as `layout` (_padded). An unpadded x keeps its own layout and
+    is returned as it is where NCHW is asked for."""
     if padding == 0 and layout is _NCHW:
         return x
-    n, c, h, w = x.shape
-    shape = (n, c, h + 2 * padding, w + 2 * padding)
-    order, inverse = layout
-    out = np.zeros([shape[k] for k in order], dtype=x.dtype).transpose(inverse)
+    out = _padded(x.shape, padding, layout, x.dtype)
+    h, w = x.shape[2:]
     out[:, :, padding : padding + h, padding : padding + w] = x
     return out
 
@@ -193,12 +217,12 @@ def _pad(x: np.ndarray, padding: int, layout=_NCHW) -> np.ndarray:
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int) -> np.ndarray:
     """Flat indices into one padded [c, h, w] sample that gather its im2col
     rows: row (y, x) holds the window at (y*stride, x*stride), ordered
-    (channel, kernel row, kernel col)."""
+    (channel, kernel row, kernel col). Shared by every call of its shape,
+    so no caller writes to it; it is left writeable because np.take copies
+    a read-only index on every call."""
     flat = np.arange(c * h * w).reshape(c, h, w)
     win = sliding_window_view(flat, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    index = np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).ravel()
-    index.flags.writeable = False
-    return index
+    return np.ascontiguousarray(win.transpose(1, 2, 0, 3, 4)).ravel()
 
 
 # OpenBLAS's double GEMM (numpy 2.4's bundled build, x86-64 AVX-512 cores)
@@ -280,23 +304,39 @@ def _per_tap_weight_grad(n: int, c: int, o: int, span: int, taps: int) -> bool:
     )
 
 
-def _unit_axis_cols(win: np.ndarray) -> np.ndarray:
-    """X as numpy's lowering forms it before its reshape where the windows
-    win (of _windows, axes in X's order) have an axis of length 1 (one
-    image or channel, a 1x1 kernel or map row): win without its unit axes,
-    copied in its own memory order, as the lowering's sum over them copies
-    it. The reshape that follows is then a view where that layout allows
-    one, not C-contiguous, and the GEMM rounds differently on it."""
-    return np.squeeze(win).copy(order="K")
+def _unit_axis_cols(win: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for X as numpy's lowering forms it where the windows win (of
+    _windows, axes in X's order) have an axis of length 1 (one image or
+    channel, a 1x1 kernel or map row): (dst, cols), where dst[...] = win
+    fills X as cols, of 2-D `shape`. The lowering copies win without its
+    unit axes in its own memory order, as its sum over them does, and
+    reshapes the copy: a view where that layout allows one, not
+    C-contiguous, on which the GEMM rounds differently, and a C-contiguous
+    copy otherwise."""
+    squeezed = np.squeeze(win)
+    buf = np.empty_like(squeezed)  # the copy's memory order
+    try:
+        cols = buf.reshape(shape, copy=False)
+    except ValueError:  # the lowering's reshape copies
+        buf = np.empty(squeezed.shape, win.dtype)
+        cols = buf.reshape(shape)
+    return buf.reshape(win.shape), cols
 
 
-def _contract(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """a @ b, or, where they share an axis of length 1, the lowering's
-    product (a + 0.0) * (b + 0.0): its sums over unit axes turn -0.0 into
-    +0.0, and a GEMM would add each product to +0.0."""
+def _contraction(a: np.ndarray):
+    """The call (b, out=...) that puts a @ b into out, or, where a and b
+    share an axis of length 1, the lowering's product (a + 0.0) * (b + 0.0):
+    its sums over unit axes turn -0.0 into +0.0, and a GEMM would add each
+    product to +0.0. a's sum is made here, with the caller's buffers; b, a
+    buffer of the kernel's own, takes its sum in place."""
     if a.shape[1] != 1:
-        return np.matmul(a, b, out=out)
-    return np.multiply(a + 0.0, b + 0.0, out=out)
+        return partial(np.matmul, a)
+    a = a + 0.0
+
+    def unit_product(b, out):
+        return np.multiply(a, np.add(b, 0.0, out=b), out=out)
+
+    return unit_product
 
 
 def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
@@ -310,13 +350,15 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     that block's columns of one [o, n*oh*ow] result. A batch that fits in
     one block is the lowering's single GEMM. With two or more blocks, the
     helper thread fills the first half of them while this thread fills the
-    rest, each through its own buffer.
+    rest, each through its own padded buffer and X, both made on this
+    thread; a padded buffer's frame is zeroed once, as each block's images
+    overwrite its interior.
 
     The columns run (n, oh, ow), from the block's images padded as NCHW, or
     (oh, ow, n) where _batch_innermost_forward holds, from the batch, one
     block, padded into a [c, h, w, n] buffer. Where the windows have a unit
     axis and the columns run (n, oh, ow), as for every 1x1 kernel, X is the
-    lowering's own (_unit_axis_cols); a one-row X it multiplies (_contract).
+    lowering's own (_unit_axis_cols); a one-row X it multiplies (_contraction).
     The result has the strides that empty_like gives the channel-major
     [o, n, oh, ow] form: in the (n, oh, ow) order the bias is added into
     the GEMM result in place, which has them unless an axis has length 1,
@@ -324,45 +366,65 @@ def conv2d_forward(x: np.ndarray, params: ConvParams) -> np.ndarray:
     the lowering's.
     """
     _check_input(x, params)
-    n, c = x.shape[:2]
-    o, kh, kw = params.out_channels, params.kernel_h, params.kernel_w
-    oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
+    n, c, h, w = x.shape
+    o, kh, kw, p = params.out_channels, params.kernel_h, params.kernel_w, params.padding
+    oh, ow = conv_output_hw(params, h, w)
     rows, span = c * kh * kw, oh * ow
-    w = params.weights.reshape(o, rows)
-    blocks = _image_blocks(n, span, w, 8 * rows * span)  # X's bytes per image
+    weights = params.weights.reshape(o, rows)
+    blocks = _image_blocks(n, span, weights, 8 * rows * span)  # X's bytes per image
     if _batch_innermost_forward(n, rows, oh, ow, blocks) and kh * kw > 1:
         layout = pad_layout = _BATCH_INNERMOST
     else:
         layout, pad_layout = _CHANNEL_MAJOR, _NCHW
     order, nchw = layout
     unit = layout is _CHANNEL_MAJOR and 1 in (n, c, kh, kw, oh, ow)
+    copied = p or pad_layout is not _NCHW  # blocks are copied into a padded buffer
+    contract = _contraction(weights)
     out = np.empty((o, n * span))
 
     def fill(blocks, start):
-        # the blocks' GEMMs, starting at image `start`, through one buffer
-        # the first block is the largest; the lowering's own X needs none
-        buf = np.empty(0 if unit else rows * blocks[0] * span)
-        for m in blocks:
+        # makes the buffers of the blocks' GEMMs, starting at image `start`,
+        # and returns the work that fills their columns of out through them:
+        # one padded buffer and one X, sized by the first block, the largest
+        if copied:
+            x_pad = _padded((blocks[0], c, h, w), p, pad_layout, x.dtype)
+
+        def block(s, m):
             # X's rows run (c, kh, kw) and its columns in the order's layout,
-            # from this block's images alone, padded
-            x_pad = _pad(x[start : start + m], params.padding, pad_layout)
-            block = _windows(x_pad, params).transpose(1, 4, 5, *order[1:])
-            if unit:  # the lowering's own X
-                cols = _unit_axis_cols(block)
-            else:
-                cols = buf[: rows * m * span]
-                cols.reshape(block.shape)[...] = block
-            cols = cols.reshape(rows, m * span)
-            _contract(w, cols, out=out[:, start * span : (start + m) * span])
-            start += m
+            # from the block's images alone, padded
+            images = x_pad[:m] if copied else x[s : s + m]
+            return _windows(images, params).transpose(1, 4, 5, *order[1:])
+
+        if unit:  # the lowering's own X, one per block size
+            unit_cols = {
+                m: _unit_axis_cols(block(start, m), (rows, m * span)) for m in set(blocks)
+            }
+        else:
+            buf = np.empty(rows * blocks[0] * span)
+
+        def work():
+            s = start
+            for m in blocks:
+                if copied:
+                    x_pad[:m, :, p : p + h, p : p + w] = x[s : s + m]
+                win = block(s, m)
+                if unit:
+                    dst, cols = unit_cols[m]
+                else:
+                    cols = buf[: rows * m * span]
+                    dst, cols = cols.reshape(win.shape), cols.reshape(rows, m * span)
+                dst[...] = win
+                contract(cols, out=out[:, s * span : (s + m) * span])
+                s += m
+
+        return work
 
     half = len(blocks) // 2
     if half:
-        _side_by_side(
-            lambda: fill(blocks[:half], 0), lambda: fill(blocks[half:], sum(blocks[:half]))
-        )
+        first, second = blocks[:half], blocks[half:]
+        _side_by_side(partial(fill, first, 0), partial(fill, second, sum(first)))
     else:
-        fill(blocks, 0)
+        fill(blocks, 0)()
     y = out.reshape([(n, o, oh, ow)[k] for k in order]).transpose(nchw)
     # the lowering's result has the strides that empty_like gives the
     # channel-major form of out. In the (n, oh, ow) order y has them where
@@ -409,15 +471,16 @@ def conv2d_backward(
     n*oh*ow columns in one GEMM, on the kernel that G @ X takes, so its bits
     are unchanged.
 
-    Where X is larger than CHUNK_BYTES, the helper thread computes grad_w,
-    gathering what it needs, while this thread computes the x gradient; its
-    buffers are freed as soon as grad_w is done. Smaller calls run the two
-    halves one after the other on this thread.
+    Where X is larger than CHUNK_BYTES, the helper thread computes grad_w
+    while this thread computes the x gradient. This thread makes grad_w and
+    every buffer that the helper fills (the padded x, X or the tap columns)
+    before the two halves start, and they are freed after both are done.
+    Smaller calls run the two halves one after the other on this thread.
     """
     _check_input(x, params)
-    n, c = x.shape[:2]
+    n, c, h, w = x.shape
     o, kh, kw = params.out_channels, params.kernel_h, params.kernel_w
-    oh, ow = conv_output_hw(params, x.shape[2], x.shape[3])
+    oh, ow = conv_output_hw(params, h, w)
     if tuple(grad_out.shape) != (n, o, oh, ow):
         raise ShapeError(
             f"grad_out shape {tuple(grad_out.shape)}, expected {(n, o, oh, ow)}"
@@ -426,27 +489,47 @@ def conv2d_backward(
     g = grad_out.transpose(1, 0, 2, 3).reshape(o, n * span)
 
     def weight_grad():
+        # makes the buffers that the weight gradient writes and returns the
+        # work that computes it in them
+        grad_w = np.empty(params.weights.shape)
         if _per_tap_weight_grad(n, c, o, span, kh * kw):
-            # each tap's X_ij filled from windows over a channel-last x_pad
-            win = _windows(_pad(x, p, _CHANNELS_LAST), params)
-            cols = np.empty((n, oh, ow, c))
-            tap, grad_w = np.empty((o, c)), np.empty(params.weights.shape)
-            for i in range(kh):
-                for j in range(kw):
-                    cols.transpose(_CHANNELS_LAST[1])[...] = win[..., i, j]
-                    np.matmul(g, cols.reshape(n * span, c), out=tap)
-                    grad_w[:, :, i, j] = tap
-            return grad_w
-        x_pad = _pad(x, p)
+            x_pad = _padded(x.shape, p, _CHANNELS_LAST, x.dtype)
+            cols, tap = np.empty((n, oh, ow, c)), np.empty((o, c))
+
+            def per_tap():
+                # each tap's X_ij filled from windows over a channel-last x_pad
+                x_pad[:, :, p : p + h, p : p + w] = x
+                win = _windows(x_pad, params)
+                for i in range(kh):
+                    for j in range(kw):
+                        cols.transpose(_CHANNELS_LAST[1])[...] = win[..., i, j]
+                        np.matmul(g, cols.reshape(n * span, c), out=tap)
+                        grad_w[:, :, i, j] = tap
+                return grad_w
+
+            return per_tap
+        x_pad = _padded(x.shape, p, _NCHW, x.dtype) if p else x
+        contract = _contraction(g)
         if kh * kw == 1:  # the lowering's own X
             win = _windows(x_pad, params).transpose(0, 2, 3, 1, 4, 5)
-            cols = _unit_axis_cols(win).reshape(n * span, c)
+            dst, cols = _unit_axis_cols(win, (n * span, c))
         else:
             index = _im2col_index(c, *x_pad.shape[2:], kh, kw, params.stride)
             # explicit sizes: a -1 cannot be inferred for an empty batch
             flat = x_pad.reshape(n, c * x_pad.shape[2] * x_pad.shape[3])
-            cols = np.take(flat, index, axis=1).reshape(n * span, rows)
-        return _contract(g, cols).reshape(params.weights.shape)
+            cols = np.empty((n, rows * span), x.dtype)
+
+        def full_x():
+            if p:
+                x_pad[:, :, p : p + h, p : p + w] = x
+            if kh * kw == 1:
+                dst[...] = win
+            else:  # mode "raise" would copy out first
+                np.take(flat, index, axis=1, out=cols, mode="clip")
+            contract(cols.reshape(n * span, rows), out=grad_w.reshape(o, rows))
+            return grad_w
+
+        return full_x
 
     def x_grad():
         w_taps = params.weights.transpose(2, 3, 1, 0)  # [kh, kw, c, o] view
@@ -455,7 +538,7 @@ def conv2d_backward(
             w_taps = np.ascontiguousarray(w_taps)
         # each block's acc and tap are laid out channel first in the columns'
         # order, and added through [m, c, h, w] views
-        hp, wp = x.shape[2] + 2 * p, x.shape[3] + 2 * p
+        hp, wp = h + 2 * p, w + 2 * p
         if _batch_innermost_grad(n, oh, ow):
             order, nchw = _BATCH_INNERMOST
             g_x, blocks = grad_out.transpose(order).reshape(o, n * span), [n]
@@ -484,11 +567,12 @@ def conv2d_backward(
         return grad_x_pad[:, :, p:-p, p:-p] if p else grad_x_pad
 
     if not input_grad:
-        grad_x, grad_w = None, weight_grad()
+        grad_x, grad_w = None, weight_grad()()
     elif 8 * n * span * rows > CHUNK_BYTES:  # X's bytes
-        grad_w, grad_x = _side_by_side(weight_grad, x_grad)
+        # the x gradient runs on this thread and makes its buffers as it goes
+        grad_w, grad_x = _side_by_side(weight_grad, lambda: x_grad)
     else:
-        grad_w, grad_x = weight_grad(), x_grad()
+        grad_w, grad_x = weight_grad()(), x_grad()
     return grad_x, grad_w, grad_out.sum(axis=(0, 2, 3))
 
 

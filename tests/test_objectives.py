@@ -631,11 +631,11 @@ class TestPairedGramBuild:
         product = O._chunk_product
         helper_calls = []
 
-        def fails_on_helper(block, w):
+        def fails_on_helper(block, w, y, out):
             if threading.current_thread() is not threading.main_thread():
                 helper_calls.append(1)
                 raise RuntimeError("chunk product failed on the helper")
-            return product(block, w)
+            return product(block, w, y, out)
 
         monkeypatch.setattr(O, "_chunk_product", fails_on_helper)
         with pytest.raises(RuntimeError, match="failed on the helper"):

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import naive_conv2d, numerical_grad, rel_err
 from smoea import tensor as T
 from smoea.exceptions import GeometryError, LabelError, ShapeError
-from smoea.network import ReluLayer, build_toy_cnn
+from smoea.network import ReluLayer, build_toy_cnn, extract_subnetwork
+from smoea.objectives import EvaluationContext
 from smoea.pipeline import FineTuneConfig, finetune
 from smoea.tensor import ConvParams
 
@@ -31,6 +33,27 @@ class NoHelper:
 
     def submit(self, *args):
         raise AssertionError("work reached the helper thread")
+
+
+class MeasuringHelper:
+    """Stands in for tensor._HELPER: runs each half at once, on this thread,
+    under tracemalloc, records the traced peak that the half added, and
+    returns a done future."""
+
+    def __init__(self):
+        self.peaks = []
+
+    def submit(self, work):
+        future = Future()
+        tracemalloc.start()
+        try:
+            future.set_result(work())
+            self.peaks.append(tracemalloc.get_traced_memory()[1])
+        except Exception as e:  # raised by the caller, as a real helper's
+            future.set_exception(e)
+        finally:
+            tracemalloc.stop()
+        return future
 
 
 def conv_params(oc, ic, k, stride=1, padding=0, rng=None, weights=None, bias=None):
@@ -886,23 +909,26 @@ class TestConvWeightGradTaps:
 
 
 class TestHelperThread:
-    # each weight-gradient form, with a function that only it calls here
-    @pytest.mark.parametrize(
-        "per_tap, inject", [(True, "_windows"), (False, "_im2col_index")], ids=["per_tap", "full_x"]
-    )
-    def test_helper_error_is_raised_and_the_next_call_works(self, per_tap, inject, monkeypatch):
+    # each weight-gradient form, with a call that only its work makes here:
+    # _windows in the per-tap form, and in the full-X form the product that
+    # _contraction makes for it (_im2col_index runs on this thread)
+    @pytest.mark.parametrize("per_tap", [True, False], ids=["per_tap", "full_x"])
+    def test_helper_error_is_raised_and_the_next_call_works(self, per_tap, monkeypatch):
         """A fault inside the helper half, in either form of the weight
         gradient, is raised to the caller, and the next call is exact."""
         x, p, g = backward_case(BITWISE_CONV_SHAPES["cifar_32ch_32x32"])
         threads = []
 
-        def broken(*args):
+        def broken(*args, **kwargs):
             threads.append(threading.current_thread())
             raise RuntimeError("weight gradient failed")
 
         with monkeypatch.context() as m:
             m.setattr(T, "_per_tap_weight_grad", lambda *args: per_tap)
-            m.setattr(T, inject, broken)
+            if per_tap:
+                m.setattr(T, "_windows", broken)
+            else:
+                m.setattr(T, "_contraction", lambda a: broken)
             with pytest.raises(RuntimeError, match="weight gradient failed"):
                 T.conv2d_backward(x, p, g)
         assert threads and threads[0] is not threading.main_thread()
@@ -919,9 +945,9 @@ class TestHelperThread:
             raise ValueError("inline half failed")
 
         with pytest.raises(ValueError, match="inline half failed"):
-            T._side_by_side(slow, failing)
+            T._side_by_side(lambda: slow, lambda: failing)
         assert done == [1]
-        assert T._side_by_side(lambda: 1, lambda: 2) == (1, 2)
+        assert T._side_by_side(lambda: lambda: 1, lambda: lambda: 2) == (1, 2)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_gets_its_own_helper(self):
@@ -998,6 +1024,57 @@ class TestHelperThread:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert failures == []
+
+
+# what a helper half may add to the traced memory: views and Python
+# objects, no array
+HELPER_BYTES = 2**16
+
+
+class TestHelperAllocatesNothing:
+    """The calling thread makes every buffer that a helper half writes, so
+    the helper thread's malloc arena holds no array: each half adds at most
+    HELPER_BYTES."""
+
+    @pytest.fixture
+    def helper(self, monkeypatch):
+        helper = MeasuringHelper()
+        monkeypatch.setattr(T, "_HELPER", helper)
+        return helper
+
+    def test_split_forward(self, helper):
+        """finetune-cifar's conv 2 at its training batch: each half's X is
+        2.4 MB and its padded image 0.3 MB."""
+        x, p = conv_case(TILED_CONV_SHAPES["cifar_conv2_n32"])
+        T.conv2d_forward(x, p)
+        assert len(helper.peaks) == 1 and helper.peaks[0] < HELPER_BYTES
+
+    # c = 32 takes the per-tap weight gradient, c = 24 the full X
+    @pytest.mark.parametrize("c, per_tap", [(32, True), (24, False)], ids=["per_tap", "full_x"])
+    def test_split_backward(self, c, per_tap, helper, monkeypatch):
+        x, p, g = backward_case((4, c, 16, 16, 32, 3, 1, 1), channel_major)
+        monkeypatch.setattr(T, "CHUNK_BYTES", 2**20)  # below X's 1.8 and 2.4 MB
+        picks = record_results(monkeypatch, "_per_tap_weight_grad")
+        T.conv2d_backward(x, p, g)
+        assert picks == [per_tap]
+        assert len(helper.peaks) == 1 and helper.peaks[0] < HELPER_BYTES
+
+    @pytest.mark.parametrize("shape", BITWISE_CONV_SHAPES.values(), ids=BITWISE_CONV_SHAPES)
+    def test_every_split_shape(self, shape, helper, monkeypatch):
+        """Every backward split, and every forward of two or more blocks,
+        the lowering's own X and one-column products (1x1 kernels, one image
+        or channel, one output position) included."""
+        x, p, g = backward_case(shape, channel_major)
+        monkeypatch.setattr(T, "CHUNK_BYTES", 0)
+        T.conv2d_forward(x, p)
+        T.conv2d_backward(x, p, g)
+        assert helper.peaks and max(helper.peaks) < HELPER_BYTES
+
+    def test_paired_gram_build(self, helper, monkeypatch):
+        monkeypatch.setattr(T, "CHUNK_BYTES", 4096)  # 48 chunks
+        sub = extract_subnetwork(build_toy_cnn(seed=3), 1)
+        EvaluationContext.build(sub, np.random.default_rng(1).normal(size=(6, 3, 8, 8)))
+        assert len(helper.peaks) == 24 and max(helper.peaks) < HELPER_BYTES
 
 
 class TestForwardBlocks:
