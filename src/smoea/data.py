@@ -55,26 +55,21 @@ def _read_records(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return records[:, 1:].reshape(n, *CIFAR_SHAPE), labels
 
 
-def _to_unit(pixels: np.ndarray) -> np.ndarray:
-    images = pixels.astype(np.float64)
-    images /= 255.0
-    return images
-
-
 def read_cifar10_batch(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """One binary batch file -> (images [N,3,32,32] in [0,1], labels [N])."""
-    pixels, labels = _read_records(path)
-    return _to_unit(pixels), labels
+    return _read_split([path])
 
 
-def _read_split(files: list[Path]) -> tuple[np.ndarray, np.ndarray]:
-    """The records of several batch files as one split: the pixels are
-    concatenated as bytes and converted to float once."""
+def _read_split(files: list[str | Path]) -> tuple[np.ndarray, np.ndarray]:
+    """The records of several batch files as one split, images in [0, 1]:
+    the pixels are concatenated as bytes and converted to float once."""
     parts = [_read_records(f) for f in files]
     if not parts:
         return np.zeros((0, *CIFAR_SHAPE)), np.zeros(0, dtype=np.int64)
     pixels = np.concatenate([p[0] for p in parts])
-    return _to_unit(pixels), np.concatenate([p[1] for p in parts])
+    images = pixels.astype(np.float64)
+    images /= 255.0
+    return images, np.concatenate([p[1] for p in parts])
 
 
 def normalize_per_channel(

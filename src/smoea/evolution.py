@@ -122,10 +122,7 @@ def fast_nondominated_sort(points: np.ndarray) -> list[list[int]]:
 def crowding_distance(points: np.ndarray) -> np.ndarray:
     """Crowding distances of one front's [n, 2] objective rows; boundaries
     get +inf and a zero objective range contributes nothing."""
-    n = len(points)
-    if n <= 2:
-        return np.full(n, np.inf)
-    dist = np.zeros(n)
+    dist = np.zeros(len(points))
     for column in points.T:
         order = np.argsort(column, kind="stable")
         value = column[order]
@@ -249,14 +246,12 @@ def knee_point(front: list[Individual]) -> Individual:
     """Front member farthest (perpendicular distance, objectives normalized
     to [0,1]) from the line through the two extreme endpoints.
 
-    Fronts of size 1 or 2 return the member with the smaller filter_pct;
-    distance ties break by smaller filter_pct, then lower error.
+    Distance ties break by smaller filter_pct, then lower error. On a front
+    of size 1 or 2 every member lies on that line, so the tie rule picks.
     """
     if not front:
         raise EvolutionError("knee_point on an empty front")
     small_key = lambda ind: (ind.objectives.filter_pct, ind.objectives.error)
-    if len(front) <= 2:
-        return min(front, key=small_key)
     pts = np.array([small_key(ind) for ind in front])
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo

@@ -26,8 +26,8 @@ from functools import partial
 import numpy as np
 
 from . import tensor as T
-from .exceptions import NonFiniteError, ShapeError, check_fields
-from .network import FilterMask, SubNetwork
+from .exceptions import EvolutionError, NonFiniteError, ShapeError, check_fields
+from .network import SubNetwork
 
 ALPHA_MODES = ("optimized", "fixed_one")
 
@@ -59,11 +59,20 @@ class EvaluationContext:
         """The context of `sub` on the calibration input `map_l`: one pass
         through the first conv and the interstitial layers feeds both ||r||
         and the Gram terms. Raises NonFiniteError where a term is NaN or
-        infinite, since no mask could then be ranked."""
+        infinite, and EvolutionError where the output is one number, since
+        no mask could then be ranked."""
         x = T.conv2d_forward(map_l, sub.first.params)
         for lay in sub.interstitial:
             x = lay.forward(x)[0]
-        ref_norm = T.frobenius_norm(sub.second.forward(x)[0])
+        out = sub.second.forward(x)[0]
+        if out.size == 1:
+            raise EvolutionError(
+                "the sub-network's output over the calibration batch is one "
+                "number, which the optimized alpha fits under every mask, so "
+                "the reconstruction error ranks no mask"
+            )
+        ref_norm = T.frobenius_norm(out)
+        del out  # freed before the Gram build
         terms = (*_gram_terms(sub, x), ref_norm)
         if not all(np.isfinite(term).all() for term in terms):
             raise NonFiniteError(
@@ -170,11 +179,6 @@ def _position_blocks(
     ]
 
 
-def filter_pct(mask: FilterMask) -> float:
-    """Fraction of retained filters, ||M||_0 / #(M)."""
-    return float(mask.bits.sum()) / mask.bits.shape[0]
-
-
 def optimal_alpha(reference: np.ndarray, approx: np.ndarray) -> float:
     """Closed-form minimizer of ||reference - a*approx||_2 over scalar a.
 
@@ -235,12 +239,3 @@ def score_genomes(
     if alpha_mode == "optimized":
         error[~live] = ctx.ref_norm
     return np.column_stack((genes.sum(axis=1) / genes.shape[1], error))
-
-
-def evaluate_individual(
-    ctx: EvaluationContext, mask: FilterMask, *, alpha_mode: str = "optimized"
-) -> ObjectiveVector:
-    """Objective vector (filter_pct, error) for one mask: its row of
-    score_genomes."""
-    mask.check_width(ctx.num_filters)
-    return ObjectiveVector(*score_genomes(ctx, mask.bits[None], alpha_mode=alpha_mode)[0])

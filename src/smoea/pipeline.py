@@ -198,7 +198,7 @@ def finetune_with_history(
                 T.sgd_update(net.layers[pos].arrays(), grads, lr, cfg.momentum, velocity[pos])
             epoch_loss += loss
             nbatch += 1
-        losses.append(epoch_loss / max(nbatch, 1))
+        losses.append(epoch_loss / nbatch)
     return net, losses
 
 

@@ -201,13 +201,12 @@ def _padded(shape, padding: int, layout, dtype) -> np.ndarray:
     return out
 
 
-def _pad(x: np.ndarray, padding: int, layout=_NCHW) -> np.ndarray:
-    """x with its spatial dims zero-padded, as an NCHW view of a new array
-    laid out as `layout` (_padded). An unpadded x keeps its own layout and
-    is returned as it is where NCHW is asked for."""
-    if padding == 0 and layout is _NCHW:
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """x with its spatial dims zero-padded into a new NCHW array; an
+    unpadded x is returned as it is, in its own layout."""
+    if padding == 0:
         return x
-    out = _padded(x.shape, padding, layout, x.dtype)
+    out = _padded(x.shape, padding, _NCHW, x.dtype)
     h, w = x.shape[2:]
     out[:, :, padding : padding + h, padding : padding + w] = x
     return out

@@ -127,6 +127,13 @@ class TestCrowding:
         crowding = crowding_distance(np.array([[0.1, 2.0], [0.9, 1.0]]))
         assert crowding[0] == float("inf") and crowding[1] == float("inf")
 
+    def test_one_member_front_infinite(self):
+        assert crowding_distance(np.array([[0.3, 1.0]])).tolist() == [float("inf")]
+
+    def test_tied_two_member_front_infinite(self):
+        crowding = crowding_distance(np.array([[0.5, 1.0], [0.5, 1.0]]))
+        assert crowding.tolist() == [float("inf")] * 2
+
     def test_three_evenly_spaced(self):
         crowding = crowding_distance(np.array([[0.0, 2.0], [0.5, 1.0], [1.0, 0.0]]))
         assert crowding[1] == pytest.approx(2.0)
@@ -362,6 +369,14 @@ class TestKneePoint:
     def test_single_point_front(self):
         front = [ind(0.4, 2.0)]
         assert knee_point(front) is front[0]
+
+    def test_two_point_front_of_equal_objectives(self):
+        front = [ind(0.5, 1.0), ind(0.5, 1.0)]
+        assert knee_point(front) is front[0]
+
+    def test_two_point_front_tied_in_filter_pct(self):
+        front = [ind(0.5, 2.0), ind(0.5, 1.0)]
+        assert knee_point(front) is front[1]
 
     def test_collinear_ties_break_to_min_filter_pct(self):
         front = [ind(x, 1.0 - x) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smoea import objectives as O
 from smoea import tensor as T
-from smoea.exceptions import ArgumentError, MaskError, NonFiniteError, ShapeError
+from smoea.exceptions import ArgumentError, EvolutionError, NonFiniteError, ShapeError
 from smoea.network import (
     ConvLayer,
     DenseLayer,
@@ -24,8 +24,6 @@ from smoea.network import (
 from smoea.objectives import (
     ALPHA_MODES,
     EvaluationContext,
-    evaluate_individual,
-    filter_pct,
     optimal_alpha,
     reconstruction_error,
 )
@@ -53,25 +51,40 @@ def mask_of(bits):
     return FilterMask(np.asarray(bits, dtype=np.uint8), 2)
 
 
+def score_row(ctx, bits, mode="optimized"):
+    """A mask's (filter_pct, error): its row of a one-row score_genomes call."""
+    genes = np.asarray(bits, dtype=np.uint8)[None]
+    return O.score_genomes(ctx, genes, alpha_mode=mode)[0]
+
+
+def pct_column(bits):
+    """The filter_pct column that score_genomes gives a [P, C] genome matrix,
+    on a context of C uncoupled unit responses."""
+    genes = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
+    c = genes.shape[1]
+    ctx = EvaluationContext(np.eye(c), np.zeros(c), 0.0, 1.0)
+    return O.score_genomes(ctx, genes)[:, 0]
+
+
 class TestFilterPct:
     def test_half(self):
-        assert filter_pct(mask_of([1, 1, 0, 0])) == 0.5
+        assert pct_column([1, 1, 0, 0]).tolist() == [0.5]
 
     def test_all_ones(self):
-        assert filter_pct(mask_of([1] * 8)) == 1.0
+        assert pct_column([1] * 8).tolist() == [1.0]
 
     def test_lower_bound(self):
         bits = np.zeros(10, dtype=np.uint8)
         bits[:2] = 1
-        assert filter_pct(FilterMask(bits, 1)) == pytest.approx(0.2)
+        assert pct_column(bits)[0] == pytest.approx(0.2)
 
     def test_clearing_bits_strictly_decreases(self):
         bits = np.ones(8, dtype=np.uint8)
-        prev = filter_pct(mask_of(bits))
+        prev = pct_column(bits)[0]
         for i in range(7):
             bits = bits.copy()
             bits[i] = 0
-            cur = filter_pct(mask_of(bits))
+            cur = pct_column(bits)[0]
             assert cur < prev
             prev = cur
 
@@ -134,11 +147,11 @@ class TestReconstructionError:
             reconstruction_error(reference, np.zeros(3))
 
 
-class TestEvaluateIndividual:
+class TestScoreRow:
     def test_full_mask(self, ctx, reference):
-        obj = evaluate_individual(ctx, mask_of([1] * 16))
-        assert obj.filter_pct == 1.0
-        assert obj.error == pytest.approx(0.0, abs=1e-12)
+        pct, error = score_row(ctx, [1] * 16)
+        assert pct == 1.0
+        assert error == pytest.approx(0.0, abs=1e-12)
         assert optimal_alpha(reference, reference) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -146,13 +159,12 @@ class TestEvaluateIndividual:
         rng = np.random.default_rng(seed)
         bits = np.zeros(16, dtype=np.uint8)
         bits[rng.choice(16, size=rng.integers(1, 16), replace=False)] = 1
-        mask = mask_of(bits)
-        fast = evaluate_individual(ctx, mask)
+        fast_pct, fast_err = score_row(ctx, bits)
         # slow path: mask the first layer's weights and run the whole block
-        slow_out = subnetwork_forward(*toy, mask)
+        slow_out = subnetwork_forward(*toy, mask_of(bits))
         slow_err = reconstruction_error(reference, slow_out)
-        assert fast.filter_pct == filter_pct(mask)
-        assert fast.error == pytest.approx(slow_err, abs=1e-9)
+        assert fast_pct == bits.sum() / 16
+        assert fast_err == pytest.approx(slow_err, abs=1e-9)
 
     def test_dead_channel_costs_nothing(self):
         net = build_toy_cnn(seed=9)
@@ -162,17 +174,12 @@ class TestEvaluateIndividual:
         ctx = EvaluationContext.build(sub, map_l)
         bits = np.ones(16, dtype=np.uint8)
         bits[5] = 0
-        assert evaluate_individual(ctx, mask_of(bits)).error == pytest.approx(0.0, abs=1e-9)
+        assert score_row(ctx, bits)[1] == pytest.approx(0.0, abs=1e-9)
 
     def test_deterministic_bit_for_bit(self, ctx):
-        mask = mask_of([1, 0] * 8)
-        a = evaluate_individual(ctx, mask)
-        b = evaluate_individual(ctx, mask)
-        assert a.filter_pct == b.filter_pct and a.error == b.error
-
-    def test_wrong_length_mask(self, ctx):
-        with pytest.raises(MaskError):
-            evaluate_individual(ctx, FilterMask(np.ones(4, dtype=np.uint8), 2))
+        a = score_row(ctx, [1, 0] * 8)
+        b = score_row(ctx, [1, 0] * 8)
+        assert a[0] == b[0] and a[1] == b[1]
 
 
 class TestDenseSecondLayer:
@@ -184,11 +191,11 @@ class TestDenseSecondLayer:
         bits = np.ones(16, dtype=np.uint8)
         bits[[0, 9]] = 0
         mask = FilterMask(bits, 4)
-        fast = evaluate_individual(ctx, mask)
+        fast = score_row(ctx, bits)[1]
         slow = reconstruction_error(
             subnetwork_forward(sub, map_l), subnetwork_forward(sub, map_l, mask)
         )
-        assert fast.error == pytest.approx(slow, abs=1e-9)
+        assert fast == pytest.approx(slow, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +260,11 @@ def conv9_context():
 
 
 def assert_matches_slow_path(sub, map_l, ctx, bits, mode="optimized", fast=None):
-    """`fast`, by default evaluate_individual's error, is within the bound
-    of the direct forward's error."""
+    """`fast`, by default the error of the mask's one-row score_genomes
+    call, is within the bound of the direct forward's error."""
     mask = FilterMask(np.asarray(bits, dtype=np.uint8), 0)
     if fast is None:
-        fast = evaluate_individual(ctx, mask, alpha_mode=mode).error
+        fast = score_row(ctx, bits, mode)[1]
     reference = subnetwork_forward(sub, map_l)
     slow = reconstruction_error(reference, subnetwork_forward(sub, map_l, mask), mode)
     bound = RTOL * slow + ATOL * T.frobenius_norm(reference)
@@ -326,7 +333,7 @@ class TestGramForm:
         the slow path's bound in both alpha modes, and filter_pct is
         retained / C exactly. In half the draws a shrunk CHUNK_BYTES makes
         the Gram build run in chunks, paired on the helper thread. An output
-        of one number is test_one_number_output's case."""
+        of one number is refused (test_one_number_output)."""
         draw = data.draw
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         tail = draw(st.sampled_from(sorted(TOY_TAILS)))
@@ -374,23 +381,22 @@ class TestGramForm:
             for bits, error in zip(genes, points[:, 1]):
                 assert_matches_slow_path(sub, map_l, ctx, bits, mode, fast=error)
 
-    @pytest.mark.xfail(strict=True, reason="the Gram form's error of an exact fit")
     def test_one_number_output(self):
-        """A sub-network whose output is one number: the fitted alpha
-        reconstructs it exactly under every mask that leaves a != 0, so the
-        slow path's error is 0. The Gram form takes ||d||^2 - <a, d>^2 /
-        ||a||^2, two terms of the size of ||d||^2, and keeps up to about
-        sqrt(eps) * ||d|| of their rounding, beyond the bound."""
+        """A sub-network whose output over the calibration batch is one
+        number: the fitted alpha reconstructs it exactly under every mask
+        that leaves a != 0, so the error ranks no mask, and the Gram form
+        would return only the rounding of ||d||^2 - <a, d>^2 / ||a||^2. The
+        build refuses it."""
         rng = np.random.default_rng(0)
         first = ConvLayer(T.ConvParams(8, 2, 1, 1, 1, 0, rng.normal(size=(8, 2, 1, 1)),
                                        rng.normal(0.0, 0.5, 8)))
         dense = DenseLayer(rng.normal(0.0, 0.5, (8, 1)), rng.normal(0.0, 0.5, 1))
         sub = SubNetwork(first, [ReluLayer(), PoolLayer(), FlattenLayer()], dense)
         map_l = rng.normal(size=(1, 2, 2, 2))
-        ctx = EvaluationContext.build(sub, map_l)
-        genes = (np.arange(1, 255)[:, None] >> np.arange(8) & 1).astype(bool)
-        for bits, error in zip(genes, O.score_genomes(ctx, genes)[:, 1]):
-            assert_matches_slow_path(sub, map_l, ctx, bits, fast=error)
+        assert subnetwork_forward(sub, map_l).size == 1
+        with pytest.raises(EvolutionError, match="one number") as err:
+            EvaluationContext.build(sub, map_l)
+        assert err.value.exit_code == 7
 
     @pytest.mark.parametrize("kind", TOY_TAILS)
     def test_terms_equal_per_channel_responses(self, toy_contexts, kind):
@@ -453,7 +459,7 @@ class TestGramForm:
         """A mask whose kept channels reach the output with zero weight and a
         zero bias leaves a = 0, where optimal_alpha takes alpha = 0."""
         sub, map_l, ctx, bits = silent_kept_channels()
-        assert evaluate_individual(ctx, mask_of(bits)).error == T.frobenius_norm(
+        assert score_row(ctx, bits)[1] == T.frobenius_norm(
             subnetwork_forward(sub, map_l)
         )
         assert_matches_slow_path(sub, map_l, ctx, bits)
@@ -492,19 +498,18 @@ class TestGramForm:
                 population_size=12, elite_size=4, generations=3, seed=2, alpha_mode=mode
             )
             for ind in evolve_subnetwork(ctx, cfg).front:
-                mask = FilterMask(ind.genes.astype(np.uint8), 0)
-                assert evaluate_individual(ctx, mask, alpha_mode=mode) == ind.objectives
+                assert tuple(score_row(ctx, ind.genes, mode)) == ind.objectives.as_tuple()
                 assert_matches_slow_path(sub, map_l, ctx, ind.genes, mode)
 
     def test_unknown_alpha_mode(self, ctx, reference):
         with pytest.raises(ArgumentError):
-            evaluate_individual(ctx, mask_of([1] * 16), alpha_mode="nonsense")
+            score_row(ctx, [1] * 16, "nonsense")
         with pytest.raises(ArgumentError):
             reconstruction_error(reference, reference, "nonsense")
 
     def test_alpha_mode_is_keyword_only(self, ctx):
         with pytest.raises(TypeError):
-            evaluate_individual(ctx, mask_of([1] * 16), "fixed_one")
+            O.score_genomes(ctx, np.ones((1, 16), dtype=bool), "fixed_one")
 
 def second_layer_input(sub, map_l):
     """What EvaluationContext.build feeds _gram_terms: map_l through the
