@@ -12,6 +12,7 @@ whose per-layer retained rates it replays.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -86,9 +87,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None) -> dict:
-    if path is None:
-        return dict(DEFAULT_CONFIG)
-    user = read_json_object(path, ArgumentError, "config")
+    user = {} if path is None else read_json_object(path, ArgumentError, "config")
     _check_keys(user, DEFAULT_CONFIG)
     return _merge(DEFAULT_CONFIG, user)
 
@@ -235,14 +234,23 @@ def read_run(args, with_data: bool = True) -> tuple[Settings, Network, Dataset |
 
 
 def open_run(args, command: str, settings: Settings) -> Path:
-    """Make the run directory, echo the config and start log.txt."""
+    """Make the run directory, echo the config and start log.txt. --out may
+    name a directory that exists; a default name taken by another run gets
+    the first free -2, -3, ... suffix."""
     if args.out:
         run_dir = Path(args.out)
     else:
         root = Path(os.environ.get("SMOEA_RUNS", "runs"))
-        run_dir = root / f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
+        run_dir = stem = root / f"{command}-{time.strftime('%Y%m%d-%H%M%S')}"
     try:
-        run_dir.mkdir(parents=True, exist_ok=True)
+        for suffix in itertools.count(2):
+            try:  # without exist_ok, only one process can make a default name
+                run_dir.mkdir(parents=True, exist_ok=bool(args.out))
+                break
+            except FileExistsError:
+                if args.out:  # a regular file
+                    raise
+                run_dir = stem.with_name(f"{stem.name}-{suffix}")
         (run_dir / "config.echo").write_text(json.dumps(settings.config, indent=2))
     except OSError as e:
         raise ArgumentError(f"cannot write the run directory {run_dir}: {e}") from e
@@ -495,7 +503,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's warnings would add lines to the one ERROR line: every
+        # non-finite value a command uses has its own check
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SmoeaError as e:
         print(
             f"ERROR code={e.exit_code} type={type(e).__name__} msg={e}",

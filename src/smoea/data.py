@@ -72,15 +72,6 @@ def _read_split(files: list[str | Path]) -> tuple[np.ndarray, np.ndarray]:
     return images, np.concatenate([p[1] for p in parts])
 
 
-def normalize_per_channel(
-    images: np.ndarray, mean: np.ndarray, std: np.ndarray
-) -> np.ndarray:
-    """(images - mean) / std per channel, computed in place; returns images."""
-    images -= mean[None, :, None, None]
-    images /= std[None, :, None, None]
-    return images
-
-
 def load_cifar10(path: str | Path) -> Dataset:
     """Load a CIFAR-10 directory (data_batch_*.bin + test_batch.bin) or a
     single batch file (all records into the train split).
@@ -103,8 +94,9 @@ def load_cifar10(path: str | Path) -> Dataset:
     mean = train_images.mean(axis=(0, 2, 3)) if train_images.size else np.zeros(3)
     std = train_images.std(axis=(0, 2, 3)) if train_images.size else np.ones(3)
     std = np.where(std > 0, std, 1.0)
-    normalize_per_channel(train_images, mean, std)
-    normalize_per_channel(test_images, mean, std)
+    for images in (train_images, test_images):  # in place, per channel
+        images -= mean[None, :, None, None]
+        images /= std[None, :, None, None]
     return Dataset(train_images, train_labels, test_images, test_labels)
 
 

@@ -255,10 +255,7 @@ def knee_point(front: list[Individual]) -> Individual:
     pts = np.array([small_key(ind) for ind in front])
     lo = pts.min(axis=0)
     span = pts.max(axis=0) - lo
-    norm = np.zeros_like(pts)
-    for d in range(2):
-        if span[d] > 0:
-            norm[:, d] = (pts[:, d] - lo[d]) / span[d]
+    norm = np.divide(pts - lo, span, out=np.zeros_like(pts), where=span > 0)
     a = norm[int(np.argmin(norm[:, 0]))]  # minimal normalized filter_pct
     b = norm[int(np.argmin(norm[:, 1]))]  # minimal normalized error
     ab = b - a

@@ -123,8 +123,8 @@ class ConvLayer(ParametricLayer):
         """The [N, C, Ho, Wo, kh, kw] windows of the input x under each
         output position, and the weights as [C, kh*kw, O]: the response of
         input channel c is windows[:, c] @ weights[c]."""
-        p = self.params
-        windows = T._windows(T._pad(x, p.padding), p)
+        p, q = self.params, self.params.padding
+        windows = T._windows(np.pad(x, ((0, 0), (0, 0), (q, q), (q, q))) if q else x, p)
         return windows, p.weights.transpose(1, 2, 3, 0).reshape(channels, -1, p.out_channels)
 
     def compacted(self, in_bits: np.ndarray | None, out_bits: np.ndarray | None):

@@ -343,13 +343,12 @@ def baseline_mask(
     bits = np.zeros(n, dtype=np.uint8)
     if criterion == "random":
         bits[rng.choice(n, size=keep, replace=False)] = 1
-    elif criterion == "l2":
-        norms = np.sqrt((weights.reshape(n, -1) ** 2).sum(axis=1))
-        order = np.argsort(norms, kind="stable")  # ascending: prune front
-        bits[order[n - keep :]] = 1
+        return bits
+    if criterion == "l2":
+        score = np.sqrt((weights.reshape(n, -1) ** 2).sum(axis=1))
     else:  # fpgm
-        order = np.argsort(_fpgm_distance_sums(weights), kind="stable")
-        bits[order[n - keep :]] = 1
+        score = _fpgm_distance_sums(weights)
+    bits[np.argsort(score, kind="stable")[n - keep :]] = 1  # ascending: prune front
     return bits
 
 

@@ -48,12 +48,14 @@ _side_by_side): the backward's weight and input gradients, and the first and
 second halves of the forward's blocks. This thread makes every buffer that
 a helper half writes, so the helper allocates no array and every buffer
 lives in this thread's malloc arena. Each half makes the same numpy calls
-on the same operands as it would alone, into those buffers, so no result
+on the same operands as it would alone, into those buffers and under the
+caller's numpy error state, so no result, warning or floating-point error
 depends on the thread that computed it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -151,17 +153,18 @@ def _side_by_side(first, second):
     """(first()(), second()()): each half is a call that makes the buffers
     its work writes and returns that work, a call that runs on them. Both
     halves make their buffers on this thread, then first's work runs on the
-    helper thread while second's runs on this one. Returns or raises only
-    after first's work has finished, so no work of this call outlives it;
-    its exception is raised when second succeeded, second's otherwise. A
-    process held to one CPU makes, runs and drops each half in turn on this
-    thread, so its peak holds one half's buffers: two threads would only
-    take turns on that CPU, which made fine-tuning slower than one thread
-    does."""
+    helper thread, in a copy of this thread's context and so under its
+    numpy error state (np.errstate), while second's runs on this one.
+    Returns or raises only after first's work has finished, so no work of
+    this call outlives it; its exception is raised when second succeeded,
+    second's otherwise. A process held to one CPU makes, runs and drops each
+    half in turn on this thread, so its peak holds one half's buffers: two
+    threads would only take turns on that CPU, which made fine-tuning slower
+    than one thread does."""
     if _cpu_count() < 2:
         return first()(), second()()
     first_work, second_work = first(), second()
-    future = _HELPER.submit(first_work)
+    future = _HELPER.submit(partial(contextvars.copy_context().run, first_work))
     try:
         second_result = second_work()
     finally:
@@ -198,17 +201,6 @@ def _padded(shape, padding: int, layout, dtype) -> np.ndarray:
         rows = out[:, :, p : p + h]
         for frame in (out[:, :, :p], out[:, :, p + h :], rows[..., :p], rows[..., p + w :]):
             frame[...] = 0
-    return out
-
-
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """x with its spatial dims zero-padded into a new NCHW array; an
-    unpadded x is returned as it is, in its own layout."""
-    if padding == 0:
-        return x
-    out = _padded(x.shape, padding, _NCHW, x.dtype)
-    h, w = x.shape[2:]
-    out[:, :, padding : padding + h, padding : padding + w] = x
     return out
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1093,16 +1094,11 @@ class TestErrors:
             argv += ["--out", str(tmp_path / "r")]
         if edit_manifest is not None:
             argv += ["--model", str(saved_toy_model(tmp_path, edit_manifest))]
-        if request.node.callspec.id in RUNS_FINETUNE:
-            # the diverging fine-tune overflows on its way to a non-finite loss
-            expected = pytest.warns(RuntimeWarning, match="overflow|invalid value")
-        else:
-            expected = contextlib.nullcontext()
-        with expected:
-            assert run(argv) == code
+        # cli.main turns numpy's warnings off, so the diverging fine-tune's
+        # overflows on its way to a non-finite loss add no line to stderr
+        assert run(argv) == code
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        errors = [line for line in err.splitlines() if line.startswith("ERROR code=")]
+        errors = err.splitlines()
         assert len(errors) == 1
         assert errors[0].startswith(f"ERROR code={code} type={error_type} msg=")
         for name in CROSS_FIELD.get(request.node.callspec.id, ()):
@@ -1145,6 +1141,23 @@ class TestErrors:
         assert len(errors) == 1
         assert errors[0].startswith("ERROR code=2 type=ArgumentError msg=")
         assert root.read_text() == ""
+
+    def test_runs_in_one_second_get_their_own_directories(self, tmp_path, monkeypatch, no_work):
+        """Without --out, a run whose default name another run took makes
+        the first free -2, -3, ...: runs started in the same second never
+        share a report.json or a log.txt."""
+        stamp = "20261022-120000"
+        monkeypatch.setattr("smoea.cli.time", SimpleNamespace(strftime=lambda fmt: stamp))
+        root = tmp_path / "runs"
+        monkeypatch.setenv("SMOEA_RUNS", str(root))
+        cfg = write_config(tmp_path)
+        for _ in range(3):
+            assert run(["report", "--config", cfg]) == 0
+        names = [f"report-{stamp}", f"report-{stamp}-2", f"report-{stamp}-3"]
+        assert sorted(p.name for p in root.iterdir()) == names
+        for name in names:
+            assert (root / name / "report.json").is_file()
+            assert (root / name / "log.txt").read_text().count("command=report") == 1
 
     @settings(max_examples=120, deadline=None)
     @given(case=invalid_config(), argv=st.sampled_from(list(COMMANDS.values())))

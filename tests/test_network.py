@@ -4,6 +4,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smoea import network as N
 from smoea import tensor as T
@@ -543,3 +546,48 @@ class TestSerialization:
     def test_missing_model(self, tmp_path):
         with pytest.raises(ModelFormatError):
             load_model(tmp_path / "nope")
+
+
+# relu values: both signed zeros, NaN and the infinities among finite ones
+RELU_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]), st.floats(-10, 10))
+# dense values: finite, both signed zeros among them
+DENSE_ELEMENTS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-10, 10))
+
+
+def assert_close(got, want, scale):
+    """Within 1e-12 of `scale`, the sum of the absolute products that a
+    dot product adds up, so cancellation cannot widen the bound."""
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+class TestLayerFuzz:
+    """ReluLayer and DenseLayer against their oracles on drawn shapes, a
+    single row or column among them."""
+
+    @given(data=st.data(), shape=hnp.array_shapes(min_dims=2, max_dims=4, max_side=5))
+    @settings(max_examples=100, deadline=None)
+    def test_relu_layer_equals_tensor_relu(self, data, shape):
+        """Byte for byte, with NaN, the infinities and signed zeros."""
+        x, g = (data.draw(hnp.arrays(np.float64, shape, elements=RELU_ELEMENTS)) for _ in "xg")
+        y, saved = N.ReluLayer().forward(x)
+        assert y.tobytes() == T.relu(x).tobytes()
+        with np.errstate(invalid="ignore"):  # an infinite gradient times 0
+            got, want = N.ReluLayer().backward(saved, g)[0], T.relu_backward(x, g)
+        assert got.tobytes() == want.tobytes()
+
+    @given(data=st.data(), n=st.integers(1, 6), d=st.integers(1, 6), o=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_layer_equals_einsum_forms(self, data, n, d, o):
+        x, w, b, g = (
+            data.draw(hnp.arrays(np.float64, shape, elements=DENSE_ELEMENTS))
+            for shape in ((n, d), (d, o), (o,), (n, o))
+        )
+        layer = N.DenseLayer(w, b)
+        y, saved = layer.forward(x)
+        assert_close(y, np.einsum("nd,do->no", x, w) + b,
+                     np.einsum("nd,do->no", abs(x), abs(w)) + abs(b))
+        g_x, (g_w, g_b) = layer.backward(saved, g)
+        assert_close(g_x, np.einsum("no,do->nd", g, w), np.einsum("no,do->nd", abs(g), abs(w)))
+        assert_close(g_w, np.einsum("nd,no->do", x, g), np.einsum("nd,no->do", abs(x), abs(g)))
+        assert_close(g_b, np.einsum("no->o", g), np.einsum("no->o", abs(g)))

@@ -1,4 +1,5 @@
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -527,7 +528,8 @@ def sequential_gram_terms(sub, x):
     weights, bias = sub.second.arrays()
     if sub.second.kind == "conv":
         params = sub.second.params
-        patches = T._windows(T._pad(x, params.padding), params)
+        p = params.padding
+        patches = T._windows(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x, params)
         w = weights.transpose(1, 2, 3, 0).reshape(c, -1, params.out_channels)
     else:
         patches = x.reshape(n, c, 1, 1, -1)
@@ -626,6 +628,29 @@ class TestPairedGramBuild:
         calls = count_side_by_side(monkeypatch)
         assert_terms_equal(O._gram_terms(sub, x), expect)
         assert len(calls) == (0 if chunks == 1 else chunks // 2)
+
+    @pytest.mark.parametrize("mode", ["ignore", "raise"])
+    def test_helper_runs_under_callers_error_state(self, mode, monkeypatch):
+        """Chunk 0, image 0's, is the first of the first pair, so its
+        product runs on the helper thread; only it overflows. The helper
+        runs in a copy of the caller's context, np.errstate's included."""
+        monkeypatch.setattr(T, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(T, "CHUNK_BYTES", 2048)  # one chunk per image
+        l, shape = TOY_TAILS["relu-pool-flatten-dense"]
+        sub = biased_toy_subnetwork(l)
+        x = second_layer_input(sub, np.random.default_rng(l).normal(size=shape))
+        x[0] *= 1e200
+        calls = count_side_by_side(monkeypatch)
+        if mode == "raise":
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+                O._gram_terms(sub, x)
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with np.errstate(all="ignore"):
+                    gram = O._gram_terms(sub, x)[0]
+            assert not np.isfinite(gram).all()
+        assert len(calls) == {"raise": 1, "ignore": 3}[mode]  # raised in the first pair
 
     def test_error_on_the_helper_propagates_from_build(self, monkeypatch):
         monkeypatch.setattr(T, "_cpu_count", lambda: 2)

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -1075,6 +1076,57 @@ class TestHelperAllocatesNothing:
         sub = extract_subnetwork(build_toy_cnn(seed=3), 1)
         EvaluationContext.build(sub, np.random.default_rng(1).normal(size=(6, 3, 8, 8)))
         assert len(helper.peaks) == 24 and max(helper.peaks) < HELPER_BYTES
+
+
+def overflow_on_the_helper(call, monkeypatch):
+    """x, params and grad_out of a toy_conv2 call that splits, scaled so
+    that a product overflows only on the helper thread: in image 0, the
+    first block of the forward's first half, and in the backward's weight
+    gradient. All values are non-negative, so every overflow is +inf."""
+    x, p, g = backward_case(BITWISE_CONV_SHAPES["toy_conv2"])
+    x, g = abs(x), abs(g)
+    p.weights[...] = abs(p.weights)
+    monkeypatch.setattr(T, "CHUNK_BYTES", 0)
+    if call == "forward":
+        x[0] *= 1e200
+        p.weights[...] *= 1e200
+    else:
+        x *= 1e200
+        g *= 1e200
+    return x, p, g
+
+
+class TestHelperUnderCallersErrorState:
+    """np.errstate is a context variable, which a new thread does not
+    inherit: the helper's half of a split call runs in a copy of the
+    caller's context, so it ignores or raises as the caller asked."""
+
+    @pytest.mark.parametrize("call", ["forward", "backward"])
+    def test_ignore_emits_no_warning(self, call, monkeypatch):
+        x, p, g = overflow_on_the_helper(call, monkeypatch)
+        calls = count_side_by_side(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                if call == "forward":
+                    y = T.conv2d_forward(x, p)
+                    assert np.isinf(y[0]).all() and np.isfinite(y[1:]).all()
+                else:
+                    gx, gw, gb = T.conv2d_backward(x, p, g)
+                    assert np.isinf(gw).all() and np.isfinite(gx).all()
+                    assert np.isfinite(gb).all()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("call", ["forward", "backward"])
+    def test_raise_raises_from_the_helper(self, call, monkeypatch):
+        x, p, g = overflow_on_the_helper(call, monkeypatch)
+        calls = count_side_by_side(monkeypatch)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            if call == "forward":
+                T.conv2d_forward(x, p)
+            else:
+                T.conv2d_backward(x, p, g)
+        assert len(calls) == 1
 
 
 class TestForwardBlocks:
